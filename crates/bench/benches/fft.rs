@@ -4,11 +4,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use wearlock_dsp::chirp::Chirp;
 use wearlock_dsp::correlate::{
-    normalized_cross_correlate, normalized_cross_correlate_fft_into,
-    normalized_cross_correlate_fft_real_into, CorrelationWorkspace,
+    normalized_cross_correlate, normalized_cross_correlate_fft_into, CorrelationWorkspace,
 };
 use wearlock_dsp::units::{Hz, SampleRate};
-use wearlock_dsp::{Complex, Fft, RealFft};
+use wearlock_dsp::{Complex, Fft};
 
 fn bench_fft(c: &mut Criterion) {
     let fft = Fft::new(256).unwrap();
@@ -34,19 +33,13 @@ fn bench_fft(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    // Packed real-input FFT vs widening a real block to complex.
+    // A real block widened to complex during the bit-reversal copy: the
+    // demodulator's per-block spectrum.
     let real: Vec<f64> = (0..256).map(|i| (i as f64 * 0.1).sin()).collect();
-    let rfft = RealFft::new(256).unwrap();
     let mut spec = vec![Complex::ZERO; 256];
     c.bench_function("fft_256_forward_real_classic", |b| {
         b.iter(|| {
             fft.forward_real_into(std::hint::black_box(&real), &mut spec)
-                .unwrap()
-        })
-    });
-    c.bench_function("fft_256_forward_real_packed", |b| {
-        b.iter(|| {
-            rfft.forward_into(std::hint::black_box(&real), &mut spec)
                 .unwrap()
         })
     });
@@ -185,10 +178,10 @@ fn bench_normalized_xcorr_scaling(c: &mut Criterion) {
     }
 }
 
-/// Preamble detection, seed path vs plan-cached workspace vs real-FFT
-/// fast path, over a session-scale recording (1.5 s at 44.1 kHz). The
-/// seed path re-plans its FFT and reallocates every buffer per call;
-/// the workspace paths reuse both.
+/// Preamble detection, seed path vs plan-cached workspace, over a
+/// session-scale recording (1.5 s at 44.1 kHz). The seed path re-plans
+/// its FFT and reallocates every buffer per call; the workspace path
+/// reuses both.
 fn bench_preamble_detect(c: &mut Criterion) {
     let chirp = Chirp::new(Hz(1_000.0), Hz(6_000.0), 256, SampleRate::CD).unwrap();
     let template = chirp.generate();
@@ -209,18 +202,6 @@ fn bench_preamble_detect(c: &mut Criterion) {
                 std::hint::black_box(&signal),
                 &template,
                 &mut ws,
-                &mut scores,
-            )
-            .unwrap()
-        })
-    });
-    let mut ws_real = CorrelationWorkspace::new();
-    c.bench_function("preamble_detect_realfft", |b| {
-        b.iter(|| {
-            normalized_cross_correlate_fft_real_into(
-                std::hint::black_box(&signal),
-                &template,
-                &mut ws_real,
                 &mut scores,
             )
             .unwrap()

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wearlock::config::WearLockConfig;
 use wearlock::environment::Environment;
-use wearlock::session::UnlockSession;
+use wearlock::session::{AttemptOptions, UnlockSession};
 use wearlock_acoustics::channel::AcousticLink;
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::{Meters, Spl};
@@ -82,7 +82,7 @@ fn bench_full_attempt(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(5);
         let mut session = UnlockSession::new(WearLockConfig::default()).unwrap();
         b.iter(|| {
-            let r = session.attempt(std::hint::black_box(&env), &mut rng);
+            let r = session.run(std::hint::black_box(&env), &AttemptOptions::new(), &mut rng);
             session.enter_pin();
             r
         })

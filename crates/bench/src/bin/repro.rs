@@ -187,7 +187,7 @@ fn main() {
     if want("fig6") {
         print(
             "Fig. 6 - Offloading vs local processing on the wearable (50 rounds)",
-            report::fig6_observed(&runner, SEED, 50, &metrics),
+            report::fig6(&runner, SEED, 50, &metrics),
         );
     }
     if want("fig7") {
@@ -223,7 +223,7 @@ fn main() {
     if want("fig12") {
         print(
             "Fig. 12 - Total unlock delay per configuration vs manual PIN entry",
-            report::fig12_observed(SEED, &metrics),
+            report::fig12(SEED, &metrics),
         );
     }
     if want("funnel") {
@@ -235,7 +235,7 @@ fn main() {
     if want("table1") {
         print(
             "Table I - Field test: BER per location / hand config / band",
-            report::table1_observed(SEED, 6, &metrics),
+            report::table1(SEED, 6, &metrics),
         );
     }
     if want("table2") {
@@ -247,7 +247,7 @@ fn main() {
     if want("casestudy") {
         print(
             "Case study - five participants, classroom, 10 trials each",
-            report::casestudy_observed(SEED, 10, &metrics),
+            report::casestudy(SEED, 10, &metrics),
         );
     }
     if want("resilience") {

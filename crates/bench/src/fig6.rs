@@ -82,16 +82,11 @@ fn round_workload() -> (Workload, usize) {
 /// rounds of acoustic unlocking").
 ///
 /// Every (plan, round) pair is an independent task with its own derived
-/// RNG, so the result is identical for any worker count.
-pub fn run(rounds: usize, seed: u64, runner: &SweepRunner) -> (PlanCost, PlanCost) {
-    run_observed(rounds, seed, runner, &MetricsRecorder::new())
-}
-
-/// [`run`] with telemetry: each round's cost is recorded as a
-/// per-plan stage span in `metrics` (merged deterministically in
-/// round order, so the metrics JSON is identical for any worker
-/// count).
-pub fn run_observed(
+/// RNG, so the result is identical for any worker count. Each round's
+/// cost is recorded as a per-plan stage span in `metrics` (merged
+/// deterministically in round order, so the metrics JSON is identical
+/// for any worker count too).
+pub fn run(
     rounds: usize,
     seed: u64,
     runner: &SweepRunner,

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wearlock_runtime::SweepRunner;
-use wearlock_telemetry::{AttemptOutcome, MetricsRecorder, NullSink};
+use wearlock_telemetry::{AttemptOutcome, EventSink, MetricsRecorder};
 
 use crate::{fig1011, fig4, fig5, fig6, fig789, funnel, resilience, table2};
 
@@ -72,19 +72,15 @@ pub fn fig5(runner: &SweepRunner, seed: u64, bits_per_point: usize) -> Vec<Strin
     out
 }
 
-/// Fig. 6 rows: offloading vs local processing on the wearable.
-pub fn fig6(runner: &SweepRunner, seed: u64, rounds: usize) -> Vec<String> {
-    fig6_observed(runner, seed, rounds, &MetricsRecorder::new())
-}
-
-/// [`fig6()`] with per-round cost spans recorded into `metrics`.
-pub fn fig6_observed(
+/// Fig. 6 rows: offloading vs local processing on the wearable, with
+/// per-round cost spans recorded into `metrics`.
+pub fn fig6(
     runner: &SweepRunner,
     seed: u64,
     rounds: usize,
     metrics: &MetricsRecorder,
 ) -> Vec<String> {
-    let (local, offload) = fig6::run_observed(rounds, seed, runner, metrics);
+    let (local, offload) = fig6::run(rounds, seed, runner, metrics);
     vec![
         format!(
             "local on watch   : {:7.1} ms/round, {:7.2} J total, {:.4}% of battery",
@@ -296,16 +292,12 @@ pub fn resilience(
     out
 }
 
-/// Fig. 12 rows: total unlock delay per configuration vs manual PIN.
-pub fn fig12(seed: u64) -> Vec<String> {
-    fig12_observed(seed, &NullSink)
-}
-
-/// [`fig12`] with every attempt's telemetry reported to `sink`.
-pub fn fig12_observed(seed: u64, sink: &dyn wearlock_telemetry::EventSink) -> Vec<String> {
+/// Fig. 12 rows: total unlock delay per configuration vs manual PIN,
+/// with every attempt's telemetry reported to `sink`.
+pub fn fig12(seed: u64, sink: &dyn EventSink) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let env = wearlock::environment::Environment::default();
-    match wearlock::delay::compare_with_pin_observed(&env, 5, sink, &mut rng) {
+    match wearlock::delay::compare_with_pin(&env, 5, sink, &mut rng) {
         Ok(report) => {
             let mut out = Vec::new();
             for (i, c) in report.configs.iter().enumerate() {
@@ -334,19 +326,11 @@ pub fn fig12_observed(seed: u64, sink: &dyn wearlock_telemetry::EventSink) -> Ve
     }
 }
 
-/// Table I rows: field-test BER per location / hand config / band.
-pub fn table1(seed: u64, trials: usize) -> Vec<String> {
-    table1_observed(seed, trials, &NullSink)
-}
-
-/// [`table1`] with every attempt's telemetry reported to `sink`.
-pub fn table1_observed(
-    seed: u64,
-    trials: usize,
-    sink: &dyn wearlock_telemetry::EventSink,
-) -> Vec<String> {
+/// Table I rows: field-test BER per location / hand config / band,
+/// with every attempt's telemetry reported to `sink`.
+pub fn table1(seed: u64, trials: usize, sink: &dyn EventSink) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    match wearlock::fieldtest::run_field_test_observed(trials, sink, &mut rng) {
+    match wearlock::fieldtest::run_field_test(trials, sink, &mut rng) {
         Ok(ft) => {
             use wearlock_acoustics::noise::Location;
             use wearlock_modem::config::FrequencyBand;
@@ -410,19 +394,11 @@ pub fn table2(runner: &SweepRunner, seed: u64, trials: usize) -> Vec<String> {
     ]
 }
 
-/// Case-study rows: five participants, classroom, `trials` each.
-pub fn casestudy(seed: u64, trials: usize) -> Vec<String> {
-    casestudy_observed(seed, trials, &NullSink)
-}
-
-/// [`casestudy`] with every attempt's telemetry reported to `sink`.
-pub fn casestudy_observed(
-    seed: u64,
-    trials: usize,
-    sink: &dyn wearlock_telemetry::EventSink,
-) -> Vec<String> {
+/// Case-study rows: five participants, classroom, `trials` each, with
+/// every attempt's telemetry reported to `sink`.
+pub fn casestudy(seed: u64, trials: usize, sink: &dyn EventSink) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    match wearlock::casestudy::run_case_study_observed(trials, sink, &mut rng) {
+    match wearlock::casestudy::run_case_study(trials, sink, &mut rng) {
         Ok(cs) => {
             let mut out = Vec::new();
             for p in &cs.participants {

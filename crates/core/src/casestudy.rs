@@ -135,25 +135,15 @@ impl CaseStudy {
 }
 
 /// Runs the case study (`trials` unlocks per participant, paper uses
-/// 10) in a classroom environment.
+/// 10) in a classroom environment. Every attempt reports its spans and
+/// outcome to `sink` (pass [`NullSink`] for none).
 ///
 /// # Errors
 ///
 /// Propagates configuration/session failures.
+///
+/// [`NullSink`]: wearlock_telemetry::NullSink
 pub fn run_case_study<R: Rng + ?Sized>(
-    trials: usize,
-    rng: &mut R,
-) -> Result<CaseStudy, WearLockError> {
-    run_case_study_observed(trials, &wearlock_telemetry::NullSink, rng)
-}
-
-/// [`run_case_study`] with telemetry: every attempt reports its spans
-/// and outcome to `sink`.
-///
-/// # Errors
-///
-/// Propagates configuration/session failures.
-pub fn run_case_study_observed<R: Rng + ?Sized>(
     trials: usize,
     sink: &dyn wearlock_telemetry::EventSink,
     rng: &mut R,
@@ -218,6 +208,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wearlock_telemetry::NullSink;
 
     #[test]
     fn roster_matches_paper_structure() {
@@ -230,7 +221,7 @@ mod tests {
     #[test]
     fn tight_grip_fails_often_loose_grip_recovers() {
         let mut rng = StdRng::seed_from_u64(60);
-        let cs = run_case_study(10, &mut rng).unwrap();
+        let cs = run_case_study(10, &NullSink, &mut rng).unwrap();
         let tight = &cs.participants[0];
         let loose = &cs.participants[1];
         assert!(
@@ -249,7 +240,7 @@ mod tests {
     #[test]
     fn normal_participants_mostly_succeed() {
         let mut rng = StdRng::seed_from_u64(61);
-        let cs = run_case_study(10, &mut rng).unwrap();
+        let cs = run_case_study(10, &NullSink, &mut rng).unwrap();
         for idx in [2usize, 4] {
             let p = &cs.participants[idx];
             assert!(
@@ -264,7 +255,7 @@ mod tests {
     #[test]
     fn average_success_is_high() {
         let mut rng = StdRng::seed_from_u64(62);
-        let cs = run_case_study(10, &mut rng).unwrap();
+        let cs = run_case_study(10, &NullSink, &mut rng).unwrap();
         let avg = cs.average_success_rate();
         // Paper reports ≈90%; the tight-grip block drags our average.
         assert!(avg > 0.55, "average success {avg}");
@@ -293,7 +284,11 @@ mod tests {
             .build();
         let mut flags = 0;
         for _ in 0..40 {
-            if session.attempt(&env, &mut rng).nlos_flagged {
+            if session
+                .run(&env, &AttemptOptions::new(), &mut rng)
+                .final_attempt()
+                .nlos_flagged
+            {
                 flags += 1;
             }
             session.enter_pin();

@@ -48,29 +48,17 @@ fn span_sum(delays: &[(String, Seconds)], prefix: &str) -> Seconds {
 
 /// Measures the delay breakdown of `config_kind` in `env`, averaging
 /// over `trials` *successful acoustic* attempts (motion skips and
-/// failures are excluded — the paper times complete unlocks).
+/// failures are excluded — the paper times complete unlocks). Every
+/// attempt, including the excluded ones, reports its spans and outcome
+/// to `sink` (pass [`NullSink`] for none).
 ///
 /// # Errors
 ///
 /// Returns [`WearLockError::SessionFailed`] when no attempt succeeds
 /// (e.g. a hostile environment).
+///
+/// [`NullSink`]: wearlock_telemetry::NullSink
 pub fn measure_breakdown<R: Rng + ?Sized>(
-    config_kind: NamedConfig,
-    env: &Environment,
-    trials: usize,
-    rng: &mut R,
-) -> Result<DelayBreakdown, WearLockError> {
-    measure_breakdown_observed(config_kind, env, trials, &wearlock_telemetry::NullSink, rng)
-}
-
-/// [`measure_breakdown`] with telemetry: every attempt (including the
-/// excluded non-acoustic ones) reports its spans and outcome to `sink`.
-///
-/// # Errors
-///
-/// Returns [`WearLockError::SessionFailed`] when no attempt succeeds
-/// (e.g. a hostile environment).
-pub fn measure_breakdown_observed<R: Rng + ?Sized>(
     config_kind: NamedConfig,
     env: &Environment,
     trials: usize,
@@ -130,7 +118,8 @@ impl SpeedupReport {
     }
 }
 
-/// Runs the full Fig. 12 comparison.
+/// Runs the full Fig. 12 comparison, reporting every attempt's
+/// telemetry to `sink`.
 ///
 /// # Errors
 ///
@@ -138,25 +127,12 @@ impl SpeedupReport {
 pub fn compare_with_pin<R: Rng + ?Sized>(
     env: &Environment,
     trials: usize,
-    rng: &mut R,
-) -> Result<SpeedupReport, WearLockError> {
-    compare_with_pin_observed(env, trials, &wearlock_telemetry::NullSink, rng)
-}
-
-/// [`compare_with_pin`] with telemetry reported to `sink`.
-///
-/// # Errors
-///
-/// Propagates [`measure_breakdown`] failures.
-pub fn compare_with_pin_observed<R: Rng + ?Sized>(
-    env: &Environment,
-    trials: usize,
     sink: &dyn wearlock_telemetry::EventSink,
     rng: &mut R,
 ) -> Result<SpeedupReport, WearLockError> {
     let mut configs = Vec::new();
     for kind in NamedConfig::ALL {
-        configs.push(measure_breakdown_observed(kind, env, trials, sink, rng)?);
+        configs.push(measure_breakdown(kind, env, trials, sink, rng)?);
     }
     Ok(SpeedupReport {
         configs,
@@ -170,6 +146,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wearlock_telemetry::NullSink;
 
     #[test]
     fn config1_beats_config2_beats_config3() {
@@ -181,7 +158,7 @@ mod tests {
         // 3-trial mean flips the ordering on roughly 1 seed in 4. 25
         // trials brings the sample means close enough to their
         // expectations for the designed ordering to resolve.
-        let report = compare_with_pin(&env, 25, &mut rng).unwrap();
+        let report = compare_with_pin(&env, 25, &NullSink, &mut rng).unwrap();
         let t: Vec<f64> = report.configs.iter().map(|c| c.total.value()).collect();
         assert!(t[0] < t[1], "config1 {} vs config2 {}", t[0], t[1]);
         assert!(t[1] < t[2], "config2 {} vs config3 {}", t[1], t[2]);
@@ -191,7 +168,7 @@ mod tests {
     fn wearlock_beats_pin_entry() {
         let mut rng = StdRng::seed_from_u64(71);
         let env = Environment::default();
-        let report = compare_with_pin(&env, 3, &mut rng).unwrap();
+        let report = compare_with_pin(&env, 3, &NullSink, &mut rng).unwrap();
         // Paper: ≥58.6% speedup for Config1, ≥17.7% even for the worst.
         assert!(
             report.speedup_vs_pin4(0) > 0.55,
@@ -211,8 +188,14 @@ mod tests {
     #[test]
     fn breakdown_parts_sum_close_to_total() {
         let mut rng = StdRng::seed_from_u64(72);
-        let b =
-            measure_breakdown(NamedConfig::Config1, &Environment::default(), 3, &mut rng).unwrap();
+        let b = measure_breakdown(
+            NamedConfig::Config1,
+            &Environment::default(),
+            3,
+            &NullSink,
+            &mut rng,
+        )
+        .unwrap();
         let parts = b.phase1_processing.value()
             + b.phase2_preprocessing.value()
             + b.phase2_demodulation.value()
@@ -229,10 +212,22 @@ mod tests {
     #[test]
     fn watch_local_demod_dominates_config3() {
         let mut rng = StdRng::seed_from_u64(73);
-        let b3 =
-            measure_breakdown(NamedConfig::Config3, &Environment::default(), 3, &mut rng).unwrap();
-        let b1 =
-            measure_breakdown(NamedConfig::Config1, &Environment::default(), 3, &mut rng).unwrap();
+        let b3 = measure_breakdown(
+            NamedConfig::Config3,
+            &Environment::default(),
+            3,
+            &NullSink,
+            &mut rng,
+        )
+        .unwrap();
+        let b1 = measure_breakdown(
+            NamedConfig::Config1,
+            &Environment::default(),
+            3,
+            &NullSink,
+            &mut rng,
+        )
+        .unwrap();
         assert!(
             b3.phase1_processing.value() > 5.0 * b1.phase1_processing.value(),
             "watch probing {} vs phone {}",

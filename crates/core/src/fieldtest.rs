@@ -107,7 +107,9 @@ impl FieldTest {
     }
 }
 
-/// Runs the field test with `trials` unlock attempts per cell.
+/// Runs the field test with `trials` unlock attempts per cell. Every
+/// attempt reports its spans and outcome to `sink` (pass [`NullSink`]
+/// for none).
 ///
 /// Same-hand attempts run with the NLOS relaxation enabled (BER target
 /// 0.25), mirroring how the paper still completes transmissions in the
@@ -116,20 +118,9 @@ impl FieldTest {
 /// # Errors
 ///
 /// Propagates configuration/session construction failures.
+///
+/// [`NullSink`]: wearlock_telemetry::NullSink
 pub fn run_field_test<R: Rng + ?Sized>(
-    trials: usize,
-    rng: &mut R,
-) -> Result<FieldTest, WearLockError> {
-    run_field_test_observed(trials, &wearlock_telemetry::NullSink, rng)
-}
-
-/// [`run_field_test`] with telemetry: every attempt reports its spans
-/// and outcome to `sink`.
-///
-/// # Errors
-///
-/// Propagates configuration/session construction failures.
-pub fn run_field_test_observed<R: Rng + ?Sized>(
     trials: usize,
     sink: &dyn wearlock_telemetry::EventSink,
     rng: &mut R,
@@ -191,6 +182,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wearlock_telemetry::NullSink;
 
     #[test]
     fn hand_configs_have_expected_paths() {
@@ -205,7 +197,7 @@ mod tests {
     #[test]
     fn field_test_produces_full_grid() {
         let mut rng = StdRng::seed_from_u64(80);
-        let ft = run_field_test(2, &mut rng).unwrap();
+        let ft = run_field_test(2, &NullSink, &mut rng).unwrap();
         // 2 bands × 2 hands × 4 locations.
         assert_eq!(ft.cells.len(), 16);
         assert!(ft
@@ -220,7 +212,7 @@ mod tests {
     #[test]
     fn same_hand_errs_more_than_different_hands() {
         let mut rng = StdRng::seed_from_u64(81);
-        let ft = run_field_test(4, &mut rng).unwrap();
+        let ft = run_field_test(4, &NullSink, &mut rng).unwrap();
         let avg = |hands: HandConfig| -> f64 {
             let cells: Vec<&FieldCell> = ft
                 .cells
@@ -237,7 +229,7 @@ mod tests {
     #[test]
     fn average_ber_in_paper_ballpark() {
         let mut rng = StdRng::seed_from_u64(82);
-        let ft = run_field_test(4, &mut rng).unwrap();
+        let ft = run_field_test(4, &NullSink, &mut rng).unwrap();
         let avg = ft.average_ber();
         // Paper: ≈0.08 average. Accept the same order of magnitude.
         assert!(avg > 0.005 && avg < 0.25, "avg ber {avg}");

@@ -8,13 +8,16 @@
 //!
 //! The public API centres on [`session::UnlockSession`]: configure the
 //! system ([`config::WearLockConfig`]), describe the physical scenario
-//! ([`environment::Environment`]), and run unlock attempts — each one
-//! executes the paper's two-phase protocol (wireless gate → motion
-//! filter → RTS/CTS channel probing with NLOS screening, ambient
-//! similarity, sub-channel selection and BER-constrained adaptive
-//! modulation → OFDM transmission of an HOTP token → verification with
-//! replay defence and lockout) over a sample-level acoustic channel
-//! simulator, with per-phase delay and energy accounting.
+//! ([`environment::Environment`]), and run unlock attempts through the
+//! one entry point [`session::UnlockSession::run`], whose
+//! [`session::AttemptOptions`] select telemetry, fault injection and the
+//! retry ladder. Each attempt executes the paper's two-phase protocol
+//! (wireless gate → motion filter → RTS/CTS channel probing with NLOS
+//! screening, ambient similarity, sub-channel selection and
+//! BER-constrained adaptive modulation → OFDM transmission of an HOTP
+//! token → verification with replay defence and lockout) over a
+//! sample-level acoustic channel simulator, with per-phase delay and
+//! energy accounting.
 //!
 //! Sub-crates (all re-exported as dependencies): `wearlock-dsp`
 //! (FFT/chirp/correlation toolkit), `wearlock-acoustics` (channel
@@ -29,11 +32,12 @@
 //! use rand::SeedableRng;
 //! use wearlock::config::WearLockConfig;
 //! use wearlock::environment::Environment;
-//! use wearlock::session::UnlockSession;
+//! use wearlock::session::{AttemptOptions, UnlockSession};
 //!
 //! let mut session = UnlockSession::new(WearLockConfig::default())?;
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let report = session.attempt(&Environment::default(), &mut rng);
+//! let series = session.run(&Environment::default(), &AttemptOptions::new(), &mut rng);
+//! let report = series.final_attempt();
 //! assert!(report.outcome.unlocked());
 //! println!("unlocked in {:.0} ms", report.total_delay.value() * 1e3);
 //! # Ok::<(), wearlock::WearLockError>(())
@@ -63,5 +67,5 @@ pub use environment::{Environment, MotionScenario};
 pub use error::{ConfigError, WearLockError};
 pub use session::{
     AttemptOptions, AttemptReport, AttemptSummary, DenyReason, Outcome, ResilienceReport,
-    ResilientOutcome, RetryPolicy, RetryReport, UnlockPath, UnlockSession,
+    ResilientOutcome, RetryPolicy, UnlockPath, UnlockSession,
 };

@@ -215,12 +215,12 @@ pub struct AttemptReport {
 /// use rand::SeedableRng;
 /// use wearlock::config::WearLockConfig;
 /// use wearlock::environment::Environment;
-/// use wearlock::session::UnlockSession;
+/// use wearlock::session::{AttemptOptions, UnlockSession};
 ///
 /// let mut session = UnlockSession::new(WearLockConfig::default())?;
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let report = session.attempt(&Environment::default(), &mut rng);
-/// assert!(report.outcome.unlocked());
+/// let series = session.run(&Environment::default(), &AttemptOptions::new(), &mut rng);
+/// assert!(series.final_attempt().outcome.unlocked());
 /// # Ok::<(), wearlock::WearLockError>(())
 /// ```
 #[derive(Debug)]
@@ -310,16 +310,14 @@ impl UnlockSession {
             .with_detection_threshold(self.config.nlos_score_threshold.max(0.3))
     }
 
-    /// The unified unlock entry point: one attempt, or a budgeted retry
-    /// series, with optional telemetry and fault injection — all
-    /// selected by `options`. The five legacy `attempt_*` methods are
-    /// thin wrappers over this.
+    /// The unlock entry point: one attempt, or a budgeted retry series,
+    /// with optional telemetry and fault injection — all selected by
+    /// `options`.
     ///
     /// With no retry policy set, `run` executes exactly one attempt
-    /// under a degenerate policy (no backoff, no PIN surrender), making
-    /// byte-identical RNG draws to the legacy [`UnlockSession::attempt`]
-    /// path — the property tests pin the two reports equal. With
-    /// [`AttemptOptions::retry_policy`] it is the budgeted retry ladder
+    /// under a degenerate policy (no backoff, so no jitter draw, and no
+    /// PIN surrender); read it with [`ResilienceReport::final_attempt`].
+    /// With [`AttemptOptions::retry_policy`] it is the budgeted retry ladder
     /// documented on [`RetryPolicy`]: retry until unlocked, the channel
     /// proves unfixable (`NoWirelessLink`), or the budget runs out —
     /// then (policy permitting) surrender to manual PIN entry.
@@ -336,9 +334,13 @@ impl UnlockSession {
     ///
     /// Backoff is exponential with a deterministic jitter drawn from
     /// `rng` (the session's seeded stream), so the whole series is
-    /// reproducible. Every decision is emitted to the options' sink as
-    /// a [`RetryEvent`]; fault randomness comes from plan-owned seeds,
-    /// never from `rng` (the null-fault contract).
+    /// reproducible. Every pipeline stage emits a [`StageSpan`], every
+    /// attempt an [`AttemptEvent`] and every ladder decision a
+    /// [`RetryEvent`] to the options' sink; with a disabled sink (the
+    /// default [`NullSink`]) the instrumentation is a dead branch.
+    /// Fault randomness comes from plan-owned seeds, never from `rng`,
+    /// so [`FaultPlan::none()`] makes byte-identical draws to no faults
+    /// at all (the null-fault contract).
     pub fn run<R: Rng + ?Sized>(
         &mut self,
         env: &Environment,
@@ -461,65 +463,6 @@ impl UnlockSession {
                 });
             }
         }
-    }
-
-    /// Shared wrapper body for the single-attempt compat methods: run a
-    /// one-attempt series and unwrap its report.
-    fn run_single<R: Rng + ?Sized>(
-        &mut self,
-        env: &Environment,
-        options: &AttemptOptions<'_>,
-        rng: &mut R,
-    ) -> AttemptReport {
-        debug_assert!(options.retry.is_none(), "single-attempt wrapper");
-        let mut series = self.run(env, options, rng);
-        series.attempts.pop().expect("a series holds >= 1 attempt")
-    }
-
-    /// Runs one unlock attempt in `env`, updating session state.
-    ///
-    /// Compat wrapper for [`UnlockSession::run`] with default
-    /// [`AttemptOptions`].
-    pub fn attempt<R: Rng + ?Sized>(&mut self, env: &Environment, rng: &mut R) -> AttemptReport {
-        self.run_single(env, &AttemptOptions::new(), rng)
-    }
-
-    /// [`UnlockSession::attempt`] with telemetry: every pipeline stage
-    /// emits a [`StageSpan`] to `sink` and the attempt ends with one
-    /// [`AttemptEvent`]. With a disabled sink (e.g. [`NullSink`], which
-    /// `attempt` passes) the instrumentation compiles down to a dead
-    /// branch — the two entry points run the identical pipeline.
-    ///
-    /// Compat wrapper for [`UnlockSession::run`] with
-    /// [`AttemptOptions::sink`].
-    pub fn attempt_observed<R: Rng + ?Sized>(
-        &mut self,
-        env: &Environment,
-        sink: &dyn EventSink,
-        rng: &mut R,
-    ) -> AttemptReport {
-        self.run_single(env, &AttemptOptions::new().sink(sink), rng)
-    }
-
-    /// [`UnlockSession::attempt_observed`] under an injected
-    /// [`FaultPlan`]. With [`FaultPlan::none()`] every fault hook is a
-    /// dead branch and the pipeline makes byte-identical random draws
-    /// to the plain path (the null-fault contract, enforced by the
-    /// integration tests). Fault randomness (e.g. burst noise) comes
-    /// from seeds stored in the plan, never from `rng`, so a given plan
-    /// perturbs the attempt identically wherever it runs.
-    ///
-    /// Compat wrapper for [`UnlockSession::run`] with
-    /// [`AttemptOptions::fault_plan`].
-    pub fn attempt_faulted<R: Rng + ?Sized>(
-        &mut self,
-        env: &Environment,
-        faults: &FaultPlan,
-        sink: &dyn EventSink,
-        rng: &mut R,
-    ) -> AttemptReport {
-        let options = AttemptOptions::new().fault_plan(*faults).sink(sink);
-        self.run_single(env, &options, rng)
     }
 
     fn emit_attempt(report: &AttemptReport, sink: &dyn EventSink) {
@@ -975,57 +918,6 @@ impl UnlockSession {
     pub fn last_counter(&self) -> u64 {
         self.generator.counter()
     }
-
-    /// Runs up to `1 + max_retries` attempts, stopping at the first
-    /// unlock or at a deny reason retrying cannot fix (no wireless
-    /// link, lockout). Mirrors the case study's user behaviour: "they
-    /// felt no harassment to repeat the unlocking via acoustics in case
-    /// of failures".
-    ///
-    /// Compat wrapper for [`UnlockSession::run`] with no faults, no
-    /// backoff and no PIN surrender — but retries still escalate, so
-    /// after a channel-quality denial the next RTS/CTS probe runs
-    /// louder and under a relaxed BER target instead of repeating the
-    /// exact configuration that just failed.
-    pub fn attempt_with_retries<R: Rng + ?Sized>(
-        &mut self,
-        env: &Environment,
-        max_retries: u32,
-        rng: &mut R,
-    ) -> RetryReport {
-        let policy = RetryPolicy {
-            max_attempts: max_retries.saturating_add(1),
-            ..RetryPolicy::single_attempt()
-        };
-        let rep = self.run(env, &AttemptOptions::new().retry_policy(policy), rng);
-        RetryReport {
-            outcome: rep.attempts.last().expect("at least one attempt").outcome,
-            total_delay: rep.total_delay,
-            attempts: rep.attempts,
-        }
-    }
-
-    /// The budgeted retry ladder: repeat the attempt under `injector`'s
-    /// per-attempt [`FaultPlan`]s until it unlocks, the channel proves
-    /// unfixable, or the budget runs out — then (policy permitting)
-    /// surrender to manual PIN entry. The ladder rules are documented
-    /// on [`UnlockSession::run`], of which this is a compat wrapper
-    /// combining [`AttemptOptions::fault_injector`] and
-    /// [`AttemptOptions::retry_policy`].
-    pub fn attempt_resilient<R: Rng + ?Sized>(
-        &mut self,
-        env: &Environment,
-        injector: &FaultInjector,
-        policy: &RetryPolicy,
-        sink: &dyn EventSink,
-        rng: &mut R,
-    ) -> ResilienceReport {
-        let options = AttemptOptions::new()
-            .fault_injector(*injector)
-            .retry_policy(*policy)
-            .sink(sink);
-        self.run(env, &options, rng)
-    }
 }
 
 /// Where [`UnlockSession::run`] gets the fault plan for each attempt of
@@ -1045,8 +937,8 @@ enum FaultSource {
 /// Builder-style options for [`UnlockSession::run`], the single unlock
 /// entry point.
 ///
-/// The default options reproduce the legacy [`UnlockSession::attempt`]:
-/// one attempt, no telemetry ([`NullSink`]), no faults, no retries.
+/// The default options run one attempt with no telemetry
+/// ([`NullSink`]), no faults and no retries.
 /// Each builder method switches on one dimension independently:
 ///
 /// ```
@@ -1091,8 +983,7 @@ impl Default for AttemptOptions<'_> {
 }
 
 impl<'a> AttemptOptions<'a> {
-    /// The legacy-`attempt` defaults: one attempt, no telemetry, no
-    /// faults, no retries.
+    /// The defaults: one attempt, no telemetry, no faults, no retries.
     pub fn new() -> Self {
         AttemptOptions::default()
     }
@@ -1150,7 +1041,8 @@ struct AttemptTuning {
     relax_max_ber: Option<f64>,
 }
 
-/// Budget and escalation knobs for [`UnlockSession::attempt_resilient`].
+/// Budget and escalation knobs for the retry ladder of
+/// [`UnlockSession::run`], set with [`AttemptOptions::retry_policy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum acoustic attempts before the ladder gives up.
@@ -1178,7 +1070,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// The degenerate policy [`UnlockSession::run`] uses when no retry
     /// policy is set: exactly one attempt, no backoff (so no jitter
-    /// draw), no PIN surrender — the legacy single-attempt semantics.
+    /// draw), no PIN surrender.
     fn single_attempt() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
@@ -1226,7 +1118,7 @@ impl ResilientOutcome {
     }
 }
 
-/// Result of one [`UnlockSession::attempt_resilient`] series.
+/// Result of one [`UnlockSession::run`] series.
 #[derive(Debug, Clone)]
 pub struct ResilienceReport {
     /// How the series ended.
@@ -1254,23 +1146,10 @@ impl ResilienceReport {
     }
 }
 
-/// Result of an attempt series with retries.
-#[derive(Debug, Clone)]
-pub struct RetryReport {
-    /// Final outcome (of the last attempt).
-    pub outcome: Outcome,
-    /// Every attempt's full report, in order.
-    pub attempts: Vec<AttemptReport>,
-    /// Wall-clock across all attempts.
-    pub total_delay: Seconds,
-}
-
-/// Uniform summary view over the three attempt-report shapes
-/// ([`AttemptReport`], [`RetryReport`], [`ResilienceReport`]), so
-/// aggregation layers — the fleet engine, the bench harnesses — can
-/// fold any of them without special-casing which entry point produced
-/// the report. Replaces the `unlocked()`/`tries()` accessor pairs that
-/// used to be duplicated inherently on each report type.
+/// Uniform summary view over a single attempt ([`AttemptReport`]) and
+/// a whole series ([`ResilienceReport`]), so aggregation layers — the
+/// fleet engine, the bench harnesses — can fold either without
+/// special-casing.
 pub trait AttemptSummary {
     /// Whether the series ended with WearLock unlocking the phone
     /// (acoustically or via motion skip). PIN fallback counts as
@@ -1290,20 +1169,6 @@ impl AttemptSummary for AttemptReport {
 
     fn tries(&self) -> usize {
         1
-    }
-
-    fn total_delay(&self) -> Seconds {
-        self.total_delay
-    }
-}
-
-impl AttemptSummary for RetryReport {
-    fn unlocked(&self) -> bool {
-        self.outcome.unlocked()
-    }
-
-    fn tries(&self) -> usize {
-        self.attempts.len()
     }
 
     fn total_delay(&self) -> Seconds {
@@ -1356,10 +1221,20 @@ mod tests {
         UnlockSession::new(WearLockConfig::default()).unwrap()
     }
 
+    /// Up to `max_attempts` escalating attempts with no faults, no
+    /// backoff and no PIN surrender.
+    fn flat_retries(max_attempts: u32) -> AttemptOptions<'static> {
+        AttemptOptions::new().retry_policy(RetryPolicy {
+            max_attempts,
+            ..RetryPolicy::single_attempt()
+        })
+    }
+
     #[test]
     fn benign_close_range_unlocks() {
         let mut s = session();
-        let report = s.attempt(&Environment::default(), &mut rng(1));
+        let series = s.run(&Environment::default(), &AttemptOptions::new(), &mut rng(1));
+        let report = series.final_attempt();
         assert!(report.outcome.unlocked(), "{report:?}");
         assert!(report.total_delay.value() > 0.0);
     }
@@ -1368,7 +1243,8 @@ mod tests {
     fn no_wireless_link_denies_immediately() {
         let mut s = session();
         let env = Environment::builder().wireless_in_range(false).build();
-        let report = s.attempt(&env, &mut rng(2));
+        let series = s.run(&env, &AttemptOptions::new(), &mut rng(2));
+        let report = series.final_attempt();
         assert_eq!(report.outcome, Outcome::Denied(DenyReason::NoWirelessLink));
         assert_eq!(report.total_delay.value(), 0.0);
     }
@@ -1382,7 +1258,8 @@ mod tests {
                 watch: Activity::Running,
             })
             .build();
-        let report = s.attempt(&env, &mut rng(3));
+        let series = s.run(&env, &AttemptOptions::new(), &mut rng(3));
+        let report = series.final_attempt();
         assert_eq!(report.outcome, Outcome::Denied(DenyReason::MotionMismatch));
         // No acoustic phases ran.
         assert!(report.mode.is_none());
@@ -1400,7 +1277,8 @@ mod tests {
         let mut skips = 0;
         let mut r = rng(4);
         for _ in 0..10 {
-            let report = s.attempt(&env, &mut r);
+            let series = s.run(&env, &AttemptOptions::new(), &mut r);
+            let report = series.final_attempt();
             if report.outcome == Outcome::Unlocked(UnlockPath::MotionSkip) {
                 skips += 1;
             }
@@ -1418,7 +1296,7 @@ mod tests {
         let mut r = rng(5);
         let mut unlocked = 0;
         for _ in 0..5 {
-            if s.attempt(&env, &mut r).outcome.unlocked() {
+            if s.run(&env, &AttemptOptions::new(), &mut r).unlocked() {
                 unlocked += 1;
             }
             // Reset lockout between trials: we measure PHY, not policy.
@@ -1436,7 +1314,8 @@ mod tests {
         let mut r = rng(6);
         let mut denied = 0;
         for _ in 0..5 {
-            let report = s.attempt(&env, &mut r);
+            let series = s.run(&env, &AttemptOptions::new(), &mut r);
+            let report = series.final_attempt();
             if !report.outcome.unlocked() {
                 denied += 1;
             }
@@ -1454,13 +1333,14 @@ mod tests {
         let mut r = rng(7);
         let mut reasons = Vec::new();
         for _ in 0..5 {
-            let rep = s.attempt(&env, &mut r);
+            let series = s.run(&env, &AttemptOptions::new(), &mut r);
+            let rep = series.final_attempt();
             // Ignore motion skips which bypass verification.
             if rep.outcome == Outcome::Unlocked(UnlockPath::MotionSkip) {
                 continue;
             }
             reasons.push(rep.outcome);
-            // The resync in `attempt` replaces the verifier; re-sabotage.
+            // The resync after a rejection replaces the verifier; re-sabotage.
             s.verifier = TokenVerifier::new(&b"wrong-key"[..], 0, 3);
         }
         assert!(
@@ -1479,7 +1359,8 @@ mod tests {
             .location(Location::QuietRoom)
             .distance(Meters(0.2))
             .build();
-        let report = s.attempt(&env, &mut rng(8));
+        let series = s.run(&env, &AttemptOptions::new(), &mut rng(8));
+        let report = series.final_attempt();
         if let Outcome::Unlocked(UnlockPath::Acoustic(mode)) = report.outcome {
             assert!(report.psnr.is_some());
             assert!(report.ebn0.is_some());
@@ -1503,7 +1384,7 @@ mod tests {
         let mut series_ok = 0;
         let mut used_extra_tries = false;
         for _ in 0..6 {
-            let rep = s.attempt_with_retries(&env, 3, &mut r);
+            let rep = s.run(&env, &flat_retries(4), &mut r);
             if rep.unlocked() {
                 series_ok += 1;
             }
@@ -1522,7 +1403,7 @@ mod tests {
     fn retries_stop_immediately_on_unfixable_denials() {
         let mut s = session();
         let env = Environment::builder().wireless_in_range(false).build();
-        let rep = s.attempt_with_retries(&env, 5, &mut rng(12));
+        let rep = s.run(&env, &flat_retries(6), &mut rng(12));
         assert_eq!(rep.tries(), 1);
         assert!(!rep.unlocked());
     }
@@ -1531,9 +1412,26 @@ mod tests {
     fn retry_report_accumulates_delay() {
         let mut s = session();
         let env = Environment::default();
-        let rep = s.attempt_with_retries(&env, 2, &mut rng(13));
+        let rep = s.run(&env, &flat_retries(3), &mut rng(13));
         let sum: f64 = rep.attempts.iter().map(|a| a.total_delay.value()).sum();
         assert!((rep.total_delay.value() - sum).abs() < 1e-12);
+    }
+
+    #[test]
+    fn default_options_run_exactly_one_attempt() {
+        let mut s = session();
+        let series = s.run(
+            &Environment::default(),
+            &AttemptOptions::new(),
+            &mut rng(14),
+        );
+        assert_eq!(series.attempts.len(), 1);
+        assert_eq!(series.escalations, 0);
+        assert_eq!(series.pin_delay, None);
+        assert_eq!(
+            series.total_delay.value().to_bits(),
+            series.final_attempt().total_delay.value().to_bits()
+        );
     }
 
     #[test]
@@ -1575,12 +1473,14 @@ mod tests {
                 watch: Activity::Running,
             })
             .build();
-        let report = s.attempt(&env, &mut rng(3));
+        let series = s.run(&env, &AttemptOptions::new(), &mut rng(3));
+        let report = series.final_attempt();
         assert_eq!(report.outcome, Outcome::Denied(DenyReason::MotionMismatch));
         // Phase 2 never ran: no data channels to report.
         assert!(report.data_channels.is_empty(), "{report:?}");
         // A full acoustic unlock does report them.
-        let ok = s.attempt(&Environment::default(), &mut rng(1));
+        let series = s.run(&Environment::default(), &AttemptOptions::new(), &mut rng(1));
+        let ok = series.final_attempt();
         assert!(ok.outcome.unlocked(), "{ok:?}");
         assert!(!ok.data_channels.is_empty());
     }
@@ -1589,12 +1489,16 @@ mod tests {
     fn null_faults_match_plain_attempt() {
         // The null-fault contract at the unit level: a plan with every
         // fault disabled makes the identical random draws, so the full
-        // diagnostic report is byte-for-byte the same.
+        // diagnostic report of the series is byte-for-byte the same.
         let mut plain = session();
         let mut faulted = session();
         let env = Environment::default();
-        let a = plain.attempt(&env, &mut rng(21));
-        let b = faulted.attempt_faulted(&env, &FaultPlan::none(), &NullSink, &mut rng(21));
+        let a = plain.run(&env, &AttemptOptions::new(), &mut rng(21));
+        let b = faulted.run(
+            &env,
+            &AttemptOptions::new().fault_plan(FaultPlan::none()),
+            &mut rng(21),
+        );
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
@@ -1612,7 +1516,9 @@ mod tests {
         // skip motion-skip unlocks and early denials.
         let mut r = rng(22);
         for _ in 0..6 {
-            let rep = s.attempt_faulted(&Environment::default(), &faults, &NullSink, &mut r);
+            let options = AttemptOptions::new().fault_plan(faults);
+            let series = s.run(&Environment::default(), &options, &mut r);
+            let rep = series.final_attempt();
             s.lockout.reset();
             if rep.psnr.is_some() && !rep.outcome.unlocked() {
                 assert_eq!(rep.outcome, Outcome::Denied(DenyReason::LinkDropped));
@@ -1629,11 +1535,11 @@ mod tests {
     fn resilient_hard_denial_stops_without_pin() {
         let mut s = session();
         let env = Environment::builder().wireless_in_range(false).build();
-        let rep = s.attempt_resilient(
+        let rep = s.run(
             &env,
-            &FaultInjector::disabled(),
-            &RetryPolicy::default(),
-            &NullSink,
+            &AttemptOptions::new()
+                .fault_injector(FaultInjector::disabled())
+                .retry_policy(RetryPolicy::default()),
             &mut rng(23),
         );
         assert_eq!(rep.tries(), 1);
@@ -1661,11 +1567,11 @@ mod tests {
         for seed in 0..8u64 {
             let mut s = session();
             let injector = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::uniform(1.0)));
-            let rep = s.attempt_resilient(
+            let rep = s.run(
                 &env,
-                &injector,
-                &RetryPolicy::default(),
-                &NullSink,
+                &AttemptOptions::new()
+                    .fault_injector(injector)
+                    .retry_policy(RetryPolicy::default()),
                 &mut rng(100 + seed),
             );
             if rep.outcome == ResilientOutcome::PinFallback {
@@ -1696,11 +1602,11 @@ mod tests {
             let mut s = session();
             let injector =
                 FaultInjector::new(FaultConfig::new(seed, FaultIntensity::new(1.0, 0.0, 0.0)));
-            let rep = s.attempt_resilient(
+            let rep = s.run(
                 &Environment::default(),
-                &injector,
-                &RetryPolicy::default(),
-                &NullSink,
+                &AttemptOptions::new()
+                    .fault_injector(injector)
+                    .retry_policy(RetryPolicy::default()),
                 &mut rng(200 + seed),
             );
             if rep.escalations > 0 {
@@ -1739,11 +1645,12 @@ mod tests {
         for seed in 0..6u64 {
             let mut s = session();
             let injector = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::uniform(0.8)));
-            s.attempt_resilient(
+            s.run(
                 &Environment::default(),
-                &injector,
-                &policy,
-                &log,
+                &AttemptOptions::new()
+                    .fault_injector(injector)
+                    .retry_policy(policy)
+                    .sink(&log),
                 &mut rng(seed),
             );
             events.append(&mut log.0.lock().unwrap());
@@ -1775,7 +1682,7 @@ mod tests {
                 .location(loc)
                 .distance(Meters(0.3))
                 .build();
-            s.attempt(&env, r).mode
+            s.run(&env, &AttemptOptions::new(), r).final_attempt().mode
         };
         let quiet = mode_at(Location::QuietRoom, &mut r);
         assert_eq!(quiet, Some(TransmissionMode::Psk8), "quiet: {quiet:?}");

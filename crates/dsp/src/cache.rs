@@ -18,13 +18,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::error::DspError;
 use crate::fft::Fft;
-use crate::realfft::RealFft;
 
 /// A size-keyed cache of FFT plans.
 ///
-/// Most callers want the process-global cache via [`planned`] /
-/// [`planned_real`]; a private cache is useful in tests or when plan
-/// lifetime must be scoped.
+/// Most callers want the process-global cache via [`planned`]; a
+/// private cache is useful in tests or when plan lifetime must be
+/// scoped.
 ///
 /// # Examples
 ///
@@ -39,8 +38,7 @@ use crate::realfft::RealFft;
 /// ```
 #[derive(Debug, Default)]
 pub struct FftCache {
-    complex: HashMap<usize, Arc<Fft>>,
-    real: HashMap<usize, Arc<RealFft>>,
+    plans: HashMap<usize, Arc<Fft>>,
 }
 
 impl FftCache {
@@ -49,43 +47,29 @@ impl FftCache {
         Self::default()
     }
 
-    /// Returns the complex plan for `size`, planning it on first use.
+    /// Returns the plan for `size`, planning it on first use.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InvalidFftSize`] for invalid sizes (nothing
     /// is cached in that case).
     pub fn get(&mut self, size: usize) -> Result<Arc<Fft>, DspError> {
-        if let Some(plan) = self.complex.get(&size) {
+        if let Some(plan) = self.plans.get(&size) {
             return Ok(Arc::clone(plan));
         }
         let plan = Arc::new(Fft::new(size)?);
-        self.complex.insert(size, Arc::clone(&plan));
+        self.plans.insert(size, Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// Returns the real-input plan for `size`, planning it on first use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidFftSize`] for invalid sizes.
-    pub fn get_real(&mut self, size: usize) -> Result<Arc<RealFft>, DspError> {
-        if let Some(plan) = self.real.get(&size) {
-            return Ok(Arc::clone(plan));
-        }
-        let plan = Arc::new(RealFft::new(size)?);
-        self.real.insert(size, Arc::clone(&plan));
-        Ok(plan)
-    }
-
-    /// Number of distinct plans currently cached (complex + real).
+    /// Number of distinct plans currently cached.
     pub fn len(&self) -> usize {
-        self.complex.len() + self.real.len()
+        self.plans.len()
     }
 
     /// Whether the cache holds no plans.
     pub fn is_empty(&self) -> bool {
-        self.complex.is_empty() && self.real.is_empty()
+        self.plans.is_empty()
     }
 }
 
@@ -94,7 +78,7 @@ fn global() -> &'static Mutex<FftCache> {
     CACHE.get_or_init(|| Mutex::new(FftCache::new()))
 }
 
-/// Returns the process-global complex plan for `size`.
+/// Returns the process-global plan for `size`.
 ///
 /// # Errors
 ///
@@ -106,20 +90,6 @@ fn global() -> &'static Mutex<FftCache> {
 /// which cannot happen through this API.
 pub fn planned(size: usize) -> Result<Arc<Fft>, DspError> {
     global().lock().expect("fft cache poisoned").get(size)
-}
-
-/// Returns the process-global real-input plan for `size`.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidFftSize`] for invalid sizes.
-///
-/// # Panics
-///
-/// Panics if the global cache mutex was poisoned (a planner panicked),
-/// which cannot happen through this API.
-pub fn planned_real(size: usize) -> Result<Arc<RealFft>, DspError> {
-    global().lock().expect("fft cache poisoned").get_real(size)
 }
 
 #[cfg(test)]
@@ -139,18 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn real_and_complex_plans_are_separate() {
-        let mut cache = FftCache::new();
-        let _ = cache.get(64).unwrap();
-        let _ = cache.get_real(64).unwrap();
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
     fn invalid_sizes_are_not_cached() {
         let mut cache = FftCache::new();
         assert!(cache.get(12).is_err());
-        assert!(cache.get_real(2).is_err());
         assert!(cache.is_empty());
     }
 
@@ -159,8 +120,6 @@ mod tests {
         let a = planned(512).unwrap();
         let b = planned(512).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        let r = planned_real(512).unwrap();
-        assert_eq!(r.size(), 512);
     }
 
     #[test]

@@ -10,22 +10,19 @@
 //!
 //! ## Allocation discipline
 //!
-//! The FFT correlators come in two forms. The classic entry points
-//! ([`cross_correlate_fft`], [`normalized_cross_correlate_fft`]) keep
-//! their original allocating signatures but now run on a thread-local
-//! [`CorrelationWorkspace`], so they no longer re-plan an FFT or
-//! allocate scratch per call — only the returned `Vec` is fresh. The
-//! `_into` variants ([`cross_correlate_fft_into`],
+//! The FFT correlators come in two forms over one overlap–save kernel.
+//! The allocating entry points ([`cross_correlate_fft`],
+//! [`normalized_cross_correlate_fft`]) keep their original signatures
+//! but run on a thread-local [`CorrelationWorkspace`], so they no
+//! longer re-plan an FFT or allocate scratch per call — only the
+//! returned `Vec` is fresh. The `_into` variants ([`cross_correlate_fft_into`],
 //! [`normalized_cross_correlate_fft_into`]) take an explicit workspace
 //! and output vector and perform **zero** allocations once the
 //! workspace has warmed up to the template/signal sizes in play.
 //!
 //! Both produce bitwise identical scores to the seed implementation:
 //! the workspace only changes *where* buffers live, never the sequence
-//! of floating-point operations. The `_real_into` variants additionally
-//! route through the packed [`crate::RealFft`] (~2× fewer butterflies);
-//! they are a few ulps off the classic path and therefore opt-in — see
-//! the module docs of [`crate::realfft`].
+//! of floating-point operations.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -34,7 +31,6 @@ use crate::cache;
 use crate::complex::Complex;
 use crate::error::DspError;
 use crate::fft::Fft;
-use crate::realfft::RealFft;
 use crate::units::SampleRate;
 
 /// Raw (unnormalized) linear cross-correlation of `signal` with
@@ -127,45 +123,6 @@ fn window_energies_into(signal: &[f64], m: usize, out: &mut Vec<f64>) -> f64 {
     (max_win * 1e-6).max(total_energy * 1e-15)
 }
 
-/// Prefix-sum window energies for the packed-real fast path: a single
-/// serial pass builds the running energy, then every window energy is
-/// one vectorizable subtraction instead of a latency-bound rolling
-/// recurrence.
-///
-/// Prefix differences cancel, so a window 60 dB below the running
-/// total carries ~1e-10 relative error where the rolling/recompute
-/// version stays exact — windows that quiet sit at the AGC floor
-/// anyway, and the packed-real correlator's contract is ≤1e-9 score
-/// proximity, not bitwise equality, so the cheaper geometry is sound
-/// there (and only there: the classic path must keep
-/// [`window_energies_into`] bit for bit).
-fn window_energies_fast_into(
-    signal: &[f64],
-    m: usize,
-    prefix: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) -> f64 {
-    let n = signal.len();
-    let n_lags = n - m + 1;
-    prefix.clear();
-    prefix.reserve(n + 1);
-    prefix.push(0.0);
-    let mut acc = 0.0f64;
-    for &x in signal {
-        acc += x * x;
-        prefix.push(acc);
-    }
-    out.clear();
-    out.resize(n_lags, 0.0);
-    let mut max_win = 0.0f64;
-    for (i, slot) in out.iter_mut().enumerate() {
-        let e = (prefix[i + m] - prefix[i]).max(0.0);
-        *slot = e;
-        max_win = max_win.max(e);
-    }
-    (max_win * 1e-6).max(prefix[n] * 1e-15)
-}
-
 /// Divides each raw correlation dot by its window's denominator
 /// (`energy.max(floor).sqrt() * ‖template‖`), in place. One pass forms
 /// the denominator and applies it, bitwise matching the former
@@ -256,25 +213,14 @@ pub fn normalized_cross_correlate(signal: &[f64], template: &[f64]) -> Result<Ve
 #[derive(Debug, Default)]
 pub struct CorrelationWorkspace {
     fft: Option<Arc<Fft>>,
-    rfft: Option<Arc<RealFft>>,
     /// Copy of the template whose spectrum is memoized in `tpl_spec`.
     tpl_copy: Vec<f64>,
-    /// `true` if `tpl_spec` was computed with the packed real FFT.
-    tpl_real: bool,
     tpl_fft_len: usize,
     tpl_spec: Vec<Complex>,
     /// Complex block buffer (overlap–save input, product, and inverse).
     block: Vec<Complex>,
-    /// Real block input for the packed-FFT path.
-    real_block: Vec<f64>,
-    /// Real block output for the packed-FFT path.
-    real_out: Vec<f64>,
-    /// Half-length scratch for [`RealFft::inverse_into`].
-    half_scratch: Vec<Complex>,
     /// Raw window energies for normalization.
     denoms: Vec<f64>,
-    /// Running energy prefix for the packed-real path's fast windows.
-    prefix: Vec<f64>,
 }
 
 impl CorrelationWorkspace {
@@ -290,18 +236,10 @@ impl CorrelationWorkspace {
         Ok(self.fft.as_deref().expect("plan just set"))
     }
 
-    fn plan_real(&mut self, fft_len: usize) -> Result<&RealFft, DspError> {
-        if self.rfft.as_ref().map(|f| f.size()) != Some(fft_len) {
-            self.rfft = Some(cache::planned_real(fft_len)?);
-        }
-        Ok(self.rfft.as_deref().expect("plan just set"))
-    }
-
     /// Whether the memoized template spectrum can be reused: identical
-    /// length, identical bits, same transform kind and block size.
-    fn template_is_cached(&self, template: &[f64], fft_len: usize, real: bool) -> bool {
+    /// length, identical bits and block size.
+    fn template_is_cached(&self, template: &[f64], fft_len: usize) -> bool {
         self.tpl_fft_len == fft_len
-            && self.tpl_real == real
             && self.tpl_copy.len() == template.len()
             && self
                 .tpl_copy
@@ -316,15 +254,6 @@ impl CorrelationWorkspace {
 /// classic path's output bits depend on it, so it must never change.
 fn os_fft_len(m: usize) -> usize {
     (4 * m).next_power_of_two().max(64)
-}
-
-/// Overlap–save block size for the packed-real path: 8× the template.
-/// Butterfly work per output lag is minimized near this ratio (each
-/// block discards only `m-1` of its `fft_len` lags), and the real path
-/// carries no bitwise contract — only the ≤1e-9 proximity bound — so it
-/// is free to pick the cheaper geometry.
-fn os_real_fft_len(m: usize) -> usize {
-    (8 * m).next_power_of_two().max(64)
 }
 
 /// FFT-accelerated raw cross-correlation (overlap–save) into a
@@ -361,7 +290,7 @@ pub fn cross_correlate_fft_into(
     // Conjugate spectrum of the (zero-padded) template realizes
     // correlation rather than convolution. Memoized: the modem searches
     // for the same preamble on every attempt.
-    if !ws.template_is_cached(template, fft_len, false) {
+    if !ws.template_is_cached(template, fft_len) {
         ws.block.clear();
         ws.block.resize(fft_len, Complex::ZERO);
         for (slot, &t) in ws.block.iter_mut().zip(template) {
@@ -374,7 +303,6 @@ pub fn cross_correlate_fft_into(
         ws.tpl_copy.clear();
         ws.tpl_copy.extend_from_slice(template);
         ws.tpl_fft_len = fft_len;
-        ws.tpl_real = false;
     }
 
     out.clear();
@@ -407,88 +335,6 @@ pub fn cross_correlate_fft_into(
     Ok(())
 }
 
-/// Raw FFT correlation through the packed real-input transform:
-/// template and signal blocks are real, so each block costs one
-/// half-length complex FFT each way instead of a full-length one.
-///
-/// **Opt-in fast path**: scores differ from
-/// [`cross_correlate_fft_into`] by a few ulps (see
-/// [`crate::realfft`]); peaks and lengths match. Zero allocations after
-/// warmup.
-///
-/// # Errors
-///
-/// Same as [`cross_correlate`].
-pub fn cross_correlate_fft_real_into(
-    signal: &[f64],
-    template: &[f64],
-    ws: &mut CorrelationWorkspace,
-    out: &mut Vec<f64>,
-) -> Result<(), DspError> {
-    if signal.is_empty() || template.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if template.len() > signal.len() {
-        return Err(DspError::LengthMismatch {
-            expected: template.len(),
-            actual: signal.len(),
-        });
-    }
-    let m = template.len();
-    let out_len = signal.len() - m + 1;
-    let fft_len = os_real_fft_len(m);
-    ws.plan_real(fft_len)?;
-    let half = fft_len / 2;
-    let step = fft_len - m + 1;
-
-    if !ws.template_is_cached(template, fft_len, true) {
-        ws.real_block.clear();
-        ws.real_block.resize(fft_len, 0.0);
-        ws.real_block[..m].copy_from_slice(template);
-        ws.tpl_spec.clear();
-        ws.tpl_spec.resize(fft_len, Complex::ZERO);
-        let rfft = ws.rfft.as_deref().expect("planned above");
-        rfft.forward_into(&ws.real_block, &mut ws.tpl_spec)?;
-        for z in &mut ws.tpl_spec {
-            *z = z.conj();
-        }
-        ws.tpl_copy.clear();
-        ws.tpl_copy.extend_from_slice(template);
-        ws.tpl_fft_len = fft_len;
-        ws.tpl_real = true;
-    }
-
-    ws.block.clear();
-    ws.block.resize(fft_len, Complex::ZERO);
-    ws.real_out.clear();
-    ws.real_out.resize(fft_len, 0.0);
-    ws.half_scratch.clear();
-    ws.half_scratch.resize(half, Complex::ZERO);
-
-    out.clear();
-    out.resize(out_len, 0.0);
-    let rfft = ws.rfft.as_deref().expect("planned above");
-    ws.real_block.resize(fft_len, 0.0);
-    let mut start = 0;
-    while start < out_len {
-        // Samples plus explicit zero tail cover every slot, so the
-        // buffer is reused without a wholesale re-zeroing pass.
-        let avail = (signal.len() - start).min(fft_len);
-        ws.real_block[..avail].copy_from_slice(&signal[start..start + avail]);
-        ws.real_block[avail..].fill(0.0);
-        rfft.forward_into(&ws.real_block, &mut ws.block)?;
-        // Only the lower half + Nyquist feed the Hermitian inverse.
-        for (a, b) in ws.block[..=half].iter_mut().zip(&ws.tpl_spec[..=half]) {
-            *a *= *b;
-        }
-        rfft.inverse_into(&ws.block, &mut ws.real_out, &mut ws.half_scratch)?;
-        let valid = step.min(out_len - start);
-        out[start..start + valid].copy_from_slice(&ws.real_out[..valid]);
-        start += step;
-    }
-    Ok(())
-}
-
 /// Normalized FFT correlation into a caller-provided output: numerator
 /// from [`cross_correlate_fft_into`], denominators from the shared
 /// rolling-energy computation. Bitwise identical to
@@ -510,33 +356,6 @@ pub fn normalized_cross_correlate_fft_into(
     let floor = window_energies_into(signal, m, &mut energies);
     normalize_by_energies(out, &energies, floor, t_norm);
     ws.denoms = energies;
-    Ok(())
-}
-
-/// Normalized FFT correlation through the packed real transform —
-/// opt-in fast path held to ≤1e-9 score proximity to
-/// [`normalized_cross_correlate_fft_into`], not bitwise equality: the
-/// numerator uses the packed transform (and a wider overlap–save
-/// block), the denominators use prefix-sum window energies.
-///
-/// # Errors
-///
-/// Same as [`cross_correlate`].
-pub fn normalized_cross_correlate_fft_real_into(
-    signal: &[f64],
-    template: &[f64],
-    ws: &mut CorrelationWorkspace,
-    out: &mut Vec<f64>,
-) -> Result<(), DspError> {
-    let t_norm = check_inputs(signal, template)?;
-    let m = template.len();
-    cross_correlate_fft_real_into(signal, template, ws, out)?;
-    let mut energies = std::mem::take(&mut ws.denoms);
-    let mut prefix = std::mem::take(&mut ws.prefix);
-    let floor = window_energies_fast_into(signal, m, &mut prefix, &mut energies);
-    normalize_by_energies(out, &energies, floor, t_norm);
-    ws.denoms = energies;
-    ws.prefix = prefix;
     Ok(())
 }
 
@@ -796,11 +615,6 @@ mod tests {
         let mut ws = CorrelationWorkspace::new();
         let mut out = Vec::new();
         assert!(cross_correlate_fft_into(&[], &[1.0], &mut ws, &mut out).is_err());
-        assert!(cross_correlate_fft_real_into(&[1.0], &[1.0, 2.0], &mut ws, &mut out).is_err());
-        assert!(
-            normalized_cross_correlate_fft_real_into(&[0.0; 8], &[0.0; 4], &mut ws, &mut out)
-                .is_err()
-        );
     }
 
     #[test]
@@ -873,36 +687,6 @@ mod tests {
         assert_eq!(out.len(), expect.len());
         for (a, b) in out.iter().zip(&expect) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn real_fft_path_matches_classic_closely() {
-        let sig: Vec<f64> = (0..3_000)
-            .map(|i| (i as f64 * 0.11).sin() + 0.2 * (i as f64 * 0.53).cos())
-            .collect();
-        let tpl: Vec<f64> = (0..128).map(|i| (i as f64 * 0.23).sin()).collect();
-        let mut ws = CorrelationWorkspace::new();
-        let mut classic = Vec::new();
-        let mut real = Vec::new();
-        normalized_cross_correlate_fft_into(&sig, &tpl, &mut ws, &mut classic).unwrap();
-        normalized_cross_correlate_fft_real_into(&sig, &tpl, &mut ws, &mut real).unwrap();
-        assert_eq!(classic.len(), real.len());
-        let best_classic = classic
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        let best_real = real
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .unwrap()
-            .0;
-        assert_eq!(best_classic, best_real);
-        for (a, b) in classic.iter().zip(&real) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }
 

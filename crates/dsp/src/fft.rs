@@ -238,8 +238,7 @@ impl Fft {
 
     /// Forward DFT of a real signal (zero imaginary parts are implied).
     ///
-    /// For the ~2× packed fast path see [`crate::RealFft`]; this one is
-    /// bitwise identical to [`Fft::forward`] on the widened input.
+    /// Bitwise identical to [`Fft::forward`] on the widened input.
     ///
     /// # Errors
     ///

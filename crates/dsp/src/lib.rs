@@ -12,9 +12,8 @@
 //! * [`Complex`] arithmetic and a radix-2 [`Fft`] (the modem's FFT size
 //!   is 256 at 44.1 kHz),
 //! * chirp (LFM) generation for the preamble ([`chirp`]),
-//! * a packed real-input FFT ([`RealFft`], one half-length complex
-//!   transform per real transform) and a process-wide plan cache
-//!   ([`cache`]) so hot paths never re-plan,
+//! * a process-wide FFT plan cache ([`cache`]) so hot paths never
+//!   re-plan,
 //! * normalized cross-correlation for preamble detection, coarse
 //!   synchronization and delay-profile/NLOS estimation ([`correlate`]),
 //!   with workspace-backed `_into` variants that are allocation-free
@@ -60,7 +59,6 @@ mod fft;
 pub mod filter;
 pub mod goertzel;
 pub mod level;
-pub mod realfft;
 pub mod resample;
 pub mod stats;
 pub mod stft;
@@ -72,5 +70,4 @@ pub use complex::Complex;
 pub use correlate::CorrelationWorkspace;
 pub use error::DspError;
 pub use fft::{dft_naive, fft_interpolate, Fft};
-pub use realfft::RealFft;
 pub use units::{Db, Hz, Meters, SampleRate, Seconds, Spl};

@@ -3,15 +3,14 @@
 use proptest::prelude::*;
 use wearlock_dsp::correlate::{
     normalized_cross_correlate, normalized_cross_correlate_fft,
-    normalized_cross_correlate_fft_into, normalized_cross_correlate_fft_real_into,
-    CorrelationWorkspace,
+    normalized_cross_correlate_fft_into, CorrelationWorkspace,
 };
 use wearlock_dsp::level::rms;
 use wearlock_dsp::resample::fractional_delay;
 use wearlock_dsp::stats::{mean, pearson, percentile, variance};
 use wearlock_dsp::units::{Db, Spl};
 use wearlock_dsp::window::{apply_fade, WindowKind};
-use wearlock_dsp::{dft_naive, fft_interpolate, Complex, Fft, RealFft};
+use wearlock_dsp::{dft_naive, fft_interpolate, Complex, Fft};
 
 /// Bit-exact equality for float vectors: the `_into` / in-place entry
 /// points must be the *same computation* as the allocating ones, not
@@ -238,8 +237,7 @@ proptest! {
     }
 }
 
-// PR 4 surface: the allocation-free `_into`/in-place variants and the
-// packed real-FFT fast path.
+// The allocation-free `_into`/in-place variants.
 proptest! {
     #[test]
     fn forward_into_and_in_place_are_bitwise_forward(x in complex_signal(64)) {
@@ -278,23 +276,6 @@ proptest! {
         let mut out = vec![Complex::ZERO; 64];
         fft.forward_real_into(&x, &mut out).unwrap();
         prop_assert!(bits_eq(&reference, &out));
-    }
-
-    #[test]
-    fn packed_real_fft_matches_classic_closely(
-        x in prop::collection::vec(-1.0f64..1.0, 64..=64),
-    ) {
-        // The packed path reorders the arithmetic, so bitwise equality
-        // is impossible by construction; 1e-9 on unit-scale input is
-        // the contract the opt-in fast path is held to.
-        let fft = Fft::new(64).unwrap();
-        let rfft = RealFft::new(64).unwrap();
-        let classic = fft.forward_real(&x).unwrap();
-        let mut packed = vec![Complex::ZERO; 64];
-        rfft.forward_into(&x, &mut packed).unwrap();
-        for (a, b) in classic.iter().zip(&packed) {
-            prop_assert!((*a - *b).abs() < 1e-9, "classic {} vs packed {}", a, b);
-        }
     }
 
     #[test]
@@ -337,31 +318,7 @@ proptest! {
 
         let mut fresh_ws = CorrelationWorkspace::new();
         let mut fresh = Vec::new();
-        normalized_cross_correlate_fft_real_into(&sig_b, &tpl_b, &mut fresh_ws, &mut fresh)
-            .ok();
-        // Fresh reference comes from the same (classic) entry point.
         normalized_cross_correlate_fft_into(&sig_b, &tpl_b, &mut fresh_ws, &mut fresh).unwrap();
         prop_assert!(scores_bits_eq(&fresh, &scores));
-    }
-
-    #[test]
-    fn real_correlator_close_with_equivalent_peak(
-        sig in prop::collection::vec(-1.0f64..1.0, 64..300),
-    ) {
-        let template: Vec<f64> = (0..16).map(|i| (i as f64 * 0.8).sin() + 0.1).collect();
-        let mut ws = CorrelationWorkspace::new();
-        let (mut classic, mut real) = (Vec::new(), Vec::new());
-        normalized_cross_correlate_fft_into(&sig, &template, &mut ws, &mut classic).unwrap();
-        normalized_cross_correlate_fft_real_into(&sig, &template, &mut ws, &mut real).unwrap();
-        prop_assert_eq!(classic.len(), real.len());
-        for (a, b) in classic.iter().zip(&real) {
-            prop_assert!((a - b).abs() < 1e-9, "classic {} vs real {}", a, b);
-        }
-        // Whatever offset the real path ranks best must score within
-        // tolerance of the classic path's own best.
-        let argmax = |v: &[f64]| {
-            v.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(i, _)| i).unwrap()
-        };
-        prop_assert!((classic[argmax(&real)] - classic[argmax(&classic)]).abs() < 1e-9);
     }
 }

@@ -18,9 +18,9 @@
 //!   `--threads`, exactly like the un-faulted experiments (the
 //!   `wearlock-runtime` contract); and
 //! * a plan derived at **zero intensity** is [`FaultPlan::is_null`],
-//!   and a null plan's application is a strict no-op — the faulted
-//!   entry points make byte-identical RNG draws to the plain ones, so
-//!   turning the subsystem off provably changes nothing.
+//!   and a null plan's application is a strict no-op — an attempt run
+//!   under a null plan makes byte-identical RNG draws to one run with
+//!   no plan, so turning the subsystem off provably changes nothing.
 //!
 //! # Examples
 //!

@@ -16,13 +16,10 @@
 use std::sync::Arc;
 
 use wearlock_dsp::cache;
-use wearlock_dsp::correlate::{
-    normalized_cross_correlate_fft_into, normalized_cross_correlate_fft_real_into,
-    profile_rms_delay_spread,
-};
+use wearlock_dsp::correlate::{normalized_cross_correlate_fft_into, profile_rms_delay_spread};
 use wearlock_dsp::level::SilenceDetector;
 use wearlock_dsp::units::{Db, Spl};
-use wearlock_dsp::{fft_interpolate, Complex, Fft, RealFft};
+use wearlock_dsp::{fft_interpolate, Complex, Fft};
 
 use crate::config::OfdmConfig;
 use crate::constellation::Modulation;
@@ -179,8 +176,6 @@ pub enum ChannelEstimator {
 pub struct OfdmDemodulator {
     config: OfdmConfig,
     fft: Arc<Fft>,
-    rfft: Option<Arc<RealFft>>,
-    use_real_fft: bool,
     preamble: Vec<f64>,
     detection_threshold: f64,
     estimator: ChannelEstimator,
@@ -195,13 +190,10 @@ impl OfdmDemodulator {
     /// Returns [`ModemError::Dsp`] if the FFT cannot be planned.
     pub fn new(config: OfdmConfig) -> Result<Self, ModemError> {
         let fft = cache::planned(config.fft_size())?;
-        let rfft = cache::planned_real(config.fft_size()).ok();
         let preamble = config.preamble_chirp().generate();
         Ok(OfdmDemodulator {
             config,
             fft,
-            rfft,
-            use_real_fft: false,
             preamble,
             detection_threshold: DEFAULT_DETECTION_THRESHOLD,
             estimator: ChannelEstimator::default(),
@@ -209,36 +201,10 @@ impl OfdmDemodulator {
         })
     }
 
-    /// Opts in to the packed real-input FFT for block spectra and the
-    /// preamble correlator (~2× fewer butterflies on real signals).
-    ///
-    /// Off by default: the real-FFT recombination reorders floating-
-    /// point operations, so its spectra differ from the classic complex
-    /// path at the last few ulps (≤1e-9 on unit-scale signals — decoded
-    /// bits are unaffected, but outputs are no longer bitwise identical
-    /// to the default path). Ignored when the FFT size is below the
-    /// real-path minimum.
-    pub fn with_real_fft(mut self, enabled: bool) -> Self {
-        self.use_real_fft = enabled && self.rfft.is_some();
-        self
-    }
-
-    /// Whether the packed real-input FFT fast path is active.
-    pub fn uses_real_fft(&self) -> bool {
-        self.use_real_fft
-    }
-
-    /// Computes the spectrum of one real block body into `out` using
-    /// the active FFT path.
+    /// Computes the spectrum of one real block body into `out`.
     fn block_spectrum_into(&self, body: &[f64], out: &mut Vec<Complex>) -> Result<(), ModemError> {
         out.clear();
         out.resize(self.config.fft_size(), Complex::ZERO);
-        if self.use_real_fft {
-            if let Some(rfft) = &self.rfft {
-                rfft.forward_into(body, out)?;
-                return Ok(());
-            }
-        }
         self.fft.forward_real_into(body, out)?;
         Ok(())
     }
@@ -350,21 +316,12 @@ impl OfdmDemodulator {
         // buffers live in the scratch, so the steady state allocates
         // nothing.
         let span = &recording[search_from..search_to];
-        if self.use_real_fft {
-            normalized_cross_correlate_fft_real_into(
-                span,
-                &self.preamble,
-                &mut scratch.corr,
-                &mut scratch.scores,
-            )?;
-        } else {
-            normalized_cross_correlate_fft_into(
-                span,
-                &self.preamble,
-                &mut scratch.corr,
-                &mut scratch.scores,
-            )?;
-        }
+        normalized_cross_correlate_fft_into(
+            span,
+            &self.preamble,
+            &mut scratch.corr,
+            &mut scratch.scores,
+        )?;
         let scores = &scratch.scores;
         let (rel_offset, score) =
             scores
@@ -1243,28 +1200,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(frame.bits, full.bits);
-    }
-
-    #[test]
-    fn real_fft_path_decodes_identical_bits() {
-        let cfg = OfdmConfig::default();
-        let tx = OfdmModulator::new(cfg.clone()).unwrap();
-        let rx = OfdmDemodulator::new(cfg.clone()).unwrap();
-        let rx_real = OfdmDemodulator::new(cfg).unwrap().with_real_fft(true);
-        assert!(rx_real.uses_real_fft());
-        assert!(!rx.uses_real_fft());
-
-        let payload = bits(96);
-        let rec = test_recording(&tx, &payload);
-        let classic = rx
-            .demodulate(&rec, Modulation::Qam16, payload.len())
-            .unwrap();
-        let real = rx_real
-            .demodulate(&rec, Modulation::Qam16, payload.len())
-            .unwrap();
-        assert_eq!(real.bits, classic.bits);
-        assert_eq!(real.sync.preamble_offset, classic.sync.preamble_offset);
-        // Scores agree closely but not bitwise (documented deviation).
-        assert!((real.sync.preamble_score - classic.sync.preamble_score).abs() < 1e-9);
     }
 }

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wearlock::config::WearLockConfig;
 use wearlock::environment::Environment;
-use wearlock::session::{Outcome, UnlockPath, UnlockSession};
+use wearlock::session::{AttemptOptions, Outcome, UnlockPath, UnlockSession};
 
 fn main() -> Result<(), wearlock::WearLockError> {
     let config = WearLockConfig::default();
@@ -22,7 +22,8 @@ fn main() -> Result<(), wearlock::WearLockError> {
     let mut rng = StdRng::seed_from_u64(2017);
 
     println!("WearLock quickstart — office, 0.3 m, line of sight\n");
-    let report = session.attempt(&env, &mut rng);
+    let series = session.run(&env, &AttemptOptions::new(), &mut rng);
+    let report = series.final_attempt();
 
     match report.outcome {
         Outcome::Unlocked(UnlockPath::Acoustic(mode)) => {

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use wearlock::config::WearLockConfig;
 use wearlock::environment::{Environment, MotionScenario};
 use wearlock::live::run_live_session;
-use wearlock::session::{Outcome, UnlockPath, UnlockSession};
+use wearlock::session::{AttemptOptions, Outcome, UnlockPath, UnlockSession};
 use wearlock_acoustics::channel::PathKind;
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
@@ -73,7 +73,8 @@ fn main() -> Result<(), wearlock::WearLockError> {
     ];
 
     for (label, env) in &scenarios {
-        let report = session.attempt(env, &mut rng);
+        let series = session.run(env, &AttemptOptions::new(), &mut rng);
+        let report = series.final_attempt();
         let verdict = match report.outcome {
             Outcome::Unlocked(UnlockPath::Acoustic(mode)) => {
                 format!("UNLOCKED  (acoustic token, {mode})")

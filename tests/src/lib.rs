@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wearlock::config::WearLockConfig;
 use wearlock::environment::Environment;
-use wearlock::session::UnlockSession;
+use wearlock::session::{AttemptOptions, UnlockSession};
 use wearlock_runtime::SweepRunner;
 
 /// A seeded RNG for reproducible scenarios.
@@ -27,7 +27,12 @@ pub fn default_session() -> UnlockSession {
 pub fn unlock_rate_on(env: &Environment, n: usize, seed: u64, runner: &SweepRunner) -> f64 {
     let unlocks = runner.run(n, seed, |_, r| {
         let mut session = default_session();
-        usize::from(session.attempt(env, r).outcome.unlocked())
+        usize::from(
+            session
+                .run(env, &AttemptOptions::new(), r)
+                .outcome
+                .unlocked(),
+        )
     });
     unlocks.iter().sum::<usize>() as f64 / n as f64
 }

@@ -4,7 +4,7 @@
 use wearlock::config::{ExecutionPlan, NamedConfig, WearLockConfig};
 use wearlock::environment::Environment;
 use wearlock::live::run_live_session;
-use wearlock::session::UnlockSession;
+use wearlock::session::{AttemptOptions, UnlockSession};
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
 use wearlock_modem::TransmissionMode;
@@ -21,7 +21,8 @@ fn quiet_close_range_prefers_high_order() {
     let mut psk8 = 0;
     let mut trials = 0;
     for _ in 0..6 {
-        let rep = session.attempt(&env, &mut r);
+        let series = session.run(&env, &AttemptOptions::new(), &mut r);
+        let rep = series.final_attempt();
         if let Some(mode) = rep.mode {
             trials += 1;
             if mode == TransmissionMode::Psk8 {
@@ -47,7 +48,11 @@ fn tighter_ber_target_downgrades_modulation() {
         let mut session = UnlockSession::new(config).unwrap();
         let mut modes = Vec::new();
         for _ in 0..4 {
-            if let Some(m) = session.attempt(&env, r).mode {
+            if let Some(m) = session
+                .run(&env, &AttemptOptions::new(), r)
+                .final_attempt()
+                .mode
+            {
                 modes.push(m);
             }
             session.enter_pin();
@@ -75,7 +80,7 @@ fn all_named_configs_unlock() {
         let mut ok = 0;
         for _ in 0..4 {
             if session
-                .attempt(&Environment::default(), &mut r)
+                .run(&Environment::default(), &AttemptOptions::new(), &mut r)
                 .outcome
                 .unlocked()
             {
@@ -95,7 +100,8 @@ fn local_plan_charges_watch_offload_charges_phone() {
         .build()
         .unwrap();
     let mut session = UnlockSession::new(local_cfg).unwrap();
-    let rep = session.attempt(&Environment::default(), &mut r);
+    let series = session.run(&Environment::default(), &AttemptOptions::new(), &mut r);
+    let rep = series.final_attempt();
     if rep.mode.is_some() {
         assert!(
             rep.watch_energy_j > rep.phone_energy_j,
@@ -110,7 +116,8 @@ fn local_plan_charges_watch_offload_charges_phone() {
         .build()
         .unwrap();
     let mut session = UnlockSession::new(off_cfg).unwrap();
-    let rep = session.attempt(&Environment::default(), &mut r);
+    let series = session.run(&Environment::default(), &AttemptOptions::new(), &mut r);
+    let rep = series.final_attempt();
     if rep.mode.is_some() {
         assert!(
             rep.phone_energy_j > rep.watch_energy_j,

@@ -4,7 +4,7 @@
 use wearlock::config::WearLockConfig;
 use wearlock::environment::Environment;
 use wearlock::ranging::{check_bound, measure_distance, BoundOutcome, RangingConfig};
-use wearlock::session::UnlockSession;
+use wearlock::session::{AttemptOptions, UnlockSession};
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
 use wearlock_modem::coding::TokenCoding;
@@ -21,7 +21,7 @@ fn session_unlocks_with_convolutional_coding() {
     let mut ok = 0;
     for _ in 0..6 {
         if session
-            .attempt(&Environment::default(), &mut r)
+            .run(&Environment::default(), &AttemptOptions::new(), &mut r)
             .outcome
             .unlocked()
         {

@@ -4,7 +4,9 @@
 //! the same seed.
 
 use wearlock::environment::Environment;
+use wearlock_fleet::{FleetConfig, FleetEngine};
 use wearlock_runtime::{task_rng, SweepRunner};
+use wearlock_telemetry::{MetricsRecorder, NullSink};
 use wearlock_tests::unlock_rate_on;
 
 const SEED: u64 = 20170605;
@@ -74,9 +76,9 @@ fn metrics_json_identical_across_thread_counts() {
     // float histogram sums included — bitwise identical for every
     // worker count.
     let metrics_for = |runner: &SweepRunner| -> String {
-        let metrics = wearlock_telemetry::MetricsRecorder::new();
+        let metrics = MetricsRecorder::new();
         wearlock_bench::report::funnel(runner, SEED, 2, &metrics);
-        wearlock_bench::report::fig6_observed(runner, SEED, 10, &metrics);
+        wearlock_bench::report::fig6(runner, SEED, 10, &metrics);
         metrics.to_json()
     };
     let reference = metrics_for(&SweepRunner::serial());
@@ -100,11 +102,16 @@ fn repro_rows_identical_across_threads_and_runs() {
         let mut out = wearlock_bench::report::fig4(runner, SEED);
         out.extend(wearlock_bench::report::fig11(runner, SEED, 20));
         out.extend(wearlock_bench::report::table2(runner, SEED, 10));
-        out.extend(wearlock_bench::report::fig6(runner, SEED, 10));
+        out.extend(wearlock_bench::report::fig6(
+            runner,
+            SEED,
+            10,
+            &MetricsRecorder::new(),
+        ));
         // table1 aggregates per-cell mode votes; a HashMap there once
         // made the reported mode flip between identical runs on count
         // ties, so its rows stay in this comparison.
-        out.extend(wearlock_bench::report::table1(SEED, 2));
+        out.extend(wearlock_bench::report::table1(SEED, 2, &NullSink));
         out
     };
     let serial_a = rows(&SweepRunner::serial());
@@ -114,4 +121,41 @@ fn repro_rows_identical_across_threads_and_runs() {
         let parallel = rows(&SweepRunner::new(threads));
         assert_eq!(serial_a, parallel, "threads={threads}");
     }
+}
+
+#[test]
+fn fleet_report_and_bench_json_are_worker_count_independent() {
+    let config = FleetConfig {
+        seed: SEED,
+        users: 18,
+        shards: 6,
+        duration_s: 90.0,
+        mean_arrival_rate_hz: 0.02,
+        session_capacity: 2,
+        queue_budget: 3,
+        max_attempts_per_user: 6,
+    };
+    let run_at = |threads: usize| {
+        let metrics = MetricsRecorder::new();
+        let report = FleetEngine::new(config).run(&SweepRunner::new(threads), &metrics);
+        (report, metrics.to_json())
+    };
+    let (r1, m1) = run_at(1);
+    let (r8, m8) = run_at(8);
+    assert_eq!(r1, r8, "fleet report varies with worker count");
+    assert_eq!(m1, m8, "fleet metrics vary with worker count");
+
+    // And the full bench document (grid sweep + gauges) over a tiny
+    // population — the same artifact CI diffs across --threads.
+    let json_at = |threads: usize| {
+        let metrics = MetricsRecorder::new();
+        let cells =
+            wearlock_bench::fleet::sweep(&SweepRunner::new(threads), SEED, 10, 0.02, &metrics);
+        (wearlock_bench::fleet::to_json(&cells), metrics.to_json())
+    };
+    let (j1, g1) = json_at(1);
+    let (j8, g8) = json_at(8);
+    assert_eq!(j1, j8, "BENCH_pr5 document varies with worker count");
+    assert_eq!(g1, g8, "fleet gauges vary with worker count");
+    assert!(j1.contains("\"evictions_within_budget\": true"));
 }

@@ -2,7 +2,7 @@
 //! modem + acoustics + auth + sensors + platform.
 
 use wearlock::environment::{Environment, MotionScenario};
-use wearlock::session::{DenyReason, Outcome, UnlockPath};
+use wearlock::session::{AttemptOptions, DenyReason, Outcome, UnlockPath};
 use wearlock_acoustics::channel::PathKind;
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
@@ -49,32 +49,38 @@ fn the_four_deny_paths_trigger() {
     let mut r = rng(42);
 
     // 1. No wireless.
-    let rep = session.attempt(
+    let series = session.run(
         &Environment::builder().wireless_in_range(false).build(),
+        &AttemptOptions::new(),
         &mut r,
     );
+    let rep = series.final_attempt();
     assert_eq!(rep.outcome, Outcome::Denied(DenyReason::NoWirelessLink));
 
     // 2. Motion mismatch.
-    let rep = session.attempt(
+    let series = session.run(
         &Environment::builder()
             .motion(MotionScenario::Different {
                 phone: Activity::Running,
                 watch: Activity::Walking,
             })
             .build(),
+        &AttemptOptions::new(),
         &mut r,
     );
+    let rep = series.final_attempt();
     assert_eq!(rep.outcome, Outcome::Denied(DenyReason::MotionMismatch));
 
     // 3. Out of acoustic range: probe not detected or SNR too low.
-    let rep = session.attempt(
+    let series = session.run(
         &Environment::builder()
             .distance(Meters(6.0))
             .location(Location::GroceryStore)
             .build(),
+        &AttemptOptions::new(),
         &mut r,
     );
+    let rep = series.final_attempt();
     assert!(
         matches!(
             rep.outcome,
@@ -94,12 +100,14 @@ fn the_four_deny_paths_trigger() {
 
     // 4. Severe body blocking: NLOS or PHY failure.
     session.enter_pin();
-    let rep = session.attempt(
+    let series = session.run(
         &Environment::builder()
             .path(PathKind::BodyBlocked { block_db: 32.0 })
             .build(),
+        &AttemptOptions::new(),
         &mut r,
     );
+    let rep = series.final_attempt();
     assert!(
         !rep.outcome.unlocked(),
         "blocked path unlocked: {:?}",
@@ -119,7 +127,8 @@ fn walking_together_uses_motion_skip_and_saves_audio() {
     let mut skip_delays = Vec::new();
     let mut acoustic_delays = Vec::new();
     for _ in 0..10 {
-        let rep = session.attempt(&env, &mut r);
+        let series = session.run(&env, &AttemptOptions::new(), &mut r);
+        let rep = series.final_attempt();
         match rep.outcome {
             Outcome::Unlocked(UnlockPath::MotionSkip) => skip_delays.push(rep.total_delay.value()),
             Outcome::Unlocked(UnlockPath::Acoustic(_)) => {
@@ -146,7 +155,7 @@ fn counter_advances_and_tokens_never_repeat() {
     let env = Environment::default();
     let c0 = session.last_counter();
     for _ in 0..3 {
-        let _ = session.attempt(&env, &mut r);
+        let _ = session.run(&env, &AttemptOptions::new(), &mut r);
     }
     // At least the acoustic attempts burned counters.
     assert!(session.last_counter() > c0);
@@ -156,7 +165,8 @@ fn counter_advances_and_tokens_never_repeat() {
 fn keyguard_tracks_outcomes() {
     let mut session = default_session();
     let mut r = rng(9);
-    let rep = session.attempt(&Environment::default(), &mut r);
+    let series = session.run(&Environment::default(), &AttemptOptions::new(), &mut r);
+    let rep = series.final_attempt();
     if rep.outcome.unlocked() {
         assert_eq!(
             session.keyguard().state(),
@@ -184,7 +194,11 @@ fn near_ultrasound_band_works_phone_to_phone() {
         .build();
     let mut unlocked = 0;
     for _ in 0..5 {
-        if session.attempt(&env, &mut r).outcome.unlocked() {
+        if session
+            .run(&env, &AttemptOptions::new(), &mut r)
+            .outcome
+            .unlocked()
+        {
             unlocked += 1;
         }
         session.enter_pin();

@@ -1,7 +1,7 @@
 //! Resilience contracts, end to end:
 //!
 //! * **Null-fault byte-identity** — a zero-intensity fault plan leaves
-//!   the pipeline byte-identical to the plain attempt path (so every
+//!   the pipeline byte-identical to running with no fault plan (so every
 //!   pre-existing experiment is provably unaffected by the fault
 //!   layer's existence).
 //! * **Thread-count determinism** — the `resilience` sweep (points and
@@ -14,21 +14,23 @@
 use proptest::prelude::*;
 
 use wearlock::environment::Environment;
-use wearlock::session::{AttemptSummary, DenyReason, ResilientOutcome, RetryPolicy};
+use wearlock::session::{
+    AttemptOptions, AttemptSummary, DenyReason, ResilientOutcome, RetryPolicy,
+};
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
 use wearlock_faults::{FaultConfig, FaultInjector, FaultIntensity, FaultPlan};
 use wearlock_runtime::SweepRunner;
-use wearlock_telemetry::{MetricsRecorder, NullSink};
+use wearlock_telemetry::MetricsRecorder;
 use wearlock_tests::{default_session, rng};
 
 const SEED: u64 = 20170605;
 
 #[test]
 fn null_plan_is_byte_identical_to_plain_attempt() {
-    // The acceptance contract: with all fault intensities at zero the
-    // faulted entry point makes the same draws and produces the same
-    // report as the no-faults path, across environment shapes.
+    // The acceptance contract: with all fault intensities at zero a run
+    // with a fault plan makes the same draws and produces the same
+    // report as a run without one, across environment shapes.
     let envs = [
         Environment::default(),
         Environment::builder()
@@ -43,13 +45,14 @@ fn null_plan_is_byte_identical_to_plain_attempt() {
         let mut plain = default_session();
         let mut faulted = default_session();
         let mut derived = default_session();
-        let a = plain.attempt(env, &mut rng(seed));
-        let b = faulted.attempt_faulted(env, &FaultPlan::none(), &NullSink, &mut rng(seed));
+        let a = plain.run(env, &AttemptOptions::new(), &mut rng(seed));
+        let none = AttemptOptions::new().fault_plan(FaultPlan::none());
+        let b = faulted.run(env, &none, &mut rng(seed));
         // A plan *derived* from a zero-intensity config must behave
         // like the literal null plan, not just compare equal to it.
         let zero = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::zero())).plan(0);
         assert!(zero.is_null());
-        let c = derived.attempt_faulted(env, &zero, &NullSink, &mut rng(seed));
+        let c = derived.run(env, &AttemptOptions::new().fault_plan(zero), &mut rng(seed));
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "env {k}");
         assert_eq!(format!("{a:?}"), format!("{c:?}"), "env {k}");
     }
@@ -75,14 +78,11 @@ fn resilience_sweep_is_identical_across_thread_counts() {
 #[test]
 fn hard_denial_stops_the_ladder_without_pin() {
     let env = Environment::builder().wireless_in_range(false).build();
-    let mut s = default_session();
-    let rep = s.attempt_resilient(
-        &env,
-        &FaultInjector::new(FaultConfig::new(3, FaultIntensity::uniform(1.0))),
-        &RetryPolicy::default(),
-        &NullSink,
-        &mut rng(41),
-    );
+    let injector = FaultInjector::new(FaultConfig::new(3, FaultIntensity::uniform(1.0)));
+    let options = AttemptOptions::new()
+        .fault_injector(injector)
+        .retry_policy(RetryPolicy::default());
+    let rep = default_session().run(&env, &options, &mut rng(41));
     assert_eq!(rep.tries(), 1);
     assert_eq!(
         rep.outcome,
@@ -104,11 +104,11 @@ fn hostile_channel_ends_in_pin_fallback_not_lockout() {
     for seed in 0..6u64 {
         let mut s = default_session();
         let injector = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::uniform(1.0)));
-        let rep = s.attempt_resilient(
+        let rep = s.run(
             &env,
-            &injector,
-            &RetryPolicy::default(),
-            &NullSink,
+            &AttemptOptions::new()
+                .fault_injector(injector)
+                .retry_policy(RetryPolicy::default()),
             &mut rng(300 + seed),
         );
         if rep.outcome == ResilientOutcome::PinFallback {
@@ -143,11 +143,11 @@ fn escalated_retries_beat_flat_retries_on_a_degraded_channel() {
         let mut unlocks = 0;
         for seed in 0..20u64 {
             let mut s = default_session();
-            let rep = s.attempt_resilient(
+            let rep = s.run(
                 &env,
-                &FaultInjector::disabled(),
-                policy,
-                &NullSink,
+                &AttemptOptions::new()
+                    .fault_injector(FaultInjector::disabled())
+                    .retry_policy(*policy),
                 &mut rng(500 + seed),
             );
             unlocks += usize::from(rep.unlocked());

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wearlock::config::WearLockConfig;
 use wearlock::environment::Environment;
-use wearlock::session::{outcome_event, UnlockSession};
+use wearlock::session::{outcome_event, AttemptOptions, UnlockSession};
 use wearlock_runtime::SweepRunner;
 use wearlock_telemetry::{AttemptOutcome, EventSink, MetricsRecorder, NullSink};
 
@@ -23,16 +23,16 @@ fn session() -> UnlockSession {
 
 #[test]
 fn observing_an_attempt_does_not_change_it() {
-    // Same seed through the observed and unobserved entry points: the
-    // sink must be write-only — identical reports, bit for bit.
+    // Same seed with and without a sink: the sink must be write-only —
+    // identical reports, bit for bit.
     let env = Environment::default();
     let metrics = MetricsRecorder::new();
-    let plain = session().attempt(&env, &mut rng(7));
-    let observed = session().attempt_observed(&env, &metrics, &mut rng(7));
+    let plain = session().run(&env, &AttemptOptions::new(), &mut rng(7));
+    let observed = session().run(&env, &AttemptOptions::new().sink(&metrics), &mut rng(7));
     assert_eq!(format!("{plain:?}"), format!("{observed:?}"));
 
-    // NullSink goes through the same wrapper and must also match.
-    let null = session().attempt_observed(&env, &NullSink, &mut rng(7));
+    // An explicit NullSink must also match.
+    let null = session().run(&env, &AttemptOptions::new().sink(&NullSink), &mut rng(7));
     assert_eq!(format!("{plain:?}"), format!("{null:?}"));
 }
 
@@ -40,7 +40,8 @@ fn observing_an_attempt_does_not_change_it() {
 fn spans_reconcile_with_the_attempt_report() {
     let env = Environment::default();
     let metrics = MetricsRecorder::new();
-    let report = session().attempt_observed(&env, &metrics, &mut rng(7));
+    let series = session().run(&env, &AttemptOptions::new().sink(&metrics), &mut rng(7));
+    let report = series.final_attempt();
     assert!(report.outcome.unlocked(), "{report:?}");
 
     let snap = metrics.snapshot();
@@ -101,7 +102,8 @@ fn early_denial_emits_no_acoustic_stages() {
     // recorder must hold only the handshake span and the funnel entry.
     let env = Environment::builder().wireless_in_range(false).build();
     let metrics = MetricsRecorder::new();
-    let report = session().attempt_observed(&env, &metrics, &mut rng(1));
+    let series = session().run(&env, &AttemptOptions::new().sink(&metrics), &mut rng(1));
+    let report = series.final_attempt();
     assert!(!report.outcome.unlocked());
     assert!(report.data_channels.is_empty());
     let snap = metrics.snapshot();
@@ -120,11 +122,11 @@ fn early_denial_emits_no_acoustic_stages() {
 fn a_disabled_sink_records_nothing() {
     assert!(!NullSink.enabled());
     let env = Environment::default();
-    session().attempt_observed(&env, &NullSink, &mut rng(7));
+    session().run(&env, &AttemptOptions::new().sink(&NullSink), &mut rng(7));
     // And a recorder used as a sink is enabled and fills up.
     let metrics = MetricsRecorder::new();
     assert!(metrics.enabled());
-    session().attempt_observed(&env, &metrics, &mut rng(7));
+    session().run(&env, &AttemptOptions::new().sink(&metrics), &mut rng(7));
     assert_eq!(metrics.attempts(), 1);
     assert!(!metrics.snapshot().stages.is_empty());
 }

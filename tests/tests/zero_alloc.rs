@@ -3,29 +3,37 @@
 //!
 //! The library crates forbid unsafe code, so the counting
 //! `#[global_allocator]` lives here, in an integration-test binary
-//! root. The tests run single-threaded within this binary's process
-//! (`--test-threads=1` is not required: each assertion snapshots the
-//! counter around its own workload, and the workloads themselves are
-//! allocation-free, but parallel test threads could still interleave —
-//! so every steady-state assertion funnels through one global lock).
+//! root. Allocations are counted per thread: each measured window runs
+//! on its test's own thread, so the harness's parallel test threads
+//! (setup, warmup, other windows) can never be charged to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialized and
+    /// without a destructor, so touching it from inside the allocator
+    /// never allocates or registers thread-exit state.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` only fails during thread teardown, whose allocations
+    // no measured window can see.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAllocator;
 
-// SAFETY: pure delegation to the system allocator plus a relaxed
-// atomic increment that never allocates.
+// SAFETY: pure delegation to the system allocator plus a thread-local
+// counter bump that never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,15 +50,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Serializes the measured sections so a concurrently running test
-/// can't charge its allocations to another test's window.
-static MEASURE: Mutex<()> = Mutex::new(());
-
+/// Allocations the current thread makes while running `f`.
 fn alloc_delta(f: impl FnOnce()) -> u64 {
-    let _guard = MEASURE.lock().expect("measure lock");
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 fn setup() -> (OfdmModulator, OfdmDemodulator, Vec<bool>) {
