@@ -133,7 +133,8 @@ impl AcousticLink {
         // 2. Propagation: spreading loss + fractional delay.
         let gain = self.propagation.amplitude_gain(self.distance);
         let delay_samples = self.distance.value() / SPEED_OF_SOUND * self.sample_rate.value();
-        let mut travelled = fractional_delay(&emitted, delay_samples);
+        let mut travelled = fractional_delay(&emitted, delay_samples)
+            .expect("build() checked the distance is finite");
         for s in travelled.iter_mut() {
             *s *= gain;
         }
@@ -264,11 +265,12 @@ impl AcousticLinkBuilder {
     /// # Errors
     ///
     /// Returns [`AcousticsError::InvalidParameter`] if the distance is
-    /// not positive.
+    /// not positive and finite.
     pub fn build(self) -> Result<AcousticLink, AcousticsError> {
-        if self.distance.value() <= 0.0 || self.distance.value().is_nan() {
+        let d = self.distance.value();
+        if !(d > 0.0 && d.is_finite()) {
             return Err(AcousticsError::InvalidParameter(
-                "link distance must be positive".into(),
+                "link distance must be positive and finite".into(),
             ));
         }
         let propagation = match self.propagation {
@@ -361,6 +363,16 @@ mod tests {
             .distance(Meters(-1.0))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn builder_rejects_non_finite_distance() {
+        for d in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(matches!(
+                AcousticLink::builder().distance(Meters(d)).build(),
+                Err(AcousticsError::InvalidParameter(_))
+            ));
+        }
     }
 
     #[test]
@@ -461,5 +473,95 @@ mod tests {
         let out = link.transmit(&[], Spl(70.0), &mut rng());
         // Empty emission -> only ambient padding is produced.
         assert!(out.len() >= 150);
+    }
+
+    /// The pinned digests depend on the platform's libm (`sin`, `cos`,
+    /// `ln`, `exp`), so they are checked where they were recorded.
+    #[cfg(all(target_os = "linux", target_env = "gnu", target_arch = "x86_64"))]
+    mod direct_form_digests {
+        use super::*;
+
+        /// FNV-1a over the bit patterns of `samples`.
+        fn bits_digest(samples: &[f64]) -> u64 {
+            samples.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+                x.to_bits()
+                    .to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+            })
+        }
+
+        /// Digests of `transmit` and `record_ambient` for every location ×
+        /// {LOS, body-blocked} × {Moto 360, smartphone} microphone, as the
+        /// direct-form channel kernels (the `*_reference` loops in the
+        /// filter, resample and multipath tests) compute them with glibc's
+        /// libm on x86-64. The blocked kernels must reproduce every bit.
+        const CHANNEL_DIGESTS: [(u64, u64); 20] = [
+            (0xdf934c5581174ade, 0xb734803e5b59cf9f),
+            (0xb743d2be22a5ea96, 0x43bdd917843ea0f8),
+            (0x0ab6b9cfb3357272, 0x3dbab7de9172461a),
+            (0xbaabca11c0deb4fd, 0xfc45d0521f2e5a33),
+            (0x7c01c2035689dce5, 0x25581723c904a71a),
+            (0x9a934d77ccf51b93, 0x317807bfe18c5884),
+            (0x725ecae58c1aa90d, 0xaa0dc49ab072dbd6),
+            (0x0725d8e3557afe82, 0xbed35ec0fc667826),
+            (0x3098b86c09df48dd, 0xbadc769ad025676d),
+            (0x3de7c1be8df18ad7, 0x8aa55f6c8012d1ea),
+            (0xe2795497c1c86165, 0x49b8a69a5b5ca376),
+            (0x9bdcfba5988dbe98, 0x5ab964fda63cca1c),
+            (0xf48e48f9826ff538, 0x987b3de3f7cdbd76),
+            (0xe0f3084c9962f3b6, 0x634d829ccec7278a),
+            (0xe08161088fe4e3b6, 0x51d5f07c029bcd7b),
+            (0x7949dca944ce8498, 0x992bd1b939efe606),
+            (0x4dd789c55bc56e17, 0xa9011c7919797ca6),
+            (0xa5e02588a9b9c105, 0x97abf86df9790036),
+            (0x09a8c6a57e6f49fe, 0x692529f6da9e6ff0),
+            (0x8c914c61eb4916ed, 0xc3b943a33bb9077c),
+        ];
+
+        #[test]
+        fn transmit_and_ambient_match_the_direct_form_kernels() {
+            let signal: Vec<f64> = (0..3_000)
+                .map(|i| {
+                    let t = i as f64 / 44_100.0;
+                    (std::f64::consts::TAU * 3_000.0 * t).sin()
+                        + 0.5 * (std::f64::consts::TAU * 5_300.0 * t).cos()
+                        - 0.25 * (std::f64::consts::TAU * 18_000.0 * t).sin()
+                })
+                .collect();
+            let mut got = Vec::new();
+            for location in [
+                Location::QuietRoom,
+                Location::Office,
+                Location::ClassRoom,
+                Location::Cafe,
+                Location::GroceryStore,
+            ] {
+                for path in [
+                    PathKind::LineOfSight,
+                    PathKind::BodyBlocked { block_db: 20.0 },
+                ] {
+                    for mic in [MicrophoneModel::moto360(), MicrophoneModel::smartphone()] {
+                        let link = AcousticLink::builder()
+                            .distance(Meters(0.37))
+                            .noise(location.noise_model())
+                            .path(path)
+                            .microphone(mic)
+                            .padding(1_500, 300)
+                            .build()
+                            .unwrap();
+                        let mut rng = StdRng::seed_from_u64(got.len() as u64);
+                        let rx = link.transmit(&signal, Spl(68.0), &mut rng);
+                        let ambient = link.record_ambient(2_000, &mut rng);
+                        got.push((bits_digest(&rx), bits_digest(&ambient)));
+                    }
+                }
+            }
+            let table: Vec<String> = got
+                .iter()
+                .map(|(t, a)| format!("({t:#018x}, {a:#018x}),"))
+                .collect();
+            assert_eq!(got, CHANNEL_DIGESTS, "digests:\n{}", table.join("\n"));
+        }
     }
 }

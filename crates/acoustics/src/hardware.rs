@@ -17,6 +17,9 @@
 //!   amplitude-shift keying needing *less* SNR per bit than phase-shift
 //!   keying on real devices (Fig. 5), inverting the textbook ordering.
 
+use std::fmt;
+use std::sync::{Arc, Mutex};
+
 use rand::Rng;
 
 use wearlock_dsp::filter::Fir;
@@ -28,7 +31,7 @@ use crate::noise::randn;
 
 /// A loudspeaker model: volume ceiling, attack (rise) envelope, ring-out
 /// tail, and output band limit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct SpeakerModel {
     max_spl: Spl,
     rise: Seconds,
@@ -40,6 +43,23 @@ pub struct SpeakerModel {
     /// has its own resonance placement, making the ripple a usable
     /// hardware fingerprint (the paper's proposed relay counter-measure).
     ripple_phase: f64,
+    /// The allpass FIR realizing the ripple, looked up whenever the two
+    /// ripple parameters are set (`None` without ripple).
+    ripple_fir: Option<Arc<Fir>>,
+}
+
+impl fmt::Debug for SpeakerModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The ripple FIR is derived from the fields shown.
+        f.debug_struct("SpeakerModel")
+            .field("max_spl", &self.max_spl)
+            .field("rise", &self.rise)
+            .field("ringing", &self.ringing)
+            .field("band", &self.band)
+            .field("phase_ripple", &self.phase_ripple)
+            .field("ripple_phase", &self.ripple_phase)
+            .finish()
+    }
 }
 
 /// Builds the fixed allpass FIR realizing a speaker's phase-response
@@ -82,6 +102,32 @@ fn phase_ripple_fir(amplitude: f64, phase_offset: f64) -> Fir {
     Fir::from_taps(taps).expect("non-empty taps")
 }
 
+/// The ripple FIR for `(amplitude, phase_offset)`, shared process-wide:
+/// every speaker built with the same parameters (one per session
+/// configuration, and a fleet builds a session per cold user) reuses
+/// one 8 KiB design instead of repeating the inverse FFT. Keyed on the
+/// exact bits; the few most recent designs are kept, so a sweep over
+/// ripple phases stays bounded.
+fn shared_ripple_fir(amplitude: f64, phase_offset: f64) -> Arc<Fir> {
+    /// Designs by `(amplitude, phase_offset)` bits, oldest first.
+    type Designs = Vec<((u64, u64), Arc<Fir>)>;
+    const KEPT: usize = 8;
+    static DESIGNS: Mutex<Designs> = Mutex::new(Vec::new());
+    let key = (amplitude.to_bits(), phase_offset.to_bits());
+    let mut designs = DESIGNS
+        .lock()
+        .expect("ripple design cache poisoned by a panicking design");
+    if let Some((_, fir)) = designs.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(fir);
+    }
+    let fir = Arc::new(phase_ripple_fir(amplitude, phase_offset));
+    if designs.len() == KEPT {
+        designs.remove(0);
+    }
+    designs.push((key, Arc::clone(&fir)));
+    fir
+}
+
 impl SpeakerModel {
     /// A smartphone loudspeaker: 70 dB ceiling (a realistic phone
     /// speaker driven near max media volume), 1 ms rise, 4 ms ring,
@@ -94,7 +140,9 @@ impl SpeakerModel {
             band: Some((Hz(100.0), Hz(20_000.0))),
             phase_ripple: 0.55,
             ripple_phase: 0.0,
+            ripple_fir: None,
         }
+        .with_designed_ripple()
     }
 
     /// An idealized speaker (no rise/ringing/band limit), useful for
@@ -107,7 +155,15 @@ impl SpeakerModel {
             band: None,
             phase_ripple: 0.0,
             ripple_phase: 0.0,
+            ripple_fir: None,
         }
+    }
+
+    /// Sets the ripple FIR for the current ripple parameters.
+    fn with_designed_ripple(mut self) -> Self {
+        self.ripple_fir = (self.phase_ripple > 0.0)
+            .then(|| shared_ripple_fir(self.phase_ripple, self.ripple_phase));
+        self
     }
 
     /// Overrides the maximum output SPL.
@@ -132,7 +188,7 @@ impl SpeakerModel {
     /// (0 disables it).
     pub fn with_phase_ripple(mut self, amplitude: f64) -> Self {
         self.phase_ripple = amplitude;
-        self
+        self.with_designed_ripple()
     }
 
     /// Sets this unit's ripple phase offset — distinct physical
@@ -140,7 +196,7 @@ impl SpeakerModel {
     /// hardware fingerprinting keys on.
     pub fn with_ripple_phase(mut self, phase: f64) -> Self {
         self.ripple_phase = phase;
-        self
+        self.with_designed_ripple()
     }
 
     /// The loudest SPL this speaker can produce.
@@ -196,8 +252,8 @@ impl SpeakerModel {
                 out = bpf.apply(&out);
             }
         }
-        if self.phase_ripple > 0.0 {
-            out = phase_ripple_fir(self.phase_ripple, self.ripple_phase).apply(&out);
+        if let Some(ripple) = &self.ripple_fir {
+            out = ripple.apply(&out);
         }
         out
     }
@@ -377,6 +433,24 @@ mod tests {
         let spk = SpeakerModel::smartphone().with_max_spl(Spl(60.0));
         let out = spk.emit(&tone(3_000.0, 44_100), Spl(90.0), SampleRate::CD);
         assert!(spl(&out).value() < 61.0);
+    }
+
+    #[test]
+    fn ripple_fir_is_designed_by_the_ripple_setters() {
+        let spk = SpeakerModel::smartphone().with_ripple_phase(2.0);
+        let fir = spk.ripple_fir.as_deref().expect("smartphone ripple");
+        assert_eq!(fir, &phase_ripple_fir(0.55, 2.0));
+        let flat = spk.with_phase_ripple(0.0);
+        assert!(flat.ripple_fir.is_none());
+        let again = flat.with_phase_ripple(0.3);
+        assert_eq!(
+            again.ripple_fir.as_deref(),
+            Some(&phase_ripple_fir(0.3, 2.0))
+        );
+        // Equal parameters share one design.
+        let a = SpeakerModel::smartphone().ripple_fir.unwrap();
+        let b = SpeakerModel::smartphone().ripple_fir.unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use crate::error::DspError;
 use crate::units::{Hz, SampleRate};
 use crate::window::WindowKind;
+use crate::LANES;
 
 /// A finite impulse response filter.
 ///
@@ -120,21 +121,61 @@ impl Fir {
     /// Applies the filter with zero-padding at the edges and compensates
     /// the group delay, so the output is time-aligned with the input and
     /// has the same length.
+    ///
+    /// Output `i` is `Σ taps[j] · signal[i + m/2 − j]` summed in
+    /// ascending `j` over the taps whose input index lies inside the
+    /// signal. Eight consecutive outputs are computed together, each
+    /// in its own accumulator, so the compiler vectorises across outputs
+    /// while every output keeps exactly that summation order: the result
+    /// is bit-for-bit that of the direct-form loop.
     pub fn apply(&self, signal: &[f64]) -> Vec<f64> {
-        let m = self.taps.len();
+        let taps = self.taps.as_slice();
+        let m = taps.len();
         let delay = m / 2;
         let n = signal.len();
+        // Output i uses taps lo(i)..hi(i): input index i + delay − j
+        // must lie in 0..n.
+        let lo = |i: usize| (i + delay + 1).saturating_sub(n);
+        let hi = |i: usize| (i + delay).min(m - 1) + 1;
+        let dot = |acc: f64, i: usize, js: std::ops::Range<usize>| {
+            js.fold(acc, |acc, j| acc + taps[j] * signal[i + delay - j])
+        };
+
         let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (j, &t) in self.taps.iter().enumerate() {
-                // Output index i corresponds to input index i + delay - j.
-                let idx = i as isize + delay as isize - j as isize;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += t * signal[idx as usize];
+        let mut blocks = out.chunks_exact_mut(LANES);
+        for (b, block) in (&mut blocks).enumerate() {
+            let i0 = b * LANES;
+            // Taps clo..chi reach inside the signal for every output of
+            // the block; the few taps before and after them run per
+            // output, in order, around the vectorised middle.
+            let (clo, chi) = (lo(i0 + LANES - 1), hi(i0));
+            if clo >= chi {
+                for (k, o) in block.iter_mut().enumerate() {
+                    *o = dot(0.0, i0 + k, lo(i0 + k)..hi(i0 + k));
+                }
+                continue;
+            }
+            let mut acc = [0.0; LANES];
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a = dot(0.0, i0 + k, lo(i0 + k)..clo);
+            }
+            for (j, &t) in taps.iter().enumerate().take(chi).skip(clo) {
+                let start = i0 + delay - j;
+                let x: &[f64; LANES] = signal[start..start + LANES]
+                    .try_into()
+                    .expect("a LANES-long window");
+                for (a, &x) in acc.iter_mut().zip(x) {
+                    *a += t * x;
                 }
             }
-            *o = acc;
+            for (k, (o, a)) in block.iter_mut().zip(acc).enumerate() {
+                *o = dot(a, i0 + k, chi..hi(i0 + k));
+            }
+        }
+        let rest = blocks.into_remainder();
+        let i0 = n - rest.len();
+        for (k, o) in rest.iter_mut().enumerate() {
+            *o = dot(0.0, i0 + k, lo(i0 + k)..hi(i0 + k));
         }
         out
     }
@@ -154,6 +195,69 @@ impl Fir {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The direct-form loop [`Fir::apply`] must match bit for bit.
+    fn apply_reference(taps: &[f64], signal: &[f64]) -> Vec<f64> {
+        let delay = taps.len() / 2;
+        let n = signal.len();
+        let mut out = vec![0.0; n];
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (j, &t) in taps.iter().enumerate() {
+                let idx = i as isize + delay as isize - j as isize;
+                if idx >= 0 && (idx as usize) < n {
+                    acc += t * signal[idx as usize];
+                }
+            }
+            *o = acc;
+        }
+        out
+    }
+
+    /// Deterministic test values mixing negative, zero and subnormal
+    /// samples into a tone.
+    fn mixed(len: usize, seed: f64) -> Vec<f64> {
+        (0..len)
+            .map(|i| match i % 13 {
+                2 => 0.0,
+                6 => -0.0,
+                8 => f64::MIN_POSITIVE / 5.0,
+                11 => -f64::MIN_POSITIVE / 3.0,
+                _ => (i as f64 * seed).sin() * if i % 3 == 0 { -1.5 } else { 0.75 },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn apply_is_bitwise_the_direct_form() {
+        let sr = SampleRate::CD;
+        let designs = [
+            Fir::from_taps(vec![0.7]).unwrap(),
+            Fir::from_taps(vec![0.25, -0.5]).unwrap(),
+            Fir::from_taps(mixed(9, 0.9)).unwrap(),
+            Fir::low_pass(Hz(4_000.0), 61, sr).unwrap(),
+            Fir::band_pass(Hz(100.0), Hz(20_000.0), 101, sr).unwrap(),
+            Fir::from_taps(mixed(1_024, 0.31)).unwrap(),
+        ];
+        // Empty, 1-sample, shorter-than-taps, block-remainder and long
+        // signals.
+        for len in [0, 1, 2, 7, 8, 9, 15, 17, 100, 1_023, 1_500, 4_099] {
+            let sig = mixed(len, 0.41);
+            for fir in &designs {
+                let got = fir.apply(&sig);
+                let want = apply_reference(fir.taps(), &sig);
+                assert_eq!(got.len(), want.len());
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} taps, len {len}, sample {i}: {a} vs {b}",
+                        fir.taps().len()
+                    );
+                }
+            }
+        }
+    }
 
     fn tone(f: f64, n: usize) -> Vec<f64> {
         (0..n)
