@@ -8,6 +8,7 @@
 //! controlled additive-white-Gaussian-noise channel used for the
 //! Eb/N0-sweep experiments (Fig. 5).
 
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::level::power;
@@ -17,7 +18,7 @@ use wearlock_dsp::units::{Db, Meters, SampleRate, Seconds, Spl};
 use crate::error::AcousticsError;
 use crate::hardware::{MicrophoneModel, SpeakerModel};
 use crate::multipath::ImpulseResponse;
-use crate::noise::{randn, NoiseModel};
+use crate::noise::NoiseModel;
 use crate::propagation::Propagation;
 
 /// Speed of sound in air at room temperature, m/s.
@@ -317,7 +318,10 @@ impl AwgnChannel {
             return signal.to_vec();
         }
         let noise_std = (p / self.snr.to_linear_power()).sqrt();
-        signal.iter().map(|&s| s + noise_std * randn(rng)).collect()
+        signal
+            .iter()
+            .map(|&s| s + noise_std * rng.sample(StandardNormal))
+            .collect()
     }
 }
 
@@ -494,29 +498,30 @@ mod tests {
         /// Digests of `transmit` and `record_ambient` for every location ×
         /// {LOS, body-blocked} × {Moto 360, smartphone} microphone, as the
         /// direct-form channel kernels (the `*_reference` loops in the
-        /// filter, resample and multipath tests) compute them with glibc's
-        /// libm on x86-64. The blocked kernels must reproduce every bit.
+        /// filter, resample and multipath tests) compute them from the
+        /// ziggurat `StandardNormal` stream with glibc's libm on x86-64.
+        /// The blocked kernels must reproduce every bit.
         const CHANNEL_DIGESTS: [(u64, u64); 20] = [
-            (0xdf934c5581174ade, 0xb734803e5b59cf9f),
-            (0xb743d2be22a5ea96, 0x43bdd917843ea0f8),
-            (0x0ab6b9cfb3357272, 0x3dbab7de9172461a),
-            (0xbaabca11c0deb4fd, 0xfc45d0521f2e5a33),
-            (0x7c01c2035689dce5, 0x25581723c904a71a),
-            (0x9a934d77ccf51b93, 0x317807bfe18c5884),
-            (0x725ecae58c1aa90d, 0xaa0dc49ab072dbd6),
-            (0x0725d8e3557afe82, 0xbed35ec0fc667826),
-            (0x3098b86c09df48dd, 0xbadc769ad025676d),
-            (0x3de7c1be8df18ad7, 0x8aa55f6c8012d1ea),
-            (0xe2795497c1c86165, 0x49b8a69a5b5ca376),
-            (0x9bdcfba5988dbe98, 0x5ab964fda63cca1c),
-            (0xf48e48f9826ff538, 0x987b3de3f7cdbd76),
-            (0xe0f3084c9962f3b6, 0x634d829ccec7278a),
-            (0xe08161088fe4e3b6, 0x51d5f07c029bcd7b),
-            (0x7949dca944ce8498, 0x992bd1b939efe606),
-            (0x4dd789c55bc56e17, 0xa9011c7919797ca6),
-            (0xa5e02588a9b9c105, 0x97abf86df9790036),
-            (0x09a8c6a57e6f49fe, 0x692529f6da9e6ff0),
-            (0x8c914c61eb4916ed, 0xc3b943a33bb9077c),
+            (0x6ad3b3bdcf107e37, 0xe7b5a9fbbc5e7cf3),
+            (0xc5a12f976b2ab20e, 0x950da4c5d6174c32),
+            (0xdc9ab850402e88ba, 0xd861f425a422a27e),
+            (0x35f41f5fd3f659e4, 0xb492753965d9ca09),
+            (0xc43a91097511012e, 0xd13afdec19bb1c33),
+            (0x3e3decdc0ee2a80e, 0x45237a6145876b11),
+            (0x7bf44cb396d40b81, 0xfd04a9f588ba4e9b),
+            (0xfa051d823474805e, 0x13c53c728aaa33bf),
+            (0x1cf4c68f10be1b93, 0xe05acd4a82148123),
+            (0x40b8d02d438a7c40, 0x828709e364e334f7),
+            (0x979496a7c6b3347a, 0x5e004e6c9f1aacf2),
+            (0x50a819db5ce59e26, 0x707fe556d9956533),
+            (0x707055de47c9200c, 0x27ed73df61d0b825),
+            (0xf608e6846746158d, 0x77145ced902e0544),
+            (0x674fa9713469ac12, 0x785ca71e060d4f56),
+            (0xb52367cc487a5f6e, 0xebe5b926ee3ab990),
+            (0x9e87033299cc7d1a, 0x88f56103df5982a9),
+            (0xfe0e0e4ed9038ce5, 0x4d40fa909a76edf5),
+            (0x8c0539708da65c1a, 0xd095f4efec45e897),
+            (0xa9a151364fe58e9d, 0xa4d6086362fd268c),
         ];
 
         #[test]

@@ -20,14 +20,13 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::filter::Fir;
 use wearlock_dsp::level::rms;
 use wearlock_dsp::resample::sample_at;
 use wearlock_dsp::units::{Hz, SampleRate, Seconds, Spl};
-
-use crate::noise::randn;
 
 /// A loudspeaker model: volume ceiling, attack (rise) envelope, ring-out
 /// tail, and output band limit.
@@ -370,7 +369,7 @@ impl MicrophoneModel {
             let sigma = self.jitter_std * (2.0 * alpha).sqrt();
             let src = out.clone();
             for (n, o) in out.iter_mut().enumerate() {
-                offset += -alpha * offset + sigma * randn(rng);
+                offset += -alpha * offset + sigma * rng.sample(StandardNormal);
                 *o = sample_at(&src, n as f64 + offset);
             }
         }
@@ -378,7 +377,7 @@ impl MicrophoneModel {
         if self.noise_floor.value().is_finite() {
             let amp = self.noise_floor.to_amplitude();
             for o in out.iter_mut() {
-                *o += amp * randn(rng);
+                *o += amp * rng.sample(StandardNormal);
             }
         }
 

@@ -8,12 +8,12 @@
 //! delay spread `τ_rms` of the received preamble balloons, and WearLock
 //! aborts (NLOS filtering, §III).
 
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::units::{SampleRate, Seconds};
 
 use crate::error::AcousticsError;
-use crate::noise::randn;
 
 /// Outputs [`ImpulseResponse::apply`] computes together, one
 /// accumulator each.
@@ -80,7 +80,7 @@ impl ImpulseResponse {
             if rng.gen::<f64>() < density {
                 let env = 10f64.powf(-decay_db * (i as f64 / tail_len.max(1) as f64) / 20.0);
                 // Reflections ~20 dB below the direct path on average.
-                *t = 0.1 * env * randn(rng);
+                *t = 0.1 * env * rng.sample(StandardNormal);
             }
         }
         // Normalize to unit total energy so the link's distance
@@ -125,7 +125,7 @@ impl ImpulseResponse {
         let mut tail_raw = vec![0.0; tail_len];
         for t in tail_raw.iter_mut() {
             if rng.gen::<f64>() < 0.6 {
-                *t = randn(rng);
+                *t = rng.sample(StandardNormal);
             }
         }
         // Mild decay over the tail.

@@ -1,16 +1,19 @@
 //! Microbenchmarks of the acoustic channel kernels that dominate an
 //! unlock attempt's host time: FIR filtering (speaker band-pass and
 //! phase ripple, microphone low-pass, noise shaping), the windowed-sinc
-//! propagation delay, multipath convolution, and the whole
+//! propagation delay, multipath convolution, the Gaussian source and
+//! the noise synthesis and microphone model built on it, and the whole
 //! `AcousticLink::transmit` per field-test location.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::distributions::StandardNormal;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use wearlock_acoustics::channel::{AcousticLink, PathKind};
+use wearlock_acoustics::hardware::MicrophoneModel;
 use wearlock_acoustics::multipath::ImpulseResponse;
-use wearlock_acoustics::noise::Location;
+use wearlock_acoustics::noise::{Location, NoiseModel};
 use wearlock_acoustics::SPEED_OF_SOUND;
 use wearlock_dsp::filter::Fir;
 use wearlock_dsp::resample::fractional_delay;
@@ -75,6 +78,62 @@ fn bench_impulse_response(c: &mut Criterion) {
     });
 }
 
+fn bench_standard_normal(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut out = vec![0.0; RECORDING];
+    c.bench_function("standard_normal_16k", |b| {
+        b.iter(|| {
+            for o in out.iter_mut() {
+                *o = rng.sample(StandardNormal);
+            }
+            black_box(&out);
+        })
+    });
+}
+
+fn bench_noise(c: &mut Criterion) {
+    let sr = SampleRate::CD;
+    let mut models: Vec<(String, NoiseModel)> = [
+        Location::QuietRoom,
+        Location::Office,
+        Location::ClassRoom,
+        Location::Cafe,
+        Location::GroceryStore,
+    ]
+    .into_iter()
+    .map(|location| (format!("noise_16k_{location:?}"), location.noise_model()))
+    .collect();
+    // The paper's jammer: six simultaneous Audacity tone tracks.
+    models.push((
+        "noise_16k_tones6".to_string(),
+        NoiseModel::Tones {
+            freqs: [1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0, 6_000.0]
+                .map(Hz)
+                .to_vec(),
+            spl: Spl(60.0),
+        },
+    ));
+    let mut rng = StdRng::seed_from_u64(4);
+    for (name, model) in &models {
+        c.bench_function(name, |b| {
+            b.iter(|| model.generate(black_box(RECORDING), sr, &mut rng))
+        });
+    }
+}
+
+fn bench_microphone(c: &mut Criterion) {
+    let x = recording();
+    let mut rng = StdRng::seed_from_u64(6);
+    for (name, mic) in [
+        ("mic_record_16k_moto360", MicrophoneModel::moto360()),
+        ("mic_record_16k_smartphone", MicrophoneModel::smartphone()),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| mic.record(black_box(&x), SampleRate::CD, &mut rng))
+        });
+    }
+}
+
 fn bench_transmit(c: &mut Criterion) {
     let x = recording();
     for location in [
@@ -102,6 +161,9 @@ criterion_group!(
     bench_fir,
     bench_fractional_delay,
     bench_impulse_response,
+    bench_standard_normal,
+    bench_noise,
+    bench_microphone,
     bench_transmit
 );
 criterion_main!(benches);

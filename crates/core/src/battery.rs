@@ -10,7 +10,7 @@ use wearlock_platform::device::{DeviceModel, Workload};
 use wearlock_platform::link::WirelessLink;
 
 use crate::config::ExecutionPlan;
-use crate::offload::step_cost;
+use crate::offload::median_step_cost;
 
 /// A day of unlocking behaviour.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +78,8 @@ fn round_workload() -> (Workload, usize) {
 
 /// Projects the daily watch/phone energy for `plan` under `profile`.
 ///
-/// Deterministic (uses jitter-free medians for transfers).
+/// Deterministic: each round's transfer is priced at its jitter-free
+/// median ([`median_step_cost`]).
 pub fn project_daily(
     profile: &UsageProfile,
     plan: ExecutionPlan,
@@ -90,9 +91,7 @@ pub fn project_daily(
     let acoustic_rounds = ((profile.unlocks_per_day as f64) * (1.0 - skip)).round() as u32;
     let (work, samples) = round_workload();
 
-    // Use a fixed-seed RNG only for jitter; medians dominate.
-    let mut rng = rand::rngs::mock::StepRng::new(0, 0);
-    let per_round = step_cost(plan, &work, samples, phone, watch, link, &mut rng);
+    let per_round = median_step_cost(plan, &work, samples, phone, watch, link);
 
     let watch_j = per_round.watch_energy_j * acoustic_rounds as f64;
     let phone_j = per_round.phone_energy_j * acoustic_rounds as f64;
@@ -172,5 +171,33 @@ mod tests {
         let (l, _) = daily_comparison(&silly);
         assert_eq!(l.acoustic_rounds, 0);
         assert_eq!(l.watch_j_per_day, 0.0);
+    }
+
+    #[test]
+    fn daily_figures_price_transfers_at_their_median() {
+        let close = |got: f64, want: f64| {
+            assert!((got - want).abs() <= 1e-12 * want, "got {got}, want {want}");
+        };
+        let (local, offload) = daily_comparison(&UsageProfile::default());
+        // 47 unlocks a day, a quarter resolved without acoustics.
+        assert_eq!(local.acoustic_rounds, 35);
+        assert_eq!(offload.acoustic_rounds, 35);
+        // One round: two 4 666-sample searches for a 256-sample
+        // template (2.5 ops per lag and tap), ten 256-point FFTs
+        // (8 ops per butterfly) and seven OFDM blocks.
+        let block = 8.0 * 256.0 * 8.0 + 17.0 * 3.0 * 128.0 + 40.0 * 256.0;
+        let ops = 2.0 * 2.5 * 4_411.0 * 256.0 + 8.0 * 256.0 * 8.0 * 10.0 + 7.0 * block;
+        // Local: the Moto 360 computes at 10 Mops/s and 0.45 W.
+        close(local.watch_j_per_day, 35.0 * ops / 1e7 * 0.45);
+        assert_eq!(local.phone_j_per_day, 0.0);
+        // Offload over WiFi: 11 000 samples are 22 kB, a median 15 ms
+        // plus 22 kB at 1.8 MB/s; the watch sends at 0.28 W, the
+        // Nexus 6 receives at 0.18 W and computes at 240 Mops/s, 2.2 W.
+        let transfer = 0.015 + 22_000.0 / 1.8e6;
+        close(offload.watch_j_per_day, 35.0 * transfer * 0.28);
+        close(
+            offload.phone_j_per_day,
+            35.0 * (ops / 2.4e8 * 2.2 + transfer * 0.18),
+        );
     }
 }

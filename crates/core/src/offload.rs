@@ -54,6 +54,38 @@ pub fn step_cost<R: Rng + ?Sized>(
     link: &WirelessLink,
     rng: &mut R,
 ) -> StepCost {
+    price(plan, workload, audio_samples, phone, watch, link, |bytes| {
+        link.file_delay(bytes, rng)
+    })
+}
+
+/// [`step_cost`] with the file transfer at its jitter-free median
+/// ([`WirelessLink::file_delay_median`]): the deterministic cost that
+/// planning and projections compare.
+pub fn median_step_cost(
+    plan: ExecutionPlan,
+    workload: &Workload,
+    audio_samples: usize,
+    phone: &DeviceModel,
+    watch: &DeviceModel,
+    link: &WirelessLink,
+) -> StepCost {
+    price(plan, workload, audio_samples, phone, watch, link, |bytes| {
+        link.file_delay_median(bytes)
+    })
+}
+
+/// Prices a step with `transfer(bytes)` as the offload's file-transfer
+/// delay (called only when offloading).
+fn price(
+    plan: ExecutionPlan,
+    workload: &Workload,
+    audio_samples: usize,
+    phone: &DeviceModel,
+    watch: &DeviceModel,
+    link: &WirelessLink,
+    transfer: impl FnOnce(usize) -> Seconds,
+) -> StepCost {
     match plan {
         ExecutionPlan::LocalOnWatch => StepCost {
             time: watch.execute(workload),
@@ -62,9 +94,8 @@ pub fn step_cost<R: Rng + ?Sized>(
         },
         ExecutionPlan::OffloadToPhone => {
             let bytes = pcm_bytes(audio_samples);
-            let transfer = link.file_delay(bytes, rng);
             StepCost {
-                time: Seconds(transfer.value() + phone.execute(workload).value()),
+                time: Seconds(transfer(bytes).value() + phone.execute(workload).value()),
                 watch_energy_j: link.tx_energy(bytes),
                 phone_energy_j: phone.energy_for(workload) + link.rx_energy(bytes),
             }
@@ -82,10 +113,12 @@ pub fn choose_plan(
     watch: &DeviceModel,
     link: &WirelessLink,
 ) -> ExecutionPlan {
-    let local = watch.execute(workload).value();
-    let offload =
-        link.file_delay_median(pcm_bytes(audio_samples)).value() + phone.execute(workload).value();
-    if local < offload {
+    let time = |plan| {
+        median_step_cost(plan, workload, audio_samples, phone, watch, link)
+            .time
+            .value()
+    };
+    if time(ExecutionPlan::LocalOnWatch) < time(ExecutionPlan::OffloadToPhone) {
         ExecutionPlan::LocalOnWatch
     } else {
         ExecutionPlan::OffloadToPhone
@@ -244,5 +277,36 @@ mod tests {
             &mut rng,
         );
         assert!(bt.time.value() > wifi.time.value());
+    }
+
+    #[test]
+    fn median_step_cost_prices_the_median_transfer() {
+        let w = demod_workload();
+        let phone = DeviceModel::galaxy_nexus();
+        let watch = DeviceModel::moto360();
+        let link = WirelessLink::bluetooth();
+        let samples = 20_000;
+        let off = median_step_cost(
+            ExecutionPlan::OffloadToPhone,
+            &w,
+            samples,
+            &phone,
+            &watch,
+            &link,
+        );
+        // 60 ms latency + 40 kB at 110 kB/s, then the phone's compute.
+        let transfer = 0.060 + 40_000.0 / 110e3;
+        let expect = transfer + phone.execute(&w).value();
+        assert!((off.time.value() - expect).abs() < 1e-12, "{off:?}");
+        assert_eq!(off.watch_energy_j, link.tx_energy(pcm_bytes(samples)));
+        let local = median_step_cost(
+            ExecutionPlan::LocalOnWatch,
+            &w,
+            samples,
+            &phone,
+            &watch,
+            &link,
+        );
+        assert_eq!(local.time, watch.execute(&w));
     }
 }

@@ -361,6 +361,9 @@ impl UnlockSession {
             };
             let report = self.run_attempt(env, &faults, tuning, sink, rng);
             Self::emit_attempt(&report, sink);
+            if let Some(v) = report.volume {
+                tuning.volume_floor = tuning.volume_floor.max(v.value());
+            }
             attempt_total += report.total_delay.value();
             let outcome = report.outcome;
             attempts.push(report);
@@ -594,10 +597,12 @@ impl UnlockSession {
         let noise_spl = wearlock_dsp::level::spl(&ambient_phone);
         let volume = self.config.required_volume(noise_spl);
         // Retry escalation: boost the transmit volume above what the
-        // noise floor asks for, clamped to the speaker's ceiling.
+        // noise floor asks for, clamped to the speaker's ceiling and
+        // never below what an earlier attempt of the series played.
         let volume = if tuning.volume_boost_db > 0.0 {
             Spl((volume.value() + tuning.volume_boost_db)
-                .min(self.config.speaker.max_spl().value()))
+                .min(self.config.speaker.max_spl().value())
+                .max(tuning.volume_floor))
         } else {
             volume
         };
@@ -1039,6 +1044,10 @@ struct AttemptTuning {
     volume_boost_db: f64,
     /// Replacement MaxBER target for mode selection, if relaxed.
     relax_max_ber: Option<f64>,
+    /// Loudest volume an earlier attempt of the series played, dB SPL
+    /// (0 before any did): a boosted attempt never plays quieter, so a
+    /// quieter ambient reading cannot undo an escalation.
+    volume_floor: f64,
 }
 
 /// Budget and escalation knobs for the retry ladder of

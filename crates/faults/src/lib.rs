@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use rand::distributions::StandardNormal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,14 +65,6 @@ fn splitmix64(x: u64) -> u64 {
 /// adjacent sweep seeds) produce uncorrelated plans.
 pub fn plan_seed(seed: u64, attempt_index: u64) -> u64 {
     splitmix64(seed ^ attempt_index.wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// Standard normal deviate via Box–Muller (same construction the
-/// acoustics noise models use, kept local so this crate stays a leaf).
-fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Per-layer fault intensity, each in `[0, 1]`.
@@ -248,7 +241,7 @@ impl AcousticFaults {
             let (lo, hi) = window(samples.len(), b.start_frac, b.len_frac);
             let mut rng = StdRng::seed_from_u64(b.seed);
             for s in &mut samples[lo..hi] {
-                *s += std * randn(&mut rng);
+                *s += std * rng.sample(StandardNormal);
             }
         }
         if let Some(c) = &self.clip {

@@ -7,6 +7,7 @@
 //! recorded audio clip shipped from watch to phone for offloading) are
 //! throughput-bound and far slower over Bluetooth.
 
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::units::Seconds;
@@ -114,9 +115,7 @@ impl WirelessLink {
 
     fn jitter<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Lognormal multiplicative jitter.
-        let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        let z: f64 = rng.sample(StandardNormal);
         (self.jitter_sigma * z).exp()
     }
 

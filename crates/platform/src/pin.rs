@@ -6,6 +6,7 @@
 //! medians with a per-attempt spread; WearLock must beat them by at
 //! least 17.7% (slow config) / 58.6% (fast config).
 
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::units::Seconds;
@@ -50,9 +51,7 @@ impl PinEntryModel {
 
     /// Samples one PIN-entry duration (lognormal around the median).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Seconds {
-        let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        let z: f64 = rng.sample(StandardNormal);
         Seconds(self.median * (self.spread * z).exp())
     }
 }

@@ -8,6 +8,7 @@
 //! similarity structure Table II measures (sitting 0.05, walking 0.02,
 //! running 0.06, different activities 0.20).
 
+use rand::distributions::StandardNormal;
 use rand::Rng;
 
 /// Standard gravity in m/s².
@@ -101,16 +102,6 @@ impl AccelTrace {
     }
 }
 
-fn randn<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.gen::<f64>();
-            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        }
-    }
-}
-
 /// Internal gait state shared between co-located devices.
 #[derive(Debug, Clone, Copy)]
 struct GaitSeed {
@@ -128,7 +119,7 @@ fn sample_gait<R: Rng + ?Sized>(rng: &mut R) -> GaitSeed {
     let r = (1.0 - z * z).max(0.0).sqrt();
     GaitSeed {
         phase: rng.gen::<f64>() * std::f64::consts::TAU,
-        rate_scale: 1.0 + 0.06 * randn(rng),
+        rate_scale: 1.0 + 0.06 * rng.sample(StandardNormal),
         orientation: [r * theta.cos(), r * theta.sin(), z],
     }
 }
@@ -152,9 +143,9 @@ fn synthesize_with<R: Rng + ?Sized>(
             let osc =
                 amp * ((w * t + gait.phase).sin() + 0.45 * (2.0 * w * t + 2.3 + gait.phase).sin());
             [
-                gait.orientation[0] * osc + noise * randn(rng),
-                gait.orientation[1] * osc + noise * randn(rng),
-                GRAVITY + gait.orientation[2] * osc + noise * randn(rng),
+                gait.orientation[0] * osc + noise * rng.sample(StandardNormal),
+                gait.orientation[1] * osc + noise * rng.sample(StandardNormal),
+                GRAVITY + gait.orientation[2] * osc + noise * rng.sample(StandardNormal),
             ]
         })
         .collect();
