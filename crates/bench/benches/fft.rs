@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use wearlock_dsp::chirp::Chirp;
 use wearlock_dsp::correlate::{
-    normalized_cross_correlate, normalized_cross_correlate_fft_into, CorrelationWorkspace,
+    normalized_cross_correlate, normalized_cross_correlate_fft, CorrelationWorkspace,
 };
 use wearlock_dsp::units::{Hz, SampleRate};
 use wearlock_dsp::{Complex, Fft};
@@ -129,8 +129,10 @@ fn bench_xcorr_fft_vs_direct(c: &mut Criterion) {
     c.bench_function("xcorr_direct_20k", |b| {
         b.iter(|| cross_correlate(std::hint::black_box(&sig), &tpl).unwrap())
     });
+    let mut ws = CorrelationWorkspace::new();
+    let mut out = Vec::new();
     c.bench_function("xcorr_fft_20k", |b| {
-        b.iter(|| cross_correlate_fft(std::hint::black_box(&sig), &tpl).unwrap())
+        b.iter(|| cross_correlate_fft(std::hint::black_box(&sig), &tpl, &mut ws, &mut out).unwrap())
     });
 }
 
@@ -157,9 +159,10 @@ fn bench_xcorr(c: &mut Criterion) {
 /// chirp. This is the crossover picture that justified switching
 /// `detect` to the FFT path.
 fn bench_normalized_xcorr_scaling(c: &mut Criterion) {
-    use wearlock_dsp::correlate::normalized_cross_correlate_fft;
     let chirp = Chirp::new(Hz(1_000.0), Hz(6_000.0), 256, SampleRate::CD).unwrap();
     let template = chirp.generate();
+    let mut ws = CorrelationWorkspace::new();
+    let mut scores = Vec::new();
     for exp in 12..=17u32 {
         let n = 1usize << exp;
         let mut signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.071).sin() * 0.1).collect();
@@ -172,7 +175,13 @@ fn bench_normalized_xcorr_scaling(c: &mut Criterion) {
         });
         c.bench_function(&format!("norm_xcorr_fft_2^{exp}"), |b| {
             b.iter(|| {
-                normalized_cross_correlate_fft(std::hint::black_box(&signal), &template).unwrap()
+                normalized_cross_correlate_fft(
+                    std::hint::black_box(&signal),
+                    &template,
+                    &mut ws,
+                    &mut scores,
+                )
+                .unwrap()
             })
         });
     }
@@ -198,7 +207,7 @@ fn bench_preamble_detect(c: &mut Criterion) {
     let mut scores = Vec::new();
     c.bench_function("preamble_detect_cached", |b| {
         b.iter(|| {
-            normalized_cross_correlate_fft_into(
+            normalized_cross_correlate_fft(
                 std::hint::black_box(&signal),
                 &template,
                 &mut ws,

@@ -14,7 +14,7 @@ use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::{Meters, Spl};
 use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
-use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator};
+use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
 fn bench_probe_analysis(c: &mut Criterion) {
     let cfg = OfdmConfig::default();
@@ -26,13 +26,12 @@ fn bench_probe_analysis(c: &mut Criterion) {
         .noise(Location::Office.noise_model())
         .build()
         .unwrap();
-    let rec = link.transmit(&tx.probe(2).unwrap(), Spl(70.0), &mut rng);
-    c.bench_function("phase1_probe_analysis", |b| {
-        b.iter(|| rx.analyze_probe(std::hint::black_box(&rec)))
-    });
+    let mut probe = Vec::new();
+    tx.probe(2, &mut TxScratch::new(), &mut probe).unwrap();
+    let rec = link.transmit(&probe, Spl(70.0), &mut rng);
     let mut scratch = DemodScratch::new();
-    c.bench_function("phase1_probe_analysis_scratch", |b| {
-        b.iter(|| rx.analyze_probe_with(std::hint::black_box(&rec), &mut scratch))
+    c.bench_function("phase1_probe_analysis", |b| {
+        b.iter(|| rx.analyze_probe(std::hint::black_box(&rec), &mut scratch))
     });
 }
 
@@ -44,28 +43,18 @@ fn bench_demodulate_steady_state(c: &mut Criterion) {
     let tx = OfdmModulator::new(cfg.clone()).unwrap();
     let rx = OfdmDemodulator::new(cfg).unwrap();
     let bits: Vec<bool> = (0..240).map(|i| (i * 13 + 1) % 7 < 3).collect();
-    let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
-
-    c.bench_function("demodulate_allocating", |b| {
-        b.iter(|| {
-            rx.demodulate(std::hint::black_box(&wave), Modulation::Qpsk, bits.len())
-                .unwrap()
-        })
-    });
+    let mut wave = Vec::new();
+    tx.modulate(&bits, Modulation::Qpsk, &mut TxScratch::new(), &mut wave)
+        .unwrap();
 
     let mut scratch = DemodScratch::new();
     let mut frame = DemodFrame::new();
-    let sync = rx.detect_with(&wave, &mut scratch).unwrap();
     c.bench_function("demodulate_steady_state", |b| {
         b.iter(|| {
-            let sync = rx
-                .detect_with(std::hint::black_box(&wave), &mut scratch)
-                .unwrap();
-            rx.demodulate_frame_into(
-                &wave,
+            rx.demodulate(
+                std::hint::black_box(&wave),
                 Modulation::Qpsk,
                 bits.len(),
-                sync,
                 &mut scratch,
                 &mut frame,
             )
@@ -73,7 +62,6 @@ fn bench_demodulate_steady_state(c: &mut Criterion) {
             frame.bits.len()
         })
     });
-    let _ = sync;
 }
 
 fn bench_full_attempt(c: &mut Criterion) {

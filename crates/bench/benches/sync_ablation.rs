@@ -14,7 +14,7 @@ use wearlock_dsp::units::{Meters, Spl};
 use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::demodulator::ChannelEstimator;
-use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
 fn bench_sync_ablation(c: &mut Criterion) {
     let cfg = OfdmConfig::default();
@@ -26,13 +26,24 @@ fn bench_sync_ablation(c: &mut Criterion) {
         .noise(Location::Office.noise_model())
         .build()
         .unwrap();
-    let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
+    let mut wave = Vec::new();
+    tx.modulate(&bits, Modulation::Qpsk, &mut TxScratch::new(), &mut wave)
+        .unwrap();
     let rec = link.transmit(&wave, Spl(70.0), &mut rng);
+    let mut scratch = DemodScratch::new();
+    let mut frame = DemodFrame::new();
+    let mut decode = |rx: &OfdmDemodulator| {
+        rx.demodulate(
+            std::hint::black_box(&rec),
+            Modulation::Qpsk,
+            bits.len(),
+            &mut scratch,
+            &mut frame,
+        )
+    };
 
     let full = OfdmDemodulator::new(cfg.clone()).unwrap();
-    c.bench_function("rx_full_fine_sync", |b| {
-        b.iter(|| full.demodulate(std::hint::black_box(&rec), Modulation::Qpsk, bits.len()))
-    });
+    c.bench_function("rx_full_fine_sync", |b| b.iter(|| decode(&full)));
 
     let no_fine = OfdmDemodulator::new(
         wearlock_modem::config::OfdmConfigBuilder::from(cfg.clone())
@@ -41,9 +52,7 @@ fn bench_sync_ablation(c: &mut Criterion) {
             .unwrap(),
     )
     .unwrap();
-    c.bench_function("rx_no_fine_sync", |b| {
-        b.iter(|| no_fine.demodulate(std::hint::black_box(&rec), Modulation::Qpsk, bits.len()))
-    });
+    c.bench_function("rx_no_fine_sync", |b| b.iter(|| decode(&no_fine)));
 
     for (name, est) in [
         ("magphase", ChannelEstimator::MagnitudePhase),
@@ -53,9 +62,7 @@ fn bench_sync_ablation(c: &mut Criterion) {
         let rx = OfdmDemodulator::new(cfg.clone())
             .unwrap()
             .with_estimator(est);
-        c.bench_function(&format!("rx_estimator_{name}"), |b| {
-            b.iter(|| rx.demodulate(std::hint::black_box(&rec), Modulation::Qpsk, bits.len()))
-        });
+        c.bench_function(&format!("rx_estimator_{name}"), |b| b.iter(|| decode(&rx)));
     }
 }
 

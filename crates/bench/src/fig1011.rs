@@ -6,12 +6,11 @@ use rand::rngs::StdRng;
 use wearlock::config::WearLockConfig;
 use wearlock::trim;
 use wearlock_acoustics::channel::{DEFAULT_LEAD_PAD, DEFAULT_TAIL_PAD};
+use wearlock_auth::TOKEN_BITS;
 use wearlock_modem::{Modulation, OfdmModulator};
 use wearlock_platform::device::{DeviceModel, Workload};
 use wearlock_platform::link::{Transport, WirelessLink};
 use wearlock_runtime::SweepRunner;
-
-use crate::fig6::coded_token_bits;
 
 /// Per-phase compute times for one device (Fig. 10).
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +38,7 @@ fn phase_workloads() -> (Workload, Workload, Workload) {
     let probe_len = modem.preamble_len()
         + modem.post_preamble_guard()
         + config.probe_blocks() * modem.symbol_len();
-    let coded = coded_token_bits(&config);
+    let coded = config.token_coding().coded_len(TOKEN_BITS);
     let token_len = tx.frame_len(coded, Modulation::Qpsk);
 
     let probe = Workload::combined(&[

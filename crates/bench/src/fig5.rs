@@ -20,7 +20,7 @@ use wearlock_dsp::units::{Db, Spl};
 use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::demodulator::bit_error_rate;
-use wearlock_modem::{DemodScratch, OfdmDemodulator, OfdmModulator};
+use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 use wearlock_runtime::SweepRunner;
 
 /// One measured point of the Fig. 5 sweep.
@@ -38,30 +38,9 @@ pub struct BerPoint {
 
 /// Sends `payload` through speaker → exact-Eb/N0 AWGN → jittery mic →
 /// receiver, and returns the measured BER (0.5 when undetectable).
+/// `scratch` is the caller's receive scratch, so sweep workers reuse
+/// their demodulation buffers across trials.
 pub fn ber_at_ebn0(
-    tx: &OfdmModulator,
-    rx: &OfdmDemodulator,
-    modulation: Modulation,
-    ebn0: Db,
-    payload: &[bool],
-    rng: &mut StdRng,
-) -> f64 {
-    ber_at_ebn0_with(
-        tx,
-        rx,
-        modulation,
-        ebn0,
-        payload,
-        rng,
-        &mut DemodScratch::new(),
-    )
-}
-
-/// [`ber_at_ebn0`] with caller-owned receive scratch, so sweep workers
-/// reuse their demodulation buffers across trials. Bitwise identical
-/// results.
-#[allow(clippy::too_many_arguments)]
-pub fn ber_at_ebn0_with(
     tx: &OfdmModulator,
     rx: &OfdmDemodulator,
     modulation: Modulation,
@@ -74,7 +53,9 @@ pub fn ber_at_ebn0_with(
     let mic = MicrophoneModel::ideal().with_jitter(0.05);
     let sr = tx.config().sample_rate();
 
-    let wave = tx.modulate(payload, modulation).expect("valid payload");
+    let mut wave = Vec::new();
+    tx.modulate(payload, modulation, &mut TxScratch::new(), &mut wave)
+        .expect("valid payload");
     let emitted = speaker.emit(&wave, Spl(60.0), sr);
 
     // Energy of the data section (skip preamble + guard).
@@ -94,8 +75,9 @@ pub fn ber_at_ebn0_with(
     }
     let rec = mic.record(&rec, sr, rng);
 
-    match rx.demodulate_with(&rec, modulation, payload.len(), scratch) {
-        Ok(r) => bit_error_rate(payload, &r.bits),
+    let mut frame = DemodFrame::new();
+    match rx.demodulate(&rec, modulation, payload.len(), scratch, &mut frame) {
+        Ok(()) => bit_error_rate(payload, &frame.bits),
         Err(_) => 0.5,
     }
 }
@@ -128,7 +110,7 @@ pub fn sweep(
         let mut total = 0usize;
         for _ in 0..rounds {
             let payload: Vec<bool> = (0..chunk).map(|_| rng.gen()).collect();
-            let ber = ber_at_ebn0_with(&tx, &rx, m, Db(e), &payload, rng, scratch);
+            let ber = ber_at_ebn0(&tx, &rx, m, Db(e), &payload, rng, scratch);
             errs += ber * chunk as f64;
             total += chunk;
         }

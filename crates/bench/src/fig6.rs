@@ -4,22 +4,12 @@
 use wearlock::config::{ExecutionPlan, WearLockConfig};
 use wearlock::offload::step_cost;
 use wearlock::trim;
-use wearlock_auth::token::repetition_encode;
 use wearlock_auth::TOKEN_BITS;
-use wearlock_modem::{conv_encode, Modulation, OfdmModulator, TokenCoding};
+use wearlock_modem::{Modulation, OfdmModulator};
 use wearlock_platform::device::{DeviceModel, Workload};
 use wearlock_platform::link::WirelessLink;
 use wearlock_runtime::SweepRunner;
 use wearlock_telemetry::{EventSink, MetricsRecorder, StageSpan};
-
-/// Coded token length, in bits, under the configured channel coding.
-pub(crate) fn coded_token_bits(config: &WearLockConfig) -> usize {
-    let token = vec![false; TOKEN_BITS];
-    match config.token_coding() {
-        TokenCoding::Repetition(r) => repetition_encode(&token, r).len(),
-        TokenCoding::Convolutional => conv_encode(&token).len(),
-    }
-}
 
 /// Aggregate of the 50-round comparison for one plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +35,7 @@ fn round_workload() -> (Workload, usize) {
     // The trim anchors each clip, so both phases' preamble searches
     // scan the onset→peak span: the ±pad slack plus one template.
     let search_len = 2 * trim::search_pad(sr) + modem.preamble_len();
-    let coded = coded_token_bits(&config);
+    let coded = config.token_coding().coded_len(TOKEN_BITS);
     // QPSK is the mode adaptive modulation settles on at unlock range.
     let blocks = tx.blocks_for(coded, Modulation::Qpsk);
     // The clip shipped to the phone: the trimmed token recording.

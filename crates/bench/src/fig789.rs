@@ -11,7 +11,10 @@ use wearlock_dsp::units::{Meters, Spl};
 use wearlock_modem::config::{FrequencyBand, OfdmConfig};
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::subchannel::{apply_selection, select_data_channels};
-use wearlock_modem::{DemodScratch, ModePolicy, OfdmDemodulator, OfdmModulator, TransmissionMode};
+use wearlock_modem::{
+    DemodFrame, DemodScratch, ModePolicy, OfdmDemodulator, OfdmModulator, TransmissionMode,
+    TxScratch,
+};
 use wearlock_runtime::SweepRunner;
 
 /// A (distance, BER) measurement for one mode.
@@ -35,6 +38,14 @@ fn near_ultrasound_link(distance: f64) -> AcousticLink {
         .expect("valid distance")
 }
 
+/// The two-block RTS probe of `tx`.
+fn probe_wave(tx: &OfdmModulator) -> Vec<f64> {
+    let mut probe = Vec::new();
+    tx.probe(2, &mut TxScratch::new(), &mut probe)
+        .expect("valid");
+    probe
+}
+
 #[allow(clippy::too_many_arguments)]
 fn measure_ber<R: Rng + ?Sized>(
     tx: &OfdmModulator,
@@ -46,14 +57,16 @@ fn measure_ber<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut DemodScratch,
 ) -> f64 {
+    let (mut tx_scratch, mut wave, mut frame) = (TxScratch::new(), Vec::new(), DemodFrame::new());
     let mut total = 0.0;
     for _ in 0..trials {
         let bits: Vec<bool> = (0..240).map(|_| rng.gen()).collect();
-        let wave = tx.modulate(&bits, mode.modulation()).expect("non-empty");
+        tx.modulate(&bits, mode.modulation(), &mut tx_scratch, &mut wave)
+            .expect("non-empty");
         let rec = link.transmit(&wave, volume, rng);
         total += rx
-            .demodulate_with(&rec, mode.modulation(), bits.len(), scratch)
-            .map(|r| bit_error_rate(&bits, &r.bits))
+            .demodulate(&rec, mode.modulation(), bits.len(), scratch, &mut frame)
+            .map(|()| bit_error_rate(&bits, &frame.bits))
             .unwrap_or(0.5);
     }
     total / trials.max(1) as f64
@@ -122,6 +135,7 @@ pub fn fig8(
         .expect("band config valid");
     let tx = OfdmModulator::new(cfg.clone()).expect("valid");
     let rx = OfdmDemodulator::new(cfg.clone()).expect("valid");
+    let probe = probe_wave(&tx);
     let volume = Spl(56.0);
     let grid: Vec<(f64, f64)> = max_bers
         .iter()
@@ -139,13 +153,10 @@ pub fn fig8(
         let mut mode_votes: std::collections::BTreeMap<TransmissionMode, usize> =
             std::collections::BTreeMap::new();
         for _ in 0..trials {
-            let probe_rec = link.transmit(&tx.probe(2).expect("valid"), volume, rng);
-            let mode = rx
-                .analyze_probe_with(&probe_rec, scratch)
-                .ok()
-                .and_then(|rep| {
-                    policy.select_mode(rep.ebn0(rx.config(), TransmissionMode::Qpsk.modulation()))
-                });
+            let probe_rec = link.transmit(&probe, volume, rng);
+            let mode = rx.analyze_probe(&probe_rec, scratch).ok().and_then(|rep| {
+                policy.select_mode(rep.ebn0(rx.config(), TransmissionMode::Qpsk.modulation()))
+            });
             match mode {
                 None => aborts += 1,
                 Some(m) => {
@@ -191,6 +202,7 @@ pub fn fig9(max_jammed: usize, trials: usize, seed: u64, runner: &SweepRunner) -
     let cfg = OfdmConfig::default();
     let tx = OfdmModulator::new(cfg.clone()).expect("valid");
     let rx = OfdmDemodulator::new(cfg.clone()).expect("valid");
+    let probe = probe_wave(&tx);
     let volume = Spl(68.0);
     let mode = TransmissionMode::Qpsk;
 
@@ -227,8 +239,8 @@ pub fn fig9(max_jammed: usize, trials: usize, seed: u64, runner: &SweepRunner) -
 
                 fixed_total += measure_ber(&tx, &rx, &link, mode, volume, 1, rng, scratch);
 
-                let probe_rec = link.transmit(&tx.probe(2).expect("valid"), volume, rng);
-                let sel_ber = match rx.analyze_probe_with(&probe_rec, scratch) {
+                let probe_rec = link.transmit(&probe, volume, rng);
+                let sel_ber = match rx.analyze_probe(&probe_rec, scratch) {
                     Ok(rep) => {
                         match select_data_channels(&cfg, &rep.noise_spectrum, 12)
                             .and_then(|sel| apply_selection(&cfg, &sel))

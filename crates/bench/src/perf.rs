@@ -72,8 +72,8 @@ fn measure_stage(
     }
 }
 
-/// Measures every pipeline stage in its steady state (scratch-reusing
-/// `_with`/`_into` entry points on warmed buffers).
+/// Measures every pipeline stage in its steady state (every entry point
+/// on warmed caller-owned scratch and output buffers).
 pub fn measure(iters: u64, snapshot: Option<AllocSnapshot>) -> Vec<StageMeasurement> {
     let cfg = OfdmConfig::default();
     let tx = OfdmModulator::new(cfg.clone()).expect("default config");
@@ -82,25 +82,25 @@ pub fn measure(iters: u64, snapshot: Option<AllocSnapshot>) -> Vec<StageMeasurem
 
     let mut tx_scratch = TxScratch::new();
     let mut wave = Vec::new();
-    tx.modulate_into(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
+    tx.modulate(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
         .expect("payload is valid");
     let mut probe = Vec::new();
-    tx.probe_into(2, &mut tx_scratch, &mut probe)
+    tx.probe(2, &mut tx_scratch, &mut probe)
         .expect("probe is valid");
     let mut scratch = DemodScratch::new();
     let mut frame = DemodFrame::new();
-    let sync = rx.detect_with(&wave, &mut scratch).expect("clean frame");
+    let sync = rx.detect(&wave, &mut scratch).expect("clean frame");
 
     let mut out = Vec::new();
     out.push(measure_stage("modulate", iters, snapshot, || {
-        tx.modulate_into(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
+        tx.modulate(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
             .expect("payload is valid");
     }));
     out.push(measure_stage("detect", iters, snapshot, || {
-        rx.detect_with(&wave, &mut scratch).expect("clean frame");
+        rx.detect(&wave, &mut scratch).expect("clean frame");
     }));
     out.push(measure_stage("demodulate", iters, snapshot, || {
-        rx.demodulate_frame_into(
+        rx.demodulate_synced(
             &wave,
             Modulation::Qpsk,
             bits.len(),
@@ -111,8 +111,7 @@ pub fn measure(iters: u64, snapshot: Option<AllocSnapshot>) -> Vec<StageMeasurem
         .expect("clean frame");
     }));
     out.push(measure_stage("probe", iters, snapshot, || {
-        rx.analyze_probe_with(&probe, &mut scratch)
-            .expect("clean probe");
+        rx.analyze_probe(&probe, &mut scratch).expect("clean probe");
     }));
     out
 }

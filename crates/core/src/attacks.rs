@@ -17,14 +17,15 @@ use rand::Rng;
 
 use wearlock_acoustics::channel::AcousticLink;
 use wearlock_acoustics::noise::Location;
-use wearlock_auth::token::{
-    repetition_encode, token_to_bits, TokenGenerator, TokenVerifier, VerifyOutcome,
-};
+use wearlock_auth::token::{TokenGenerator, TokenVerifier, VerifyOutcome};
 use wearlock_dsp::units::Meters;
 use wearlock_modem::demodulator::bit_error_rate;
-use wearlock_modem::{OfdmDemodulator, OfdmModulator, TransmissionMode};
+use wearlock_modem::{
+    DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TransmissionMode, TxScratch,
+};
 
 use crate::config::WearLockConfig;
+use crate::session::{decode_token, encode_token};
 use crate::WearLockError;
 
 /// Keyspace analysis of the brute-force attack (paper §IV.1).
@@ -119,24 +120,25 @@ pub fn intercept_at_distance<R: Rng + ?Sized>(
     let volume = config.required_volume(location.ambient_spl());
 
     let mut gen = TokenGenerator::new(config.otp_key.clone(), 0);
+    let (mut tx_scratch, mut scratch) = (TxScratch::new(), DemodScratch::new());
+    let (mut wave, mut frame) = (Vec::new(), DemodFrame::new());
     let mut bers = Vec::new();
     let mut recovered = 0usize;
     for _ in 0..trials {
         let token = gen.next_token();
-        let coded = repetition_encode(&token_to_bits(token), config.repetition());
-        let wave = tx.modulate(&coded, mode.modulation())?;
+        let coded = encode_token(config.token_coding, token);
+        tx.modulate(&coded, mode.modulation(), &mut tx_scratch, &mut wave)?;
         let rec = link.transmit(&wave, volume, rng);
-        match rx.demodulate(&rec, mode.modulation(), coded.len()) {
-            Ok(result) => {
-                let ber = bit_error_rate(&coded, &result.bits);
-                bers.push(ber);
-                let decoded = wearlock_auth::token::repetition_decode(
-                    &result.bits,
-                    wearlock_auth::TOKEN_BITS,
-                    config.repetition(),
-                )
-                .and_then(|bits| wearlock_auth::token::bits_to_token(&bits));
-                if decoded == Some(token) {
+        match rx.demodulate(
+            &rec,
+            mode.modulation(),
+            coded.len(),
+            &mut scratch,
+            &mut frame,
+        ) {
+            Ok(()) => {
+                bers.push(bit_error_rate(&coded, &frame.bits));
+                if decode_token(config.token_coding, &frame.bits) == Some(token) {
                     recovered += 1;
                 }
             }
@@ -277,6 +279,8 @@ pub fn relay_attack_full<R: Rng + ?Sized>(
     let modem_cfg = config.modem().clone();
     let tx = OfdmModulator::new(modem_cfg.clone())?;
     let rx = OfdmDemodulator::new(modem_cfg.clone())?;
+    let mut probe = Vec::new();
+    tx.probe(2, &mut TxScratch::new(), &mut probe)?;
 
     let probe_through = |speaker: SpeakerModel,
                          rng: &mut R|
@@ -288,11 +292,11 @@ pub fn relay_attack_full<R: Rng + ?Sized>(
             .microphone(config.receiver_microphone())
             .build()?;
         let rec = link.transmit(
-            &tx.probe(2)?,
+            &probe,
             config.required_volume(Location::Office.ambient_spl()),
             rng,
         );
-        Ok(rx.analyze_probe(&rec).ok())
+        Ok(rx.analyze_probe(&rec, &mut DemodScratch::new()).ok())
     };
 
     if enable_fingerprint {

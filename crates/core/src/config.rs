@@ -81,7 +81,6 @@ pub struct WearLockConfig {
     pub(crate) otp_key: Vec<u8>,
     pub(crate) otp_counter: u64,
     pub(crate) otp_window: u64,
-    pub(crate) repetition: usize,
     pub(crate) token_coding: TokenCoding,
     pub(crate) secure_range: Meters,
     pub(crate) nlos_spread_threshold: f64,
@@ -144,11 +143,6 @@ impl WearLockConfig {
     /// Watch device model.
     pub fn watch(&self) -> &DeviceModel {
         &self.watch
-    }
-
-    /// Token repetition factor for the acoustic channel.
-    pub fn repetition(&self) -> usize {
-        self.repetition
     }
 
     /// The token channel-coding scheme.
@@ -501,7 +495,6 @@ impl WearLockConfigBuilder {
             otp_key: self.otp_key,
             otp_counter: self.otp_counter,
             otp_window: self.otp_window,
-            repetition: self.repetition,
             token_coding: self
                 .token_coding
                 .unwrap_or(TokenCoding::Repetition(self.repetition)),

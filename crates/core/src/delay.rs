@@ -147,10 +147,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wearlock_acoustics::channel::{DEFAULT_LEAD_PAD, DEFAULT_TAIL_PAD};
-    use wearlock_auth::token::repetition_encode;
     use wearlock_auth::TOKEN_BITS;
-    use wearlock_modem::coding::{conv_encode, TokenCoding};
-    use wearlock_modem::{Modulation, OfdmModulator};
+    use wearlock_modem::{Modulation, OfdmModulator, TxScratch};
     use wearlock_platform::device::Workload;
     use wearlock_platform::link::WirelessLink;
     use wearlock_telemetry::NullSink;
@@ -172,12 +170,11 @@ mod tests {
         let modem = config.modem();
         let sr = modem.sample_rate();
         let tx = OfdmModulator::new(modem.clone()).unwrap();
-        let token = [false; TOKEN_BITS];
-        let coded = match config.token_coding() {
-            TokenCoding::Repetition(r) => repetition_encode(&token, r).len(),
-            TokenCoding::Convolutional => conv_encode(&token).len(),
-        };
-        let probe_len = tx.probe(config.probe_blocks()).unwrap().len();
+        let coded = config.token_coding().coded_len(TOKEN_BITS);
+        let mut probe = Vec::new();
+        tx.probe(config.probe_blocks(), &mut TxScratch::new(), &mut probe)
+            .unwrap();
+        let probe_len = probe.len();
         let token_len = tx.frame_len(coded, Modulation::Qpsk);
         let search = Workload::CrossCorrelation {
             signal_len: 2 * trim::search_pad(sr) + modem.preamble_len(),

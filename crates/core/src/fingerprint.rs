@@ -244,7 +244,7 @@ mod tests {
     use wearlock_acoustics::hardware::SpeakerModel;
     use wearlock_acoustics::noise::Location;
     use wearlock_dsp::units::{Meters, Spl};
-    use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+    use wearlock_modem::{DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
     fn probe_with_speaker(speaker: SpeakerModel, seed: u64) -> (ProbeReport, OfdmConfig) {
         let cfg = OfdmConfig::default();
@@ -257,8 +257,13 @@ mod tests {
             .speaker(speaker)
             .build()
             .unwrap();
-        let rec = link.transmit(&tx.probe(2).unwrap(), Spl(65.0), &mut rng);
-        (rx.analyze_probe(&rec).unwrap(), cfg)
+        let mut probe = Vec::new();
+        tx.probe(2, &mut TxScratch::new(), &mut probe).unwrap();
+        let rec = link.transmit(&probe, Spl(65.0), &mut rng);
+        (
+            rx.analyze_probe(&rec, &mut DemodScratch::new()).unwrap(),
+            cfg,
+        )
     }
 
     #[test]

@@ -20,15 +20,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use wearlock_acoustics::channel::AcousticLink;
-use wearlock_auth::token::{
-    repetition_encode, token_to_bits, TokenGenerator, TokenVerifier, VerifyOutcome,
-};
+use wearlock_auth::token::{TokenGenerator, TokenVerifier, VerifyOutcome};
 use wearlock_dsp::units::{Db, Spl};
-use wearlock_modem::{OfdmDemodulator, OfdmModulator, TransmissionMode};
+use wearlock_modem::{
+    DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TransmissionMode, TxScratch,
+};
 use wearlock_platform::keyguard::{Keyguard, KeyguardEvent, LockState};
 
 use crate::config::WearLockConfig;
 use crate::environment::Environment;
+use crate::session::{decode_token, encode_token};
 use crate::WearLockError;
 
 /// Messages from phone to watch over the control channel.
@@ -86,6 +87,7 @@ fn watch_role(
         .microphone(config.receiver_microphone())
         .build()?;
     let demod = OfdmDemodulator::new(config.modem().clone())?;
+    let mut scratch = DemodScratch::new();
     let mut mode: Option<TransmissionMode> = None;
 
     loop {
@@ -106,18 +108,28 @@ fn watch_role(
                 match mode {
                     None => {
                         // Phase 1: analyze the probe, report SNR.
-                        let snr = demod.analyze_probe(&recording).ok().map(|r| r.psnr.value());
+                        let snr = demod
+                            .analyze_probe(&recording, &mut scratch)
+                            .ok()
+                            .map(|r| r.psnr.value());
                         tx_ctrl
                             .send(ToPhone::ProbeSnr(snr))
                             .map_err(|e| WearLockError::SessionFailed(e.to_string()))?;
                     }
                     Some(m) => {
                         // Phase 2: demodulate the token bits.
-                        let n_bits = wearlock_auth::TOKEN_BITS * config.repetition();
+                        let n_bits = config.token_coding().coded_len(wearlock_auth::TOKEN_BITS);
+                        let mut frame = DemodFrame::new();
                         let bits = demod
-                            .demodulate(&recording, m.modulation(), n_bits)
+                            .demodulate(
+                                &recording,
+                                m.modulation(),
+                                n_bits,
+                                &mut scratch,
+                                &mut frame,
+                            )
                             .ok()
-                            .map(|r| r.bits);
+                            .map(|()| frame.bits);
                         tx_ctrl
                             .send(ToPhone::TokenBits(bits))
                             .map_err(|e| WearLockError::SessionFailed(e.to_string()))?;
@@ -189,7 +201,9 @@ pub fn run_live_session(
                 )))
             }
         }
-        let probe = modem.probe(config.probe_blocks())?;
+        let mut tx_scratch = TxScratch::new();
+        let mut probe = Vec::new();
+        modem.probe(config.probe_blocks(), &mut tx_scratch, &mut probe)?;
         send(ToWatch::Acoustic {
             waveform: probe,
             volume_db: volume.value(),
@@ -231,8 +245,9 @@ pub fn run_live_session(
 
         // Phase 2: token.
         let token = generator.next_token();
-        let coded = repetition_encode(&token_to_bits(token), config.repetition());
-        let wave = modem.modulate(&coded, mode.modulation())?;
+        let coded = encode_token(config.token_coding(), token);
+        let mut wave = Vec::new();
+        modem.modulate(&coded, mode.modulation(), &mut tx_scratch, &mut wave)?;
         send(ToWatch::Acoustic {
             waveform: wave,
             volume_db: volume.value(),
@@ -248,12 +263,8 @@ pub fn run_live_session(
         send(ToWatch::Done)?;
 
         let unlocked = bits
-            .map(|b| {
-                matches!(
-                    verifier.verify_bits(&b, config.repetition()),
-                    VerifyOutcome::Accepted { .. }
-                )
-            })
+            .and_then(|b| decode_token(config.token_coding(), &b))
+            .map(|t| matches!(verifier.verify(t), VerifyOutcome::Accepted { .. }))
             .unwrap_or(false);
         let mut kg = keyguard.lock();
         if unlocked {
@@ -288,6 +299,18 @@ mod tests {
         assert!(out.unlocked, "{out:?}");
         assert_eq!(out.final_state, LockState::Unlocked);
         assert!(out.mode.is_some());
+    }
+
+    #[test]
+    fn live_session_unlocks_with_convolutional_coding() {
+        use wearlock_modem::TokenCoding;
+        let config = WearLockConfig::builder()
+            .token_coding(TokenCoding::Convolutional)
+            .build()
+            .unwrap();
+        let out = run_live_session(&config, &Environment::default(), 1234).unwrap();
+        assert!(out.unlocked, "{out:?}");
+        assert_eq!(out.final_state, LockState::Unlocked);
     }
 
     #[test]

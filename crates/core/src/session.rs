@@ -27,14 +27,15 @@ use wearlock_auth::token::{
     TokenVerifier, VerifyOutcome,
 };
 use wearlock_auth::LockoutPolicy;
+use wearlock_auth::TOKEN_BITS;
 use wearlock_dsp::units::{Db, Seconds, Spl};
 use wearlock_faults::{FaultInjector, FaultPlan};
 use wearlock_modem::coding::{conv_encode, viterbi_decode, TokenCoding};
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::subchannel::{apply_selection, select_data_channels};
 use wearlock_modem::{
-    DemodScratch, ModePolicy, OfdmConfig, OfdmDemodulator, OfdmModulator, TransmissionMode,
-    TxScratch,
+    DemodFrame, DemodScratch, ModePolicy, OfdmConfig, OfdmDemodulator, OfdmModulator,
+    TransmissionMode, TxScratch,
 };
 use wearlock_platform::device::Workload;
 use wearlock_platform::keyguard::{Keyguard, KeyguardEvent};
@@ -53,6 +54,25 @@ use crate::environment::{Environment, MotionScenario};
 use crate::error::WearLockError;
 use crate::offload::{step_cost, StepCost};
 use crate::trim;
+
+/// Channel-codes a token for phase 2 under `coding`.
+pub(crate) fn encode_token(coding: TokenCoding, token: u32) -> Vec<bool> {
+    let bits = token_to_bits(token);
+    match coding {
+        TokenCoding::Repetition(r) => repetition_encode(&bits, r),
+        TokenCoding::Convolutional => conv_encode(&bits),
+    }
+}
+
+/// Decodes demodulated phase-2 bits back to a token under `coding`;
+/// `None` when the bits do not decode.
+pub(crate) fn decode_token(coding: TokenCoding, coded: &[bool]) -> Option<u32> {
+    let bits = match coding {
+        TokenCoding::Repetition(r) => repetition_decode(coded, TOKEN_BITS, r),
+        TokenCoding::Convolutional => viterbi_decode(coded, TOKEN_BITS).ok(),
+    };
+    bits.as_deref().and_then(bits_to_token)
+}
 
 /// Why an unlock attempt was denied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,6 +254,8 @@ pub struct UnlockSession {
     /// Receive-side working memory, reused across attempts so repeated
     /// unlocks (retry ladders, funnels) demodulate allocation-free.
     scratch: DemodScratch,
+    /// Phase-2 decode target, reused across attempts like `scratch`.
+    frame: DemodFrame,
     /// Transmit-side working memory for probe and token synthesis.
     tx_scratch: TxScratch,
 }
@@ -263,6 +285,7 @@ impl UnlockSession {
             config,
             link,
             scratch: DemodScratch::new(),
+            frame: DemodFrame::new(),
             tx_scratch: TxScratch::new(),
         })
     }
@@ -611,7 +634,7 @@ impl UnlockSession {
         let sample_rate = self.config.modem.sample_rate();
         let tx = OfdmModulator::new(self.config.modem.clone()).expect("validated at build");
         let mut probe = Vec::new();
-        tx.probe_into(self.config.probe_blocks, &mut self.tx_scratch, &mut probe)
+        tx.probe(self.config.probe_blocks, &mut self.tx_scratch, &mut probe)
             .expect("probe is valid");
         let mut probe_rec = acoustic.transmit(&probe, volume, rng);
         // Acoustic faults draw from plan-owned seeds, never from `rng`;
@@ -677,7 +700,7 @@ impl UnlockSession {
         );
         ledger.step_cost("compute:phase1-probing", c1);
 
-        let probe_report = match rx.analyze_probe_with(probe_trimmed, &mut self.scratch) {
+        let probe_report = match rx.analyze_probe(probe_trimmed, &mut self.scratch) {
             Ok(r) => r,
             Err(_) => {
                 deny(&mut report, &ledger, DenyReason::ProbeNotDetected);
@@ -793,13 +816,9 @@ impl UnlockSession {
             let _ = self.generator.next_token();
         }
         let token = self.generator.next_token();
-        let token_bits = token_to_bits(token);
-        let coded = match self.config.token_coding {
-            TokenCoding::Repetition(r) => repetition_encode(&token_bits, r),
-            TokenCoding::Convolutional => conv_encode(&token_bits),
-        };
+        let coded = encode_token(self.config.token_coding, token);
         let mut wave = Vec::new();
-        tx2.modulate_into(&coded, mode.modulation(), &mut self.tx_scratch, &mut wave)
+        tx2.modulate(&coded, mode.modulation(), &mut self.tx_scratch, &mut wave)
             .expect("coded token is non-empty");
         let mut token_rec = acoustic.transmit(&wave, volume, rng);
         faults.phase2.apply(&mut token_rec);
@@ -870,25 +889,16 @@ impl UnlockSession {
         ledger.step_cost("compute:phase2-demod", c3);
         ledger.step("wireless:verdict", link.message_delay(rng), 0.0, 0.0);
 
-        let verified = match rx2.demodulate_with(
+        let verified = match rx2.demodulate(
             token_trimmed,
             mode.modulation(),
             coded.len(),
             &mut self.scratch,
+            &mut self.frame,
         ) {
-            Ok(result) => {
-                report.measured_ber = Some(bit_error_rate(&coded, &result.bits));
-                let decoded = match self.config.token_coding {
-                    TokenCoding::Repetition(r) => {
-                        repetition_decode(&result.bits, wearlock_auth::TOKEN_BITS, r)
-                    }
-                    TokenCoding::Convolutional => {
-                        viterbi_decode(&result.bits, wearlock_auth::TOKEN_BITS).ok()
-                    }
-                };
-                decoded
-                    .as_deref()
-                    .and_then(bits_to_token)
+            Ok(()) => {
+                report.measured_ber = Some(bit_error_rate(&coded, &self.frame.bits));
+                decode_token(self.config.token_coding, &self.frame.bits)
                     .map(|t| matches!(self.verifier.verify(t), VerifyOutcome::Accepted { .. }))
                     .unwrap_or(false)
             }
@@ -1228,6 +1238,18 @@ mod tests {
 
     fn session() -> UnlockSession {
         UnlockSession::new(WearLockConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn token_coding_roundtrips_at_its_coded_length() {
+        for coding in [TokenCoding::Repetition(5), TokenCoding::Convolutional] {
+            for token in [0, 1, 0x7fff_ffff, 0x1234_5678] {
+                let coded = encode_token(coding, token);
+                assert_eq!(coded.len(), coding.coded_len(TOKEN_BITS), "{coding}");
+                assert_eq!(decode_token(coding, &coded), Some(token), "{coding}");
+            }
+            assert_eq!(decode_token(coding, &[]), None, "{coding}");
+        }
     }
 
     /// Up to `max_attempts` escalating attempts with no faults, no

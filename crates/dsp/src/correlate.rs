@@ -10,21 +10,15 @@
 //!
 //! ## Allocation discipline
 //!
-//! The FFT correlators come in two forms over one overlap–save kernel.
-//! The allocating entry points ([`cross_correlate_fft`],
-//! [`normalized_cross_correlate_fft`]) keep their original signatures
-//! but run on a thread-local [`CorrelationWorkspace`], so they no
-//! longer re-plan an FFT or allocate scratch per call — only the
-//! returned `Vec` is fresh. The `_into` variants ([`cross_correlate_fft_into`],
-//! [`normalized_cross_correlate_fft_into`]) take an explicit workspace
-//! and output vector and perform **zero** allocations once the
-//! workspace has warmed up to the template/signal sizes in play.
-//!
-//! Both produce bitwise identical scores to the seed implementation:
-//! the workspace only changes *where* buffers live, never the sequence
-//! of floating-point operations.
+//! The FFT correlators ([`cross_correlate_fft`],
+//! [`normalized_cross_correlate_fft`]) share one overlap–save kernel and
+//! take an explicit [`CorrelationWorkspace`] and output vector: they
+//! perform **zero** allocations once the workspace has warmed up to the
+//! template/signal sizes in play. The workspace only changes *where*
+//! buffers live, never the sequence of floating-point operations. The
+//! direct correlators stay as the tests' reference and as
+//! [`find_peak`]'s path.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::cache;
@@ -188,7 +182,7 @@ pub fn normalized_cross_correlate(signal: &[f64], template: &[f64]) -> Result<Ve
 ///
 /// A workspace starts empty and grows to the sizes it sees; after the
 /// first call at a given template/signal size ("warmup") subsequent
-/// calls through the `_into` correlators perform no heap allocation.
+/// correlator calls perform no heap allocation.
 /// The template spectrum is memoized by exact bit comparison, so
 /// repeated searches for the same preamble (the modem's steady state)
 /// skip the template transform entirely.
@@ -200,13 +194,13 @@ pub fn normalized_cross_correlate(signal: &[f64], template: &[f64]) -> Result<Ve
 /// # Examples
 ///
 /// ```
-/// use wearlock_dsp::correlate::{cross_correlate_fft_into, CorrelationWorkspace};
+/// use wearlock_dsp::correlate::{cross_correlate_fft, CorrelationWorkspace};
 ///
 /// let sig: Vec<f64> = (0..500).map(|i| (i as f64 * 0.3).sin()).collect();
 /// let tpl: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
 /// let mut ws = CorrelationWorkspace::new();
 /// let mut out = Vec::new();
-/// cross_correlate_fft_into(&sig, &tpl, &mut ws, &mut out)?;
+/// cross_correlate_fft(&sig, &tpl, &mut ws, &mut out)?;
 /// assert_eq!(out.len(), sig.len() - tpl.len() + 1);
 /// # Ok::<(), wearlock_dsp::DspError>(())
 /// ```
@@ -258,15 +252,29 @@ fn os_fft_len(m: usize) -> usize {
 
 /// FFT-accelerated raw cross-correlation (overlap–save) into a
 /// caller-provided output, using `ws` for plans and scratch: identical
-/// output to [`cross_correlate`] but `O(n log n)`, and zero allocations
-/// once `ws` has warmed up.
-///
-/// Bitwise identical to [`cross_correlate_fft`] (they share this code).
+/// output to [`cross_correlate`] up to FFT roundoff but `O(n log n)`
+/// instead of `O(n·m)`, which matters for the second-long recordings
+/// the watch processes. Zero allocations once `ws` has warmed up.
 ///
 /// # Errors
 ///
 /// Same as [`cross_correlate`].
-pub fn cross_correlate_fft_into(
+///
+/// # Examples
+///
+/// ```
+/// use wearlock_dsp::correlate::{cross_correlate, cross_correlate_fft, CorrelationWorkspace};
+/// let sig: Vec<f64> = (0..500).map(|i| (i as f64 * 0.3).sin()).collect();
+/// let tpl: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
+/// let direct = cross_correlate(&sig, &tpl)?;
+/// let mut fast = Vec::new();
+/// cross_correlate_fft(&sig, &tpl, &mut CorrelationWorkspace::new(), &mut fast)?;
+/// for (a, b) in direct.iter().zip(&fast) {
+///     assert!((a - b).abs() < 1e-9);
+/// }
+/// # Ok::<(), wearlock_dsp::DspError>(())
+/// ```
+pub fn cross_correlate_fft(
     signal: &[f64],
     template: &[f64],
     ws: &mut CorrelationWorkspace,
@@ -335,41 +343,12 @@ pub fn cross_correlate_fft_into(
     Ok(())
 }
 
-/// Normalized FFT correlation into a caller-provided output: numerator
-/// from [`cross_correlate_fft_into`], denominators from the shared
-/// rolling-energy computation. Bitwise identical to
-/// [`normalized_cross_correlate_fft`]; zero allocations after warmup.
-///
-/// # Errors
-///
-/// Same as [`cross_correlate`].
-pub fn normalized_cross_correlate_fft_into(
-    signal: &[f64],
-    template: &[f64],
-    ws: &mut CorrelationWorkspace,
-    out: &mut Vec<f64>,
-) -> Result<(), DspError> {
-    let t_norm = check_inputs(signal, template)?;
-    let m = template.len();
-    cross_correlate_fft_into(signal, template, ws, out)?;
-    let mut energies = std::mem::take(&mut ws.denoms);
-    let floor = window_energies_into(signal, m, &mut energies);
-    normalize_by_energies(out, &energies, floor, t_norm);
-    ws.denoms = energies;
-    Ok(())
-}
-
-thread_local! {
-    /// Workspace backing the allocating compatibility wrappers, so
-    /// legacy call sites stop re-planning FFTs without changing type.
-    static LOCAL_WS: RefCell<CorrelationWorkspace> = RefCell::new(CorrelationWorkspace::new());
-}
-
-/// FFT-accelerated normalized cross-correlation: the numerator comes
-/// from [`cross_correlate_fft`] (overlap–save) while the denominator is
-/// the *same* rolling-energy computation — same energy floor, same
-/// exact recompute cadence — as [`normalized_cross_correlate`], so the
-/// two differ only by the FFT's numerator roundoff.
+/// FFT-accelerated normalized cross-correlation into a caller-provided
+/// output: the numerator comes from [`cross_correlate_fft`]
+/// (overlap–save) while the denominator is the *same* rolling-energy
+/// computation — same energy floor, same exact recompute cadence — as
+/// [`normalized_cross_correlate`], so the two differ only by the FFT's
+/// numerator roundoff. Zero allocations once `ws` has warmed up.
 ///
 /// For unit-scale audio the observed deviation stays below `1e-9` per
 /// lag (the dsp proptest suite enforces that bound); peak *offsets*
@@ -381,53 +360,23 @@ thread_local! {
 /// single hottest kernel of an unlock, and overlap–save turns its
 /// `O(n·m)` scan into `O(n log m)`.
 ///
-/// Runs on a thread-local [`CorrelationWorkspace`]; only the returned
-/// `Vec` is allocated.
-///
 /// # Errors
 ///
 /// Same as [`cross_correlate`].
 pub fn normalized_cross_correlate_fft(
     signal: &[f64],
     template: &[f64],
-) -> Result<Vec<f64>, DspError> {
-    LOCAL_WS.with(|ws| {
-        let mut out = Vec::new();
-        normalized_cross_correlate_fft_into(signal, template, &mut ws.borrow_mut(), &mut out)?;
-        Ok(out)
-    })
-}
-
-/// FFT-accelerated raw cross-correlation (overlap–save): identical
-/// output to [`cross_correlate`] but `O(n log n)` instead of `O(n·m)`,
-/// which matters for the second-long recordings the watch processes.
-///
-/// Runs on a thread-local [`CorrelationWorkspace`]; only the returned
-/// `Vec` is allocated.
-///
-/// # Errors
-///
-/// Same as [`cross_correlate`].
-///
-/// # Examples
-///
-/// ```
-/// use wearlock_dsp::correlate::{cross_correlate, cross_correlate_fft};
-/// let sig: Vec<f64> = (0..500).map(|i| (i as f64 * 0.3).sin()).collect();
-/// let tpl: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-/// let direct = cross_correlate(&sig, &tpl)?;
-/// let fast = cross_correlate_fft(&sig, &tpl)?;
-/// for (a, b) in direct.iter().zip(&fast) {
-///     assert!((a - b).abs() < 1e-9);
-/// }
-/// # Ok::<(), wearlock_dsp::DspError>(())
-/// ```
-pub fn cross_correlate_fft(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, DspError> {
-    LOCAL_WS.with(|ws| {
-        let mut out = Vec::new();
-        cross_correlate_fft_into(signal, template, &mut ws.borrow_mut(), &mut out)?;
-        Ok(out)
-    })
+    ws: &mut CorrelationWorkspace,
+    out: &mut Vec<f64>,
+) -> Result<(), DspError> {
+    let t_norm = check_inputs(signal, template)?;
+    let m = template.len();
+    cross_correlate_fft(signal, template, ws, out)?;
+    let mut energies = std::mem::take(&mut ws.denoms);
+    let floor = window_energies_into(signal, m, &mut energies);
+    normalize_by_energies(out, &energies, floor, t_norm);
+    ws.denoms = energies;
+    Ok(())
 }
 
 /// The best match found by a correlator.
@@ -577,6 +526,25 @@ mod tests {
     use crate::chirp::Chirp;
     use crate::units::Hz;
 
+    /// Raw FFT correlation on a fresh workspace.
+    fn xcorr_fft(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, DspError> {
+        let mut out = Vec::new();
+        cross_correlate_fft(signal, template, &mut CorrelationWorkspace::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// Normalized FFT correlation on a fresh workspace.
+    fn ncc_fft(signal: &[f64], template: &[f64]) -> Result<Vec<f64>, DspError> {
+        let mut out = Vec::new();
+        normalized_cross_correlate_fft(
+            signal,
+            template,
+            &mut CorrelationWorkspace::new(),
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
     #[test]
     fn fft_correlation_matches_direct() {
         let sig: Vec<f64> = (0..1_000)
@@ -584,7 +552,7 @@ mod tests {
             .collect();
         let tpl: Vec<f64> = (0..100).map(|i| (i as f64 * 0.29).sin()).collect();
         let direct = cross_correlate(&sig, &tpl).unwrap();
-        let fast = cross_correlate_fft(&sig, &tpl).unwrap();
+        let fast = xcorr_fft(&sig, &tpl).unwrap();
         assert_eq!(direct.len(), fast.len());
         for (a, b) in direct.iter().zip(&fast) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
@@ -595,13 +563,13 @@ mod tests {
     fn fft_correlation_handles_edge_lengths() {
         // Template as long as the signal: single output lag.
         let sig: Vec<f64> = (0..64).map(|i| (i as f64 * 0.4).sin()).collect();
-        let fast = cross_correlate_fft(&sig, &sig).unwrap();
+        let fast = xcorr_fft(&sig, &sig).unwrap();
         assert_eq!(fast.len(), 1);
         let e: f64 = sig.iter().map(|x| x * x).sum();
         assert!((fast[0] - e).abs() < 1e-8);
         // Tiny template.
         let tpl = vec![1.0];
-        let fast = cross_correlate_fft(&sig, &tpl).unwrap();
+        let fast = xcorr_fft(&sig, &tpl).unwrap();
         for (a, b) in fast.iter().zip(&sig) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -609,12 +577,9 @@ mod tests {
 
     #[test]
     fn fft_correlation_rejects_degenerate_inputs() {
-        assert!(cross_correlate_fft(&[], &[1.0]).is_err());
-        assert!(cross_correlate_fft(&[1.0], &[]).is_err());
-        assert!(cross_correlate_fft(&[1.0], &[1.0, 2.0]).is_err());
-        let mut ws = CorrelationWorkspace::new();
-        let mut out = Vec::new();
-        assert!(cross_correlate_fft_into(&[], &[1.0], &mut ws, &mut out).is_err());
+        assert!(xcorr_fft(&[], &[1.0]).is_err());
+        assert!(xcorr_fft(&[1.0], &[]).is_err());
+        assert!(xcorr_fft(&[1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
@@ -624,7 +589,7 @@ mod tests {
             .collect();
         let tpl: Vec<f64> = (0..128).map(|i| (i as f64 * 0.23).sin()).collect();
         let direct = normalized_cross_correlate(&sig, &tpl).unwrap();
-        let fast = normalized_cross_correlate_fft(&sig, &tpl).unwrap();
+        let fast = ncc_fft(&sig, &tpl).unwrap();
         assert_eq!(direct.len(), fast.len());
         for (a, b) in direct.iter().zip(&fast) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
@@ -641,7 +606,7 @@ mod tests {
             sig[2_000 + i] = t;
         }
         let direct = normalized_cross_correlate(&sig, &tpl).unwrap();
-        let fast = normalized_cross_correlate_fft(&sig, &tpl).unwrap();
+        let fast = ncc_fft(&sig, &tpl).unwrap();
         for (a, b) in direct.iter().zip(&fast) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
@@ -657,10 +622,10 @@ mod tests {
 
     #[test]
     fn normalized_fft_rejects_degenerate_inputs() {
-        assert!(normalized_cross_correlate_fft(&[], &[1.0]).is_err());
-        assert!(normalized_cross_correlate_fft(&[1.0], &[]).is_err());
-        assert!(normalized_cross_correlate_fft(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(normalized_cross_correlate_fft(&[0.0; 8], &[0.0; 4]).is_err());
+        assert!(ncc_fft(&[], &[1.0]).is_err());
+        assert!(ncc_fft(&[1.0], &[]).is_err());
+        assert!(ncc_fft(&[1.0], &[1.0, 2.0]).is_err());
+        assert!(ncc_fft(&[0.0; 8], &[0.0; 4]).is_err());
     }
 
     #[test]
@@ -676,14 +641,14 @@ mod tests {
 
         let mut fresh = CorrelationWorkspace::new();
         let mut expect = Vec::new();
-        normalized_cross_correlate_fft_into(&sig, &tpl_a, &mut fresh, &mut expect).unwrap();
+        normalized_cross_correlate_fft(&sig, &tpl_a, &mut fresh, &mut expect).unwrap();
 
         let mut used = CorrelationWorkspace::new();
         let mut out = Vec::new();
         // Warm the workspace with other shapes first.
-        normalized_cross_correlate_fft_into(&sig, &tpl_b, &mut used, &mut out).unwrap();
-        cross_correlate_fft_into(&sig[..500], &tpl_a, &mut used, &mut out).unwrap();
-        normalized_cross_correlate_fft_into(&sig, &tpl_a, &mut used, &mut out).unwrap();
+        normalized_cross_correlate_fft(&sig, &tpl_b, &mut used, &mut out).unwrap();
+        cross_correlate_fft(&sig[..500], &tpl_a, &mut used, &mut out).unwrap();
+        normalized_cross_correlate_fft(&sig, &tpl_a, &mut used, &mut out).unwrap();
         assert_eq!(out.len(), expect.len());
         for (a, b) in out.iter().zip(&expect) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use wearlock_dsp::correlate::{
-    normalized_cross_correlate, normalized_cross_correlate_fft,
-    normalized_cross_correlate_fft_into, CorrelationWorkspace,
+    normalized_cross_correlate, normalized_cross_correlate_fft, CorrelationWorkspace,
 };
 use wearlock_dsp::level::rms;
 use wearlock_dsp::resample::fractional_delay;
@@ -24,6 +23,14 @@ fn bits_eq(a: &[Complex], b: &[Complex]) -> bool {
 
 fn scores_bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Normalized FFT correlation on a fresh workspace and output vector.
+fn ncc_fft(signal: &[f64], template: &[f64]) -> Vec<f64> {
+    let mut out = Vec::new();
+    normalized_cross_correlate_fft(signal, template, &mut CorrelationWorkspace::new(), &mut out)
+        .unwrap();
+    out
 }
 
 fn finite_signal(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -128,7 +135,7 @@ proptest! {
             .map(|i| ((i * 29) as f64 * 0.43).sin() + 0.05)
             .collect();
         let direct = normalized_cross_correlate(&sig, &template).unwrap();
-        let fast = normalized_cross_correlate_fft(&sig, &template).unwrap();
+        let fast = ncc_fft(&sig, &template);
         prop_assert_eq!(direct.len(), fast.len());
         for (a, b) in direct.iter().zip(&fast) {
             prop_assert!((a - b).abs() < 1e-9, "direct {} vs fft {}", a, b);
@@ -142,7 +149,7 @@ proptest! {
         prop_assume!(sig.len() >= 32);
         let template: Vec<f64> = (0..16).map(|i| (i as f64 * 0.8).sin() + 0.1).collect();
         let direct = normalized_cross_correlate(&sig, &template).unwrap();
-        let fast = normalized_cross_correlate_fft(&sig, &template).unwrap();
+        let fast = ncc_fft(&sig, &template);
         let argmax = |v: &[f64]| {
             v.iter()
                 .enumerate()
@@ -290,10 +297,13 @@ proptest! {
         let template: Vec<f64> = (0..tpl_len)
             .map(|i| ((i * 31) as f64 * 0.53).sin() + 0.07)
             .collect();
-        let reference = normalized_cross_correlate_fft(&sig, &template).unwrap();
+        // Scores written into a freshly allocated vector and into one
+        // holding stale output of another length must agree bit for
+        // bit: the correlator overwrites every slot it returns.
+        let reference = ncc_fft(&sig, &template);
         let mut ws = CorrelationWorkspace::new();
-        let mut scores = Vec::new();
-        normalized_cross_correlate_fft_into(&sig, &template, &mut ws, &mut scores).unwrap();
+        let mut scores = vec![f64::NAN; sig.len() + 7];
+        normalized_cross_correlate_fft(&sig, &template, &mut ws, &mut scores).unwrap();
         prop_assert!(scores_bits_eq(&reference, &scores));
     }
 
@@ -313,12 +323,12 @@ proptest! {
 
         let mut reused = CorrelationWorkspace::new();
         let mut scores = Vec::new();
-        normalized_cross_correlate_fft_into(&sig_a, &tpl_a, &mut reused, &mut scores).unwrap();
-        normalized_cross_correlate_fft_into(&sig_b, &tpl_b, &mut reused, &mut scores).unwrap();
+        normalized_cross_correlate_fft(&sig_a, &tpl_a, &mut reused, &mut scores).unwrap();
+        normalized_cross_correlate_fft(&sig_b, &tpl_b, &mut reused, &mut scores).unwrap();
 
         let mut fresh_ws = CorrelationWorkspace::new();
         let mut fresh = Vec::new();
-        normalized_cross_correlate_fft_into(&sig_b, &tpl_b, &mut fresh_ws, &mut fresh).unwrap();
+        normalized_cross_correlate_fft(&sig_b, &tpl_b, &mut fresh_ws, &mut fresh).unwrap();
         prop_assert!(scores_bits_eq(&fresh, &scores));
     }
 }

@@ -4,19 +4,19 @@
 //!
 //! ## Allocation discipline
 //!
-//! Every receive stage has a `_with` variant taking an explicit
-//! [`DemodScratch`]; after one warmup frame those paths perform zero
-//! heap allocations per frame (gated by the `wearlock-tests`
-//! counting-allocator harness). The original methods keep their
-//! signatures and run on a thread-local scratch, producing bitwise
-//! identical results. FFT plans are shared process-wide via
-//! `wearlock_dsp::cache`, so constructing a demodulator per attempt
-//! (as sessions do) never re-plans.
+//! Every receive stage takes a caller-owned [`DemodScratch`], and frame
+//! decoding writes into a caller-owned [`DemodFrame`]; after one warmup
+//! frame, detection and demodulation perform zero heap allocations per
+//! frame (gated by the `wearlock-tests` counting-allocator harness).
+//! Probe analysis allocates only the vectors of the [`ProbeReport`] it
+//! returns. FFT plans are shared process-wide via `wearlock_dsp::cache`,
+//! so constructing a demodulator per attempt (as sessions do) never
+//! re-plans.
 
 use std::sync::Arc;
 
 use wearlock_dsp::cache;
-use wearlock_dsp::correlate::{normalized_cross_correlate_fft_into, profile_rms_delay_spread};
+use wearlock_dsp::correlate::{normalized_cross_correlate_fft, profile_rms_delay_spread};
 use wearlock_dsp::level::SilenceDetector;
 use wearlock_dsp::units::{Db, Spl};
 use wearlock_dsp::{fft_interpolate, Complex, Fft};
@@ -25,7 +25,6 @@ use crate::config::OfdmConfig;
 use crate::constellation::Modulation;
 use crate::error::ModemError;
 use crate::scratch::{ChannelScratch, DemodScratch};
-use crate::scratch_local::with_demod_scratch;
 
 /// Default normalized-correlation threshold below which no preamble is
 /// considered present.
@@ -49,36 +48,9 @@ pub struct FrameSync {
     pub rms_delay_spread: f64,
 }
 
-/// Per-block decoding diagnostics.
-#[derive(Debug, Clone)]
-pub struct BlockInfo {
-    /// Fine-sync adjustment chosen for this block, in samples.
-    pub fine_offset: isize,
-    /// Equalized data-channel symbols.
-    pub equalized: Vec<Complex>,
-    /// Mean squared distance from each equalized symbol to its decision
-    /// point (a per-block error-vector-magnitude measure).
-    pub evm: f64,
-}
-
-/// A decoded frame.
-#[derive(Debug, Clone)]
-pub struct DemodResult {
-    /// Recovered payload bits (truncated to the requested length).
-    pub bits: Vec<bool>,
-    /// Synchronization info.
-    pub sync: FrameSync,
-    /// Per-block diagnostics.
-    pub blocks: Vec<BlockInfo>,
-}
-
-/// A decoded frame with reusable storage, for the zero-allocation
-/// steady-state path ([`OfdmDemodulator::demodulate_frame_into`]).
-///
-/// Unlike [`DemodResult`] this keeps no per-block symbol vectors —
-/// only the recovered bits plus condensed diagnostics — so a worker
-/// can decode frames indefinitely into the same instance without
-/// touching the heap.
+/// A decoded frame with reusable storage: the recovered bits plus
+/// condensed diagnostics, so a worker can decode frames indefinitely
+/// into the same instance without touching the heap.
 #[derive(Debug, Clone, Default)]
 pub struct DemodFrame {
     /// Recovered payload bits (truncated to the requested length).
@@ -87,7 +59,8 @@ pub struct DemodFrame {
     pub sync: FrameSync,
     /// Number of blocks decoded.
     pub blocks: usize,
-    /// Mean per-block error-vector magnitude.
+    /// Mean per-block error-vector magnitude (mean squared distance
+    /// from each equalized symbol to its decision point).
     pub mean_evm: f64,
 }
 
@@ -105,8 +78,9 @@ pub struct ProbeReport {
     pub sync: FrameSync,
     /// Pilot-based SNR (paper eq. 3), as a dB figure.
     pub psnr: Db,
-    /// Per-sub-channel noise power (length `fft_size/2`), estimated from
-    /// the ambient samples recorded before the preamble.
+    /// Per-bin noise power, estimated from the ambient samples recorded
+    /// before the preamble. Length `fft_size`: sub-channel `k` sits at
+    /// index `k`, and the upper half mirrors the lower for real input.
     pub noise_spectrum: Vec<f64>,
     /// Estimated complex channel gain on each active sub-channel
     /// (index = sub-channel, `None` where not probed).
@@ -160,16 +134,19 @@ pub enum ChannelEstimator {
 /// ```
 /// use wearlock_modem::config::OfdmConfig;
 /// use wearlock_modem::constellation::Modulation;
-/// use wearlock_modem::demodulator::OfdmDemodulator;
+/// use wearlock_modem::demodulator::{DemodFrame, OfdmDemodulator};
 /// use wearlock_modem::modulator::OfdmModulator;
+/// use wearlock_modem::{DemodScratch, TxScratch};
 ///
 /// let cfg = OfdmConfig::default();
 /// let tx = OfdmModulator::new(cfg.clone())?;
 /// let rx = OfdmDemodulator::new(cfg)?;
 /// let bits = vec![true, false, true, true];
-/// let wave = tx.modulate(&bits, Modulation::Qpsk)?;
-/// let result = rx.demodulate(&wave, Modulation::Qpsk, bits.len())?;
-/// assert_eq!(result.bits, bits);
+/// let mut wave = Vec::new();
+/// tx.modulate(&bits, Modulation::Qpsk, &mut TxScratch::new(), &mut wave)?;
+/// let mut frame = DemodFrame::new();
+/// rx.demodulate(&wave, Modulation::Qpsk, bits.len(), &mut DemodScratch::new(), &mut frame)?;
+/// assert_eq!(frame.bits, bits);
 /// # Ok::<(), wearlock_modem::ModemError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -263,24 +240,14 @@ impl OfdmDemodulator {
 
     /// Detects the preamble: energy-based silence filtering first, then
     /// FFT-accelerated normalized cross-correlation against the known
-    /// chirp.
+    /// chirp. Allocation-free once `scratch` has warmed up.
     ///
     /// # Errors
     ///
     /// Returns [`ModemError::SignalNotFound`] when the best score stays
     /// below the detection threshold, and [`ModemError::InvalidInput`]
     /// when the recording is shorter than the preamble.
-    pub fn detect(&self, recording: &[f64]) -> Result<FrameSync, ModemError> {
-        with_demod_scratch(|s| self.detect_with(recording, s))
-    }
-
-    /// [`OfdmDemodulator::detect`] with explicit scratch: allocation-
-    /// free after warmup, bitwise identical results.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OfdmDemodulator::detect`].
-    pub fn detect_with(
+    pub fn detect(
         &self,
         recording: &[f64],
         scratch: &mut DemodScratch,
@@ -316,7 +283,7 @@ impl OfdmDemodulator {
         // buffers live in the scratch, so the steady state allocates
         // nothing.
         let span = &recording[search_from..search_to];
-        normalized_cross_correlate_fft_into(
+        normalized_cross_correlate_fft(
             span,
             &self.preamble,
             &mut scratch.corr,
@@ -488,14 +455,14 @@ impl OfdmDemodulator {
         }
     }
 
-    /// Decodes one block starting at `start`, leaving the equalized
-    /// data symbols in `scratch.equalized`.
-    fn decode_block_with(
+    /// CP fine sync around the nominal block `start`, then the spectrum
+    /// of the synchronized block body into `spectrum`.
+    fn synced_block_spectrum(
         &self,
         recording: &[f64],
         start: usize,
-        scratch: &mut DemodScratch,
-    ) -> Result<isize, ModemError> {
+        spectrum: &mut Vec<Complex>,
+    ) -> Result<(), ModemError> {
         let n = self.config.fft_size();
         let cp = self.config.cp_len();
         if start + cp + n > recording.len() {
@@ -503,8 +470,18 @@ impl OfdmDemodulator {
         }
         let tf = self.fine_sync(recording, start);
         let body_start = (start as isize + tf) as usize + cp;
-        let body = &recording[body_start..body_start + n];
-        self.block_spectrum_into(body, &mut scratch.spectrum)?;
+        self.block_spectrum_into(&recording[body_start..body_start + n], spectrum)
+    }
+
+    /// Decodes one block starting at `start`, leaving the equalized
+    /// data symbols in `scratch.equalized`.
+    fn decode_block(
+        &self,
+        recording: &[f64],
+        start: usize,
+        scratch: &mut DemodScratch,
+    ) -> Result<(), ModemError> {
+        self.synced_block_spectrum(recording, start, &mut scratch.spectrum)?;
         self.estimate_channel_into(&scratch.spectrum, &mut scratch.chan, &mut scratch.channel);
         let (spectrum, channel) = (&scratch.spectrum, &scratch.channel);
         scratch.equalized.clear();
@@ -518,123 +495,44 @@ impl OfdmDemodulator {
                     spectrum[k]
                 }
             }));
-        Ok(tf)
+        Ok(())
     }
 
-    /// Demodulates a recording known to carry `n_bits` at `modulation`.
+    /// Demodulates a recording known to carry `n_bits` at `modulation`
+    /// into `frame`: [`OfdmDemodulator::detect`] followed by
+    /// [`OfdmDemodulator::demodulate_synced`].
     ///
     /// # Errors
     ///
     /// Returns [`ModemError::SignalNotFound`] if no preamble is
-    /// detected and [`ModemError::TruncatedSignal`] if the recording
-    /// ends before all expected blocks.
+    /// detected, [`ModemError::InvalidInput`] for `n_bits == 0` and
+    /// [`ModemError::TruncatedSignal`] if the recording ends before all
+    /// expected blocks.
     pub fn demodulate(
         &self,
         recording: &[f64],
         modulation: Modulation,
         n_bits: usize,
-    ) -> Result<DemodResult, ModemError> {
-        with_demod_scratch(|s| self.demodulate_with(recording, modulation, n_bits, s))
-    }
-
-    /// [`OfdmDemodulator::demodulate`] with explicit scratch — same
-    /// results bit for bit; the per-frame working memory is reused.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OfdmDemodulator::demodulate`].
-    pub fn demodulate_with(
-        &self,
-        recording: &[f64],
-        modulation: Modulation,
-        n_bits: usize,
         scratch: &mut DemodScratch,
-    ) -> Result<DemodResult, ModemError> {
-        if n_bits == 0 {
-            return Err(ModemError::InvalidInput("n_bits must be positive".into()));
-        }
-        let sync = self.detect_with(recording, scratch)?;
-        self.demodulate_synced_with(recording, modulation, n_bits, sync, scratch)
+        frame: &mut DemodFrame,
+    ) -> Result<(), ModemError> {
+        let sync = self.detect(recording, scratch)?;
+        self.demodulate_synced(recording, modulation, n_bits, sync, scratch, frame)
     }
 
-    /// Demodulates with an externally supplied synchronization (used by
-    /// ablation benches to compare sync strategies).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModemError::TruncatedSignal`] if the recording ends
-    /// before all expected blocks.
-    pub fn demodulate_synced(
-        &self,
-        recording: &[f64],
-        modulation: Modulation,
-        n_bits: usize,
-        sync: FrameSync,
-    ) -> Result<DemodResult, ModemError> {
-        with_demod_scratch(|s| self.demodulate_synced_with(recording, modulation, n_bits, sync, s))
-    }
-
-    /// [`OfdmDemodulator::demodulate_synced`] with explicit scratch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OfdmDemodulator::demodulate_synced`].
-    pub fn demodulate_synced_with(
-        &self,
-        recording: &[f64],
-        modulation: Modulation,
-        n_bits: usize,
-        sync: FrameSync,
-        scratch: &mut DemodScratch,
-    ) -> Result<DemodResult, ModemError> {
-        let per_block = self.config.bits_per_block(modulation.bits_per_symbol());
-        let blocks_expected = n_bits.div_ceil(per_block).max(1);
-        let frame_start =
-            sync.preamble_offset + self.config.preamble_len() + self.config.post_preamble_guard();
-
-        let mut bits = Vec::with_capacity(blocks_expected * per_block);
-        let mut blocks = Vec::with_capacity(blocks_expected);
-        for b in 0..blocks_expected {
-            let start = frame_start + b * self.config.symbol_len();
-            let fine_offset = self
-                .decode_block_with(recording, start, scratch)
-                .map_err(|_| ModemError::TruncatedSignal {
-                    blocks_decoded: b,
-                    blocks_expected,
-                })?;
-            let mut evm = 0.0;
-            for &sym in &scratch.equalized {
-                let idx = modulation.demap_index(sym);
-                let decided = modulation.point(idx);
-                evm += (sym - decided).norm_sq();
-                modulation.demap_bits_into(idx, &mut bits);
-            }
-            evm /= scratch.equalized.len().max(1) as f64;
-            blocks.push(BlockInfo {
-                fine_offset,
-                equalized: scratch.equalized.clone(),
-                evm,
-            });
-        }
-        bits.truncate(n_bits);
-        Ok(DemodResult { bits, sync, blocks })
-    }
-
-    /// Demodulates a frame with an externally supplied sync into a
-    /// caller-owned [`DemodFrame`], reusing both the scratch and the
-    /// frame's bit buffer. This is the zero-allocation steady-state
-    /// path: after one warmup call, decoding a frame performs no heap
+    /// Demodulates the blocks of a frame whose preamble sits at `sync`
+    /// into `frame`, reusing both the scratch and the frame's bit
+    /// buffer: after one warmup call, decoding a frame performs no heap
     /// allocation at all (gated by the counting-allocator harness in
-    /// `wearlock-tests`). Bits are identical to
-    /// [`OfdmDemodulator::demodulate_synced`]; the per-block
-    /// diagnostics are condensed to a block count and mean EVM so no
-    /// per-block vectors need cloning.
+    /// `wearlock-tests`). Ablation benches call it directly to compare
+    /// sync strategies.
     ///
     /// # Errors
     ///
-    /// Returns [`ModemError::TruncatedSignal`] if the recording ends
-    /// before all expected blocks.
-    pub fn demodulate_frame_into(
+    /// Returns [`ModemError::InvalidInput`] for `n_bits == 0` and
+    /// [`ModemError::TruncatedSignal`] if the recording ends before all
+    /// expected blocks.
+    pub fn demodulate_synced(
         &self,
         recording: &[f64],
         modulation: Modulation,
@@ -643,8 +541,11 @@ impl OfdmDemodulator {
         scratch: &mut DemodScratch,
         frame: &mut DemodFrame,
     ) -> Result<(), ModemError> {
+        if n_bits == 0 {
+            return Err(ModemError::InvalidInput("n_bits must be positive".into()));
+        }
         let per_block = self.config.bits_per_block(modulation.bits_per_symbol());
-        let blocks_expected = n_bits.div_ceil(per_block).max(1);
+        let blocks_expected = n_bits.div_ceil(per_block);
         let frame_start =
             sync.preamble_offset + self.config.preamble_len() + self.config.post_preamble_guard();
 
@@ -652,11 +553,12 @@ impl OfdmDemodulator {
         let mut evm_sum = 0.0;
         for b in 0..blocks_expected {
             let start = frame_start + b * self.config.symbol_len();
-            self.decode_block_with(recording, start, scratch)
-                .map_err(|_| ModemError::TruncatedSignal {
+            self.decode_block(recording, start, scratch).map_err(|_| {
+                ModemError::TruncatedSignal {
                     blocks_decoded: b,
                     blocks_expected,
-                })?;
+                }
+            })?;
             let mut evm = 0.0;
             for &sym in &scratch.equalized {
                 let idx = modulation.demap_index(sym);
@@ -676,32 +578,22 @@ impl OfdmDemodulator {
     /// Analyzes an RTS probe recording: synchronizes, measures the
     /// ambient noise spectrum from the pre-preamble samples, estimates
     /// per-channel gains from the pilot block, and computes the
-    /// pilot-based SNR of eq. 3.
+    /// pilot-based SNR of eq. 3. The ambient window powers accumulate in
+    /// one flat bin-major scratch buffer and the block FFTs reuse the
+    /// scratch spectrum; only the returned report's vectors are
+    /// allocated.
     ///
     /// # Errors
     ///
     /// Returns [`ModemError::SignalNotFound`] if the probe preamble is
     /// not detected, [`ModemError::TruncatedSignal`] if the pilot block
     /// is cut off.
-    pub fn analyze_probe(&self, recording: &[f64]) -> Result<ProbeReport, ModemError> {
-        with_demod_scratch(|s| self.analyze_probe_with(recording, s))
-    }
-
-    /// [`OfdmDemodulator::analyze_probe`] with explicit scratch: the
-    /// ambient window powers accumulate in one flat bin-major buffer
-    /// instead of a per-bin `Vec<Vec<f64>>`, and the block FFTs reuse
-    /// the scratch spectrum. The returned report still owns its vectors
-    /// (it outlives the scratch); results are bitwise identical.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`OfdmDemodulator::analyze_probe`].
-    pub fn analyze_probe_with(
+    pub fn analyze_probe(
         &self,
         recording: &[f64],
         scratch: &mut DemodScratch,
     ) -> Result<ProbeReport, ModemError> {
-        let sync = self.detect_with(recording, scratch)?;
+        let sync = self.detect(recording, scratch)?;
         let n = self.config.fft_size();
 
         // Ambient noise spectrum from windows before the preamble.
@@ -735,19 +627,11 @@ impl OfdmDemodulator {
         // Pilot block.
         let start =
             sync.preamble_offset + self.config.preamble_len() + self.config.post_preamble_guard();
-        let cp = self.config.cp_len();
-        if start + cp + n > recording.len() {
-            return Err(ModemError::TruncatedSignal {
+        self.synced_block_spectrum(recording, start, &mut scratch.spectrum)
+            .map_err(|_| ModemError::TruncatedSignal {
                 blocks_decoded: 0,
                 blocks_expected: 1,
-            });
-        }
-        let tf = self.fine_sync(recording, start);
-        let body_start = (start as isize + tf) as usize + cp;
-        self.block_spectrum_into(
-            &recording[body_start..body_start + n],
-            &mut scratch.spectrum,
-        )?;
+            })?;
         let spectrum = &scratch.spectrum;
 
         // In the probe, data channels also carry unit pilots, so gains
@@ -831,6 +715,7 @@ pub fn bit_error_rate(sent: &[bool], received: &[bool]) -> f64 {
 mod tests {
     use super::*;
     use crate::modulator::OfdmModulator;
+    use crate::scratch::TxScratch;
 
     fn bits(n: usize) -> Vec<bool> {
         (0..n).map(|i| (i * 13 + 1) % 7 < 3).collect()
@@ -844,13 +729,38 @@ mod tests {
         )
     }
 
+    fn modulate(tx: &OfdmModulator, payload: &[bool], m: Modulation) -> Vec<f64> {
+        let mut wave = Vec::new();
+        tx.modulate(payload, m, &mut TxScratch::new(), &mut wave)
+            .unwrap();
+        wave
+    }
+
+    fn probe(tx: &OfdmModulator) -> Vec<f64> {
+        let mut wave = Vec::new();
+        tx.probe(1, &mut TxScratch::new(), &mut wave).unwrap();
+        wave
+    }
+
+    /// Detects and demodulates on fresh scratch.
+    fn demodulate(
+        rx: &OfdmDemodulator,
+        rec: &[f64],
+        m: Modulation,
+        n_bits: usize,
+    ) -> Result<DemodFrame, ModemError> {
+        let mut frame = DemodFrame::new();
+        rx.demodulate(rec, m, n_bits, &mut DemodScratch::new(), &mut frame)?;
+        Ok(frame)
+    }
+
     #[test]
     fn clean_roundtrip_all_modulations() {
         let (tx, rx) = pair();
         for m in Modulation::ALL {
             let payload = bits(60);
-            let wave = tx.modulate(&payload, m).unwrap();
-            let out = rx.demodulate(&wave, m, payload.len()).unwrap();
+            let wave = modulate(&tx, &payload, m);
+            let out = demodulate(&rx, &wave, m, payload.len()).unwrap();
             assert_eq!(out.bits, payload, "{m}");
             assert!(out.sync.preamble_score > 0.9, "{m}");
         }
@@ -860,7 +770,7 @@ mod tests {
     fn roundtrip_with_leading_offset_and_noise_padding() {
         let (tx, rx) = pair();
         let payload = bits(48);
-        let wave = tx.modulate(&payload, Modulation::Qpsk).unwrap();
+        let wave = modulate(&tx, &payload, Modulation::Qpsk);
         let mut rec = vec![0.0; 3_000];
         // tiny noise so silence detection has something to skip
         for (i, r) in rec.iter_mut().enumerate() {
@@ -868,9 +778,7 @@ mod tests {
         }
         rec.extend_from_slice(&wave);
         rec.extend(std::iter::repeat_n(1e-4, 500));
-        let out = rx
-            .demodulate(&rec, Modulation::Qpsk, payload.len())
-            .unwrap();
+        let out = demodulate(&rx, &rec, Modulation::Qpsk, payload.len()).unwrap();
         assert_eq!(out.bits, payload);
         assert!((out.sync.preamble_offset as isize - 3_000).unsigned_abs() <= 2);
     }
@@ -879,25 +787,25 @@ mod tests {
     fn search_window_bounds_scan_without_changing_sync() {
         let (tx, rx) = pair();
         let payload = bits(48);
-        let wave = tx.modulate(&payload, Modulation::Qpsk).unwrap();
+        let wave = modulate(&tx, &payload, Modulation::Qpsk);
         let mut rec = vec![0.0; 3_000];
         for (i, r) in rec.iter_mut().enumerate() {
             *r = 1e-4 * ((i * 2654435761) as f64 % 17.0 - 8.0) / 8.0;
         }
         rec.extend_from_slice(&wave);
-        let full = rx.detect(&rec).unwrap();
+        let full = rx.detect(&rec, &mut DemodScratch::new()).unwrap();
         // A window around the true offset: same sync, bounded scan.
         let windowed = rx
             .clone()
             .with_search_window(2_800, 3_200 + rx.config().preamble_len());
         let (from, to) = windowed.search_span(rec.len());
         assert!(to - from < rec.len() / 2, "window did not bound the scan");
-        let sync = windowed.detect(&rec).unwrap();
+        let sync = windowed.detect(&rec, &mut DemodScratch::new()).unwrap();
         assert_eq!(sync.preamble_offset, full.preamble_offset);
         // A window that excludes the signal finds nothing.
         let missing = rx.clone().with_search_window(0, 1_500);
         assert!(matches!(
-            missing.detect(&rec),
+            missing.detect(&rec, &mut DemodScratch::new()),
             Err(ModemError::SignalNotFound { .. })
         ));
     }
@@ -933,7 +841,7 @@ mod tests {
                 ((state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * 0.2
             })
             .collect();
-        let err = rx.detect(&rec).unwrap_err();
+        let err = rx.detect(&rec, &mut DemodScratch::new()).unwrap_err();
         assert!(matches!(err, ModemError::SignalNotFound { .. }));
     }
 
@@ -941,7 +849,7 @@ mod tests {
     fn short_recording_is_invalid_input() {
         let (_tx, rx) = pair();
         assert!(matches!(
-            rx.detect(&[0.0; 10]),
+            rx.detect(&[0.0; 10], &mut DemodScratch::new()),
             Err(ModemError::InvalidInput(_))
         ));
     }
@@ -950,11 +858,9 @@ mod tests {
     fn truncated_signal_reports_progress() {
         let (tx, rx) = pair();
         let payload = bits(60); // 3 QPSK blocks
-        let wave = tx.modulate(&payload, Modulation::Qpsk).unwrap();
+        let wave = modulate(&tx, &payload, Modulation::Qpsk);
         let cut = &wave[..wave.len() - 500]; // chop into the last block
-        let err = rx
-            .demodulate(cut, Modulation::Qpsk, payload.len())
-            .unwrap_err();
+        let err = demodulate(&rx, cut, Modulation::Qpsk, payload.len()).unwrap_err();
         match err {
             ModemError::TruncatedSignal {
                 blocks_decoded,
@@ -971,12 +877,10 @@ mod tests {
     fn survives_attenuation_and_integer_delay() {
         let (tx, rx) = pair();
         let payload = bits(36);
-        let wave = tx.modulate(&payload, Modulation::Psk8).unwrap();
+        let wave = modulate(&tx, &payload, Modulation::Psk8);
         let mut rec = vec![0.0; 777];
         rec.extend(wave.iter().map(|s| s * 0.01));
-        let out = rx
-            .demodulate(&rec, Modulation::Psk8, payload.len())
-            .unwrap();
+        let out = demodulate(&rx, &rec, Modulation::Psk8, payload.len()).unwrap();
         assert_eq!(out.bits, payload);
     }
 
@@ -984,16 +888,14 @@ mod tests {
     fn survives_static_multipath_via_equalization() {
         let (tx, rx) = pair();
         let payload = bits(48);
-        let wave = tx.modulate(&payload, Modulation::Qpsk).unwrap();
+        let wave = modulate(&tx, &payload, Modulation::Qpsk);
         // Two-tap channel: direct + echo at 20 samples, plus gain.
         let mut rec = vec![0.0; wave.len() + 20];
         for (i, &s) in wave.iter().enumerate() {
             rec[i] += 0.8 * s;
             rec[i + 20] += 0.3 * s;
         }
-        let out = rx
-            .demodulate(&rec, Modulation::Qpsk, payload.len())
-            .unwrap();
+        let out = demodulate(&rx, &rec, Modulation::Qpsk, payload.len()).unwrap();
         assert_eq!(out.bits, payload);
         // Echo inflates delay spread but stays well under NLOS levels.
         assert!(out.sync.rms_delay_spread < 0.002);
@@ -1002,11 +904,12 @@ mod tests {
     #[test]
     fn probe_reports_high_psnr_on_clean_channel() {
         let (tx, rx) = pair();
-        let probe = tx.probe(1).unwrap();
+        let probe = probe(&tx);
         let mut rec = vec![1e-5; 2_048];
         rec.extend_from_slice(&probe);
-        let report = rx.analyze_probe(&rec).unwrap();
+        let report = rx.analyze_probe(&rec, &mut DemodScratch::new()).unwrap();
         assert!(report.psnr.value() > 30.0, "psnr {}", report.psnr);
+        assert_eq!(report.noise_spectrum.len(), rx.config().fft_size());
         for &k in rx.config().data_channels() {
             assert!(report.channel_gain[k].is_some());
         }
@@ -1016,7 +919,7 @@ mod tests {
     fn probe_noise_spectrum_sees_jammer_tone() {
         let (tx, rx) = pair();
         let cfg = rx.config().clone();
-        let probe = tx.probe(1).unwrap();
+        let probe = probe(&tx);
         // Jam sub-channel 20 during the ambient lead-in and probe.
         let jam_bin = 20usize;
         let f = cfg.channel_frequency(jam_bin).value();
@@ -1028,7 +931,7 @@ mod tests {
         for (i, &s) in probe.iter().enumerate() {
             rec[offset + i] += s;
         }
-        let report = rx.analyze_probe(&rec).unwrap();
+        let report = rx.analyze_probe(&rec, &mut DemodScratch::new()).unwrap();
         let jam_power = report.noise_on(jam_bin);
         let quiet_power = report.noise_on(40);
         assert!(
@@ -1065,7 +968,7 @@ mod tests {
     fn fine_sync_recovers_small_shift() {
         let (tx, rx) = pair();
         let payload = bits(24);
-        let wave = tx.modulate(&payload, Modulation::Qpsk).unwrap();
+        let wave = modulate(&tx, &payload, Modulation::Qpsk);
         // Claim sync 5 samples early: fine sync must absorb it.
         let sync = FrameSync {
             preamble_offset: 0,
@@ -1074,24 +977,42 @@ mod tests {
         };
         let mut rec = vec![0.0; 5];
         rec.extend_from_slice(&wave);
-        let out = rx
-            .demodulate_synced(&rec, Modulation::Qpsk, payload.len(), sync)
-            .unwrap();
-        assert_eq!(out.bits, payload);
-        assert_eq!(out.blocks[0].fine_offset, 5);
+        let nominal = rx.config().preamble_len() + rx.config().post_preamble_guard();
+        assert_eq!(rx.fine_sync(&rec, nominal), 5);
+        let mut frame = DemodFrame::new();
+        rx.demodulate_synced(
+            &rec,
+            Modulation::Qpsk,
+            payload.len(),
+            sync,
+            &mut DemodScratch::new(),
+            &mut frame,
+        )
+        .unwrap();
+        assert_eq!(frame.bits, payload);
     }
 
     #[test]
     fn zero_bits_rejected() {
         let (tx, rx) = pair();
-        let wave = tx.modulate(&bits(24), Modulation::Qpsk).unwrap();
-        assert!(rx.demodulate(&wave, Modulation::Qpsk, 0).is_err());
+        let wave = modulate(&tx, &bits(24), Modulation::Qpsk);
+        assert!(matches!(
+            demodulate(&rx, &wave, Modulation::Qpsk, 0),
+            Err(ModemError::InvalidInput(_))
+        ));
+        let mut scratch = DemodScratch::new();
+        let sync = rx.detect(&wave, &mut scratch).unwrap();
+        let mut frame = DemodFrame::new();
+        assert!(matches!(
+            rx.demodulate_synced(&wave, Modulation::Qpsk, 0, sync, &mut scratch, &mut frame),
+            Err(ModemError::InvalidInput(_))
+        ));
     }
 
-    /// A recording with a noisy lead-in so detection, probe analysis and
-    /// multi-block decoding all have work to do.
+    /// A recording with a noisy lead-in so detection and multi-block
+    /// decoding both have work to do.
     fn test_recording(tx: &OfdmModulator, payload: &[bool]) -> Vec<f64> {
-        let wave = tx.modulate(payload, Modulation::Qpsk).unwrap();
+        let wave = modulate(tx, payload, Modulation::Qpsk);
         let mut rec = vec![0.0; 3_000];
         for (i, r) in rec.iter_mut().enumerate() {
             *r = 1e-4 * ((i * 2654435761) as f64 % 17.0 - 8.0) / 8.0;
@@ -1101,104 +1022,31 @@ mod tests {
     }
 
     #[test]
-    fn scratch_paths_match_legacy_bitwise() {
-        let (tx, rx) = pair();
-        let payload = bits(96);
-        let rec = test_recording(&tx, &payload);
-
-        let mut scratch = DemodScratch::new();
-        // Warm the scratch on a different recording first so reuse is
-        // exercised, then compare against the allocating paths.
-        let warm = tx.modulate(&bits(24), Modulation::Bpsk).unwrap();
-        let _ = rx.demodulate_with(&warm, Modulation::Bpsk, 24, &mut scratch);
-
-        let legacy_sync = rx.detect(&rec).unwrap();
-        let sync = rx.detect_with(&rec, &mut scratch).unwrap();
-        assert_eq!(sync.preamble_offset, legacy_sync.preamble_offset);
-        assert_eq!(
-            sync.preamble_score.to_bits(),
-            legacy_sync.preamble_score.to_bits()
-        );
-        assert_eq!(
-            sync.rms_delay_spread.to_bits(),
-            legacy_sync.rms_delay_spread.to_bits()
-        );
-
-        let legacy = rx
-            .demodulate(&rec, Modulation::Qpsk, payload.len())
-            .unwrap();
-        let out = rx
-            .demodulate_with(&rec, Modulation::Qpsk, payload.len(), &mut scratch)
-            .unwrap();
-        assert_eq!(out.bits, legacy.bits);
-        assert_eq!(out.blocks.len(), legacy.blocks.len());
-        for (a, b) in out.blocks.iter().zip(&legacy.blocks) {
-            assert_eq!(a.fine_offset, b.fine_offset);
-            assert_eq!(a.evm.to_bits(), b.evm.to_bits());
-            for (x, y) in a.equalized.iter().zip(&b.equalized) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits());
-                assert_eq!(x.im.to_bits(), y.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn probe_with_scratch_matches_legacy_bitwise() {
-        let cfg = OfdmConfig::default();
-        let tx = OfdmModulator::new(cfg.clone()).unwrap();
-        let rx = OfdmDemodulator::new(cfg).unwrap();
-        let probe = tx.probe(1).unwrap();
-        let mut rec = vec![0.0; 4_096];
-        for (i, r) in rec.iter_mut().enumerate() {
-            *r = 2e-4 * ((i * 48271) as f64 % 13.0 - 6.0) / 6.0;
-        }
-        rec.extend_from_slice(&probe);
-
-        let legacy = rx.analyze_probe(&rec).unwrap();
-        let mut scratch = DemodScratch::new();
-        let report = rx.analyze_probe_with(&rec, &mut scratch).unwrap();
-        assert_eq!(report.psnr.value().to_bits(), legacy.psnr.value().to_bits());
-        assert_eq!(report.noise_spectrum.len(), legacy.noise_spectrum.len());
-        for (a, b) in report.noise_spectrum.iter().zip(&legacy.noise_spectrum) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(report.channel_gain, legacy.channel_gain);
-    }
-
-    #[test]
     fn demodulate_frame_into_matches_demodulate_synced() {
         let (tx, rx) = pair();
         let payload = bits(96);
         let rec = test_recording(&tx, &payload);
-        let mut scratch = DemodScratch::new();
-        let sync = rx.detect_with(&rec, &mut scratch).unwrap();
-        let full = rx
-            .demodulate_synced(&rec, Modulation::Qpsk, payload.len(), sync)
-            .unwrap();
+        let full = demodulate(&rx, &rec, Modulation::Qpsk, payload.len()).unwrap();
+        assert_eq!(full.bits, payload);
 
+        let mut scratch = DemodScratch::new();
+        let sync = rx.detect(&rec, &mut scratch).unwrap();
         let mut frame = DemodFrame::new();
-        rx.demodulate_frame_into(
-            &rec,
-            Modulation::Qpsk,
-            payload.len(),
-            sync,
-            &mut scratch,
-            &mut frame,
-        )
-        .unwrap();
-        assert_eq!(frame.bits, full.bits);
-        assert_eq!(frame.blocks, full.blocks.len());
-        assert_eq!(frame.sync, sync);
-        // Reuse the same frame: identical output the second time.
-        rx.demodulate_frame_into(
-            &rec,
-            Modulation::Qpsk,
-            payload.len(),
-            sync,
-            &mut scratch,
-            &mut frame,
-        )
-        .unwrap();
-        assert_eq!(frame.bits, full.bits);
+        // Decode twice into the same frame: identical output both times.
+        for _ in 0..2 {
+            rx.demodulate_synced(
+                &rec,
+                Modulation::Qpsk,
+                payload.len(),
+                sync,
+                &mut scratch,
+                &mut frame,
+            )
+            .unwrap();
+            assert_eq!(frame.bits, full.bits);
+            assert_eq!(frame.blocks, full.blocks);
+            assert_eq!(frame.sync, sync);
+            assert_eq!(frame.mean_evm.to_bits(), full.mean_evm.to_bits());
+        }
     }
 }

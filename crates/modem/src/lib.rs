@@ -27,15 +27,19 @@
 //! ```
 //! use wearlock_modem::config::OfdmConfig;
 //! use wearlock_modem::constellation::Modulation;
-//! use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+//! use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 //!
 //! let cfg = OfdmConfig::default();
 //! let tx = OfdmModulator::new(cfg.clone())?;
 //! let rx = OfdmDemodulator::new(cfg)?;
 //!
+//! // Scratch is per worker: create once, reuse for every frame.
+//! let (mut tx_scratch, mut rx_scratch) = (TxScratch::new(), DemodScratch::new());
 //! let token_bits: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
-//! let waveform = tx.modulate(&token_bits, Modulation::Qpsk)?;
-//! let decoded = rx.demodulate(&waveform, Modulation::Qpsk, 32)?;
+//! let mut waveform = Vec::new();
+//! tx.modulate(&token_bits, Modulation::Qpsk, &mut tx_scratch, &mut waveform)?;
+//! let mut decoded = DemodFrame::new();
+//! rx.demodulate(&waveform, Modulation::Qpsk, 32, &mut rx_scratch, &mut decoded)?;
 //! assert_eq!(decoded.bits, token_bits);
 //! # Ok::<(), wearlock_modem::ModemError>(())
 //! ```
@@ -51,7 +55,6 @@ pub mod demodulator;
 mod error;
 pub mod modulator;
 pub mod scratch;
-mod scratch_local;
 pub mod subchannel;
 
 pub use adaptive::{ModePolicy, TransmissionMode};
@@ -59,8 +62,7 @@ pub use coding::{conv_encode, viterbi_decode, TokenCoding};
 pub use config::{FrequencyBand, OfdmConfig};
 pub use constellation::Modulation;
 pub use demodulator::{
-    bit_error_rate, ChannelEstimator, DemodFrame, DemodResult, FrameSync, OfdmDemodulator,
-    ProbeReport,
+    bit_error_rate, ChannelEstimator, DemodFrame, FrameSync, OfdmDemodulator, ProbeReport,
 };
 pub use error::ModemError;
 pub use modulator::OfdmModulator;

@@ -18,10 +18,12 @@ use crate::scratch::TxScratch;
 /// use wearlock_modem::config::OfdmConfig;
 /// use wearlock_modem::constellation::Modulation;
 /// use wearlock_modem::modulator::OfdmModulator;
+/// use wearlock_modem::TxScratch;
 ///
 /// let tx = OfdmModulator::new(OfdmConfig::default())?;
 /// let bits = vec![true, false, true, true, false, false, true, false];
-/// let waveform = tx.modulate(&bits, Modulation::Qpsk)?;
+/// let mut waveform = Vec::new();
+/// tx.modulate(&bits, Modulation::Qpsk, &mut TxScratch::new(), &mut waveform)?;
 /// assert!(waveform.len() > 256 + 1024); // preamble + guard + blocks
 /// # Ok::<(), wearlock_modem::ModemError>(())
 /// ```
@@ -119,34 +121,17 @@ impl OfdmModulator {
         Ok(())
     }
 
-    /// Modulates a payload into a complete frame:
-    /// `preamble | guard | block … block`.
+    /// Modulates a payload into a complete frame,
+    /// `preamble | guard | block … block`, written to `out` (cleared
+    /// first). Zero allocations once `scratch` and `out` have warmed up.
     ///
     /// The final partial symbol group is zero-padded; the receiver is
     /// expected to know the payload bit length and truncate.
     ///
-    /// Runs on a thread-local [`TxScratch`]; only the returned `Vec` is
-    /// allocated. [`OfdmModulator::modulate_into`] reuses even that.
-    ///
     /// # Errors
     ///
     /// Returns [`ModemError::InvalidInput`] for an empty payload.
-    pub fn modulate(&self, bits: &[bool], modulation: Modulation) -> Result<Vec<f64>, ModemError> {
-        crate::scratch_local::with_tx_scratch(|scratch| {
-            let mut out = Vec::new();
-            self.modulate_into(bits, modulation, scratch, &mut out)?;
-            Ok(out)
-        })
-    }
-
-    /// Modulates a payload into a caller-provided waveform buffer using
-    /// caller-provided scratch — bitwise identical samples to
-    /// [`OfdmModulator::modulate`], with zero allocations after warmup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModemError::InvalidInput`] for an empty payload.
-    pub fn modulate_into(
+    pub fn modulate(
         &self,
         bits: &[bool],
         modulation: Modulation,
@@ -177,28 +162,18 @@ impl OfdmModulator {
         Ok(())
     }
 
-    /// Builds the channel-probing (RTS) signal: the preamble followed by
-    /// `pilot_blocks` block-based pilot symbols in which *all* active
-    /// channels (pilot and data) carry known unit-power tones and null
-    /// channels stay empty — the paper's probe for sub-channel selection
-    /// and pilot-SNR estimation.
-    pub fn probe(&self, pilot_blocks: usize) -> Result<Vec<f64>, ModemError> {
-        crate::scratch_local::with_tx_scratch(|scratch| {
-            let mut out = Vec::new();
-            self.probe_into(pilot_blocks, scratch, &mut out)?;
-            Ok(out)
-        })
-    }
-
-    /// Probe generation into a caller-provided buffer — bitwise
-    /// identical samples to [`OfdmModulator::probe`], zero allocations
-    /// after warmup.
+    /// Builds the channel-probing (RTS) signal into `out`: the preamble
+    /// followed by `pilot_blocks` (at least one) block-based pilot
+    /// symbols in which *all* active channels (pilot and data) carry
+    /// known unit-power tones and null channels stay empty — the
+    /// paper's probe for sub-channel selection and pilot-SNR estimation.
+    /// Zero allocations once `scratch` and `out` have warmed up.
     ///
     /// # Errors
     ///
     /// Returns [`ModemError::Dsp`] if a block transform fails (the
     /// config validation normally prevents this).
-    pub fn probe_into(
+    pub fn probe(
         &self,
         pilot_blocks: usize,
         scratch: &mut TxScratch,
@@ -258,11 +233,24 @@ mod tests {
         (0..n).map(|i| (i * 7 + 3) % 5 < 2).collect()
     }
 
+    fn modulate(tx: &OfdmModulator, bits: &[bool], m: Modulation) -> Result<Vec<f64>, ModemError> {
+        let mut out = Vec::new();
+        tx.modulate(bits, m, &mut TxScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
+    fn probe(tx: &OfdmModulator, pilot_blocks: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        tx.probe(pilot_blocks, &mut TxScratch::new(), &mut out)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn rejects_empty_payload() {
         let tx = OfdmModulator::new(OfdmConfig::default()).unwrap();
         assert!(matches!(
-            tx.modulate(&[], Modulation::Qpsk),
+            modulate(&tx, &[], Modulation::Qpsk),
             Err(ModemError::InvalidInput(_))
         ));
     }
@@ -271,7 +259,7 @@ mod tests {
     fn frame_layout_lengths() {
         let tx = OfdmModulator::new(OfdmConfig::default()).unwrap();
         // 24 bits QPSK = 12 symbols = exactly one block of 12 channels.
-        let w = tx.modulate(&bits(24), Modulation::Qpsk).unwrap();
+        let w = modulate(&tx, &bits(24), Modulation::Qpsk).unwrap();
         assert_eq!(w.len(), 256 + 1024 + 384);
         assert_eq!(tx.frame_len(24, Modulation::Qpsk), w.len());
         // 25 bits needs a second block.
@@ -282,7 +270,7 @@ mod tests {
     #[test]
     fn block_body_is_cyclic_with_prefix() {
         let tx = OfdmModulator::new(OfdmConfig::default()).unwrap();
-        let w = tx.modulate(&bits(24), Modulation::Qpsk).unwrap();
+        let w = modulate(&tx, &bits(24), Modulation::Qpsk).unwrap();
         let block = &w[256 + 1024..];
         let cp = &block[..128];
         let tail = &block[128 + 256 - 128..128 + 256];
@@ -295,7 +283,7 @@ mod tests {
     fn energy_sits_on_active_channels() {
         let cfg = OfdmConfig::default();
         let tx = OfdmModulator::new(cfg.clone()).unwrap();
-        let w = tx.modulate(&bits(24), Modulation::Qpsk).unwrap();
+        let w = modulate(&tx, &bits(24), Modulation::Qpsk).unwrap();
         let body = &w[256 + 1024 + 128..256 + 1024 + 128 + 256];
         let sr = SampleRate::CD;
         // Data channel 16 at 2756 Hz carries power; null channel 10 at
@@ -309,7 +297,7 @@ mod tests {
     fn probe_fills_all_active_channels() {
         let cfg = OfdmConfig::default();
         let tx = OfdmModulator::new(cfg.clone()).unwrap();
-        let p = tx.probe(1).unwrap();
+        let p = probe(&tx, 1);
         let body = &p[256 + 1024 + 128..256 + 1024 + 128 + 256];
         let sr = SampleRate::CD;
         for &k in cfg.data_channels().iter().chain(cfg.pilot_channels()) {
@@ -325,15 +313,15 @@ mod tests {
     #[test]
     fn probe_has_at_least_one_block() {
         let tx = OfdmModulator::new(OfdmConfig::default()).unwrap();
-        assert_eq!(tx.probe(0).unwrap().len(), 256 + 1024 + 384);
-        assert_eq!(tx.probe(2).unwrap().len(), 256 + 1024 + 2 * 384);
+        assert_eq!(probe(&tx, 0).len(), 256 + 1024 + 384);
+        assert_eq!(probe(&tx, 2).len(), 256 + 1024 + 2 * 384);
     }
 
     #[test]
     fn waveform_is_finite_and_bounded() {
         let tx = OfdmModulator::new(OfdmConfig::default()).unwrap();
         for m in Modulation::ALL {
-            let w = tx.modulate(&bits(100), m).unwrap();
+            let w = modulate(&tx, &bits(100), m).unwrap();
             assert!(w.iter().all(|s| s.is_finite()), "{m}");
         }
     }
@@ -342,7 +330,7 @@ mod tests {
     fn preamble_prefix_matches_chirp() {
         let cfg = OfdmConfig::default();
         let tx = OfdmModulator::new(cfg.clone()).unwrap();
-        let w = tx.modulate(&bits(24), Modulation::Qpsk).unwrap();
+        let w = modulate(&tx, &bits(24), Modulation::Qpsk).unwrap();
         let chirp = cfg.preamble_chirp().generate();
         // Apart from the global edge fade (first 16 samples), identical.
         for i in 16..256 {

@@ -33,29 +33,31 @@ pub(crate) struct ChannelScratch {
 
 /// Reusable working memory for [`crate::OfdmDemodulator`].
 ///
-/// Create one per worker and pass it to the `_with` methods
-/// ([`crate::OfdmDemodulator::detect_with`],
-/// [`crate::OfdmDemodulator::demodulate_with`],
-/// [`crate::OfdmDemodulator::analyze_probe_with`], …). The legacy
-/// methods without a scratch argument use a thread-local instance and
-/// produce bitwise identical results.
+/// Create one per worker and pass it to every receive call
+/// ([`crate::OfdmDemodulator::detect`],
+/// [`crate::OfdmDemodulator::demodulate`],
+/// [`crate::OfdmDemodulator::analyze_probe`], …). No receive path keeps
+/// hidden per-thread state, so frames from different sessions can be
+/// decoded through the same scratch in any order.
 ///
 /// # Examples
 ///
 /// ```
 /// use wearlock_modem::config::OfdmConfig;
 /// use wearlock_modem::constellation::Modulation;
-/// use wearlock_modem::{DemodScratch, OfdmDemodulator, OfdmModulator};
+/// use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 ///
 /// let cfg = OfdmConfig::default();
 /// let tx = OfdmModulator::new(cfg.clone())?;
 /// let rx = OfdmDemodulator::new(cfg)?;
 /// let bits = vec![true, false, true, true];
-/// let wave = tx.modulate(&bits, Modulation::Qpsk)?;
+/// let mut wave = Vec::new();
+/// tx.modulate(&bits, Modulation::Qpsk, &mut TxScratch::new(), &mut wave)?;
 ///
 /// let mut scratch = DemodScratch::new();
-/// let out = rx.demodulate_with(&wave, Modulation::Qpsk, bits.len(), &mut scratch)?;
-/// assert_eq!(out.bits, bits);
+/// let mut frame = DemodFrame::new();
+/// rx.demodulate(&wave, Modulation::Qpsk, bits.len(), &mut scratch, &mut frame)?;
+/// assert_eq!(frame.bits, bits);
 /// # Ok::<(), wearlock_modem::ModemError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -90,7 +92,7 @@ impl DemodScratch {
 
 /// Reusable working memory for [`crate::OfdmModulator`] — symbol,
 /// spectrum and block-body buffers for
-/// [`crate::OfdmModulator::modulate_into`].
+/// [`crate::OfdmModulator::modulate`] and [`crate::OfdmModulator::probe`].
 #[derive(Debug, Default)]
 pub struct TxScratch {
     /// Mapped constellation symbols for the whole payload.

@@ -12,7 +12,40 @@ use wearlock_dsp::units::{Db, Meters, Spl};
 use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::demodulator::bit_error_rate;
-use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+use wearlock_modem::{
+    DemodFrame, DemodScratch, ModemError, OfdmDemodulator, OfdmModulator, ProbeReport, TxScratch,
+};
+
+/// Modulates on fresh scratch.
+fn modulate(tx: &OfdmModulator, bits: &[bool], m: Modulation) -> Result<Vec<f64>, ModemError> {
+    let mut wave = Vec::new();
+    tx.modulate(bits, m, &mut TxScratch::new(), &mut wave)?;
+    Ok(wave)
+}
+
+/// Builds a probe on fresh scratch.
+fn probe(tx: &OfdmModulator, pilot_blocks: usize) -> Result<Vec<f64>, ModemError> {
+    let mut wave = Vec::new();
+    tx.probe(pilot_blocks, &mut TxScratch::new(), &mut wave)?;
+    Ok(wave)
+}
+
+/// Detects and demodulates on fresh scratch.
+fn demodulate(
+    rx: &OfdmDemodulator,
+    rec: &[f64],
+    m: Modulation,
+    n_bits: usize,
+) -> Result<DemodFrame, ModemError> {
+    let mut frame = DemodFrame::new();
+    rx.demodulate(rec, m, n_bits, &mut DemodScratch::new(), &mut frame)?;
+    Ok(frame)
+}
+
+/// Analyzes a probe on fresh scratch.
+fn analyze_probe(rx: &OfdmDemodulator, rec: &[f64]) -> Result<ProbeReport, ModemError> {
+    rx.analyze_probe(rec, &mut DemodScratch::new())
+}
 
 fn payload(n: usize) -> Vec<bool> {
     (0..n).map(|i| (i * 31 + 5) % 11 < 5).collect()
@@ -37,9 +70,9 @@ fn ber_through(
     bits: &[bool],
     rng: &mut StdRng,
 ) -> Option<f64> {
-    let wave = tx.modulate(bits, modulation).unwrap();
+    let wave = modulate(tx, bits, modulation).unwrap();
     let rec = link.transmit(&wave, volume, rng);
-    rx.demodulate(&rec, modulation, bits.len())
+    demodulate(rx, &rec, modulation, bits.len())
         .ok()
         .map(|r| bit_error_rate(bits, &r.bits))
 }
@@ -121,11 +154,10 @@ fn phase_ripple_floors_psk_but_not_ask() {
         let trials = 8;
         for _ in 0..trials {
             let bits: Vec<bool> = (0..432).map(|_| rng.gen()).collect();
-            let wave = tx.modulate(&bits, m).unwrap();
+            let wave = modulate(&tx, &bits, m).unwrap();
             let emitted = speaker.emit(&wave, Spl(60.0), tx.config().sample_rate());
             let rec = ch.transmit(&emitted, &mut rng);
-            let ber = rx
-                .demodulate(&rec, m, bits.len())
+            let ber = demodulate(&rx, &rec, m, bits.len())
                 .map(|r| bit_error_rate(&bits, &r.bits))
                 .unwrap_or(0.5);
             total += ber;
@@ -161,17 +193,17 @@ fn body_blocking_wrecks_the_link_or_flags_nlos() {
         .noise(Location::Office.noise_model())
         .build()
         .unwrap();
-    let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
+    let wave = modulate(&tx, &bits, Modulation::Qpsk).unwrap();
 
-    let los_sync = rx
-        .demodulate(
-            &los.transmit(&wave, Spl(72.0), &mut rng),
-            Modulation::Qpsk,
-            96,
-        )
-        .unwrap();
+    let los_sync = demodulate(
+        &rx,
+        &los.transmit(&wave, Spl(72.0), &mut rng),
+        Modulation::Qpsk,
+        96,
+    )
+    .unwrap();
     let nlos_rec = link.transmit(&wave, Spl(72.0), &mut rng);
-    match rx.demodulate(&nlos_rec, Modulation::Qpsk, 96) {
+    match demodulate(&rx, &nlos_rec, Modulation::Qpsk, 96) {
         Err(_) => {} // not even detected: fine, channel is dead
         Ok(r) => {
             let ber = bit_error_rate(&bits, &r.bits);
@@ -208,12 +240,11 @@ fn moto360_lowpass_kills_near_ultrasound_but_not_audible() {
     let tx = OfdmModulator::new(audible_cfg.clone()).unwrap();
     let rx = OfdmDemodulator::new(audible_cfg).unwrap();
     let rec = watch_link.transmit(
-        &tx.modulate(&bits, Modulation::Qpsk).unwrap(),
+        &modulate(&tx, &bits, Modulation::Qpsk).unwrap(),
         Spl(70.0),
         &mut rng,
     );
-    let ber_audible = rx
-        .demodulate(&rec, Modulation::Qpsk, bits.len())
+    let ber_audible = demodulate(&rx, &rec, Modulation::Qpsk, bits.len())
         .map(|r| bit_error_rate(&bits, &r.bits))
         .unwrap_or(0.5);
     assert!(ber_audible < 0.05, "audible ber {ber_audible}");
@@ -222,11 +253,11 @@ fn moto360_lowpass_kills_near_ultrasound_but_not_audible() {
     let tx_u = OfdmModulator::new(ultra_cfg.clone()).unwrap();
     let rx_u = OfdmDemodulator::new(ultra_cfg.clone()).unwrap();
     let rec_u = watch_link.transmit(
-        &tx_u.modulate(&bits, Modulation::Qpsk).unwrap(),
+        &modulate(&tx_u, &bits, Modulation::Qpsk).unwrap(),
         Spl(70.0),
         &mut rng,
     );
-    let ultra_result = rx_u.demodulate(&rec_u, Modulation::Qpsk, bits.len());
+    let ultra_result = demodulate(&rx_u, &rec_u, Modulation::Qpsk, bits.len());
     let dead = match ultra_result {
         Err(_) => true,
         Ok(r) => bit_error_rate(&bits, &r.bits) > 0.2,
@@ -241,12 +272,11 @@ fn moto360_lowpass_kills_near_ultrasound_but_not_audible() {
         .build()
         .unwrap();
     let rec_p = phone_link.transmit(
-        &tx_u.modulate(&bits, Modulation::Qpsk).unwrap(),
+        &modulate(&tx_u, &bits, Modulation::Qpsk).unwrap(),
         Spl(70.0),
         &mut rng,
     );
-    let ber_phone = rx_u
-        .demodulate(&rec_p, Modulation::Qpsk, bits.len())
+    let ber_phone = demodulate(&rx_u, &rec_p, Modulation::Qpsk, bits.len())
         .map(|r| bit_error_rate(&bits, &r.bits))
         .unwrap_or(0.5);
     assert!(ber_phone < 0.1, "phone-phone ultrasound ber {ber_phone}");
@@ -263,9 +293,9 @@ fn probe_snr_tracks_distance() {
             .noise(Location::Office.noise_model())
             .build()
             .unwrap();
-        let probe = tx.probe(2).unwrap();
+        let probe = probe(&tx, 2).unwrap();
         let rec = link.transmit(&probe, Spl(72.0), &mut rng);
-        match rx.analyze_probe(&rec) {
+        match analyze_probe(&rx, &rec) {
             Ok(rep) => psnrs.push(rep.psnr.value()),
             Err(_) => psnrs.push(f64::NEG_INFINITY),
         }
@@ -301,17 +331,16 @@ fn jammed_tone_raises_ber_until_subchannels_move() {
         .unwrap();
 
     // Without selection: errors on the jammed channels.
-    let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
+    let wave = modulate(&tx, &bits, Modulation::Qpsk).unwrap();
     let rec = link.transmit(&wave, Spl(70.0), &mut rng);
-    let ber_jammed = rx
-        .demodulate(&rec, Modulation::Qpsk, bits.len())
+    let ber_jammed = demodulate(&rx, &rec, Modulation::Qpsk, bits.len())
         .map(|r| bit_error_rate(&bits, &r.bits))
         .unwrap_or(0.5);
 
     // Probe, select clean sub-channels, retransmit.
-    let probe = tx.probe(2).unwrap();
+    let probe = probe(&tx, 2).unwrap();
     let prec = link.transmit(&probe, Spl(70.0), &mut rng);
-    let report = rx.analyze_probe(&prec).unwrap();
+    let report = analyze_probe(&rx, &prec).unwrap();
     let sel = select_data_channels(&cfg, &report.noise_spectrum, 12).unwrap();
     for &j in &jam_bins {
         assert!(
@@ -324,12 +353,11 @@ fn jammed_tone_raises_ber_until_subchannels_move() {
     let tx2 = OfdmModulator::new(cfg2.clone()).unwrap();
     let rx2 = OfdmDemodulator::new(cfg2).unwrap();
     let rec2 = link.transmit(
-        &tx2.modulate(&bits, Modulation::Qpsk).unwrap(),
+        &modulate(&tx2, &bits, Modulation::Qpsk).unwrap(),
         Spl(70.0),
         &mut rng,
     );
-    let ber_selected = rx2
-        .demodulate(&rec2, Modulation::Qpsk, bits.len())
+    let ber_selected = demodulate(&rx2, &rec2, Modulation::Qpsk, bits.len())
         .map(|r| bit_error_rate(&bits, &r.bits))
         .unwrap_or(0.5);
 

@@ -16,7 +16,21 @@ use wearlock_dsp::level::SilenceDetector;
 use wearlock_dsp::units::{Meters, Spl};
 use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
-use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+use wearlock_modem::{
+    DemodScratch, FrameSync, ModemError, OfdmDemodulator, OfdmModulator, TxScratch,
+};
+
+/// Modulates on fresh scratch.
+fn modulate(tx: &OfdmModulator, bits: &[bool], m: Modulation) -> Result<Vec<f64>, ModemError> {
+    let mut wave = Vec::new();
+    tx.modulate(bits, m, &mut TxScratch::new(), &mut wave)?;
+    Ok(wave)
+}
+
+/// Detects the preamble on fresh scratch.
+fn detect(rx: &OfdmDemodulator, rec: &[f64]) -> Result<FrameSync, ModemError> {
+    rx.detect(rec, &mut DemodScratch::new())
+}
 
 /// The direct-correlator half of `OfdmDemodulator::detect`: identical
 /// silence gating and peak pick, with `normalized_cross_correlate` in
@@ -66,9 +80,9 @@ fn fft_detect_matches_direct_reference_over_acoustic_links() {
             .build()
             .unwrap();
         for _ in 0..3 {
-            let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
+            let wave = modulate(&tx, &bits, Modulation::Qpsk).unwrap();
             let rec = link.transmit(&wave, Spl(70.0), &mut rng);
-            let Ok(sync) = rx.detect(&rec) else {
+            let Ok(sync) = detect(&rx, &rec) else {
                 continue; // not detected: nothing to compare
             };
             let (ref_offset, ref_score) = reference_peak(&cfg, &rec);
@@ -96,7 +110,7 @@ fn fft_detect_matches_direct_reference_on_clean_waveform() {
     let tx = OfdmModulator::new(cfg.clone()).unwrap();
     let rx = OfdmDemodulator::new(cfg.clone()).unwrap();
     let bits: Vec<bool> = (0..48).map(|i| i % 3 == 0).collect();
-    let wave = tx.modulate(&bits, Modulation::Bpsk).unwrap();
+    let wave = modulate(&tx, &bits, Modulation::Bpsk).unwrap();
 
     let mut rec = vec![0.0; 3_000 + wave.len()];
     rec[3_000..].copy_from_slice(&wave);
@@ -108,7 +122,7 @@ fn fft_detect_matches_direct_reference_on_clean_waveform() {
         *v += ((state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * 1e-4;
     }
 
-    let sync = rx.detect(&rec).expect("clean waveform detected");
+    let sync = detect(&rx, &rec).expect("clean waveform detected");
     let (ref_offset, ref_score) = reference_peak(&cfg, &rec);
     assert_eq!(sync.preamble_offset, ref_offset);
     assert!((sync.preamble_score - ref_score).abs() < 1e-9);

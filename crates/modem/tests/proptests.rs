@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use wearlock_modem::coding::{conv_encode, viterbi_decode, TokenCoding};
 use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::{demap_symbols, map_bits, Modulation};
-use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
 fn any_modulation() -> impl Strategy<Value = Modulation> {
     prop::sample::select(Modulation::ALL.to_vec())
@@ -30,8 +30,11 @@ proptest! {
         let cfg = OfdmConfig::default();
         let tx = OfdmModulator::new(cfg.clone()).unwrap();
         let rx = OfdmDemodulator::new(cfg).unwrap();
-        let wave = tx.modulate(&bits, m).unwrap();
-        let out = rx.demodulate(&wave, m, bits.len()).unwrap();
+        let mut wave = Vec::new();
+        tx.modulate(&bits, m, &mut TxScratch::new(), &mut wave).unwrap();
+        let mut out = DemodFrame::new();
+        rx.demodulate(&wave, m, bits.len(), &mut DemodScratch::new(), &mut out)
+            .unwrap();
         prop_assert_eq!(out.bits, bits);
     }
 
@@ -76,36 +79,9 @@ proptest! {
     }
 }
 
-// PR 4 surface: the scratch-reusing entry points must be the same
-// computation as the legacy allocating ones, and a reused scratch must
-// never leak state between payloads.
+// A reused scratch and frame must never leak state between payloads.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn scratch_demodulate_is_bitwise_legacy(
-        bits in prop::collection::vec(any::<bool>(), 1..96),
-        m in any_modulation(),
-    ) {
-        use wearlock_modem::DemodScratch;
-        let cfg = OfdmConfig::default();
-        let tx = OfdmModulator::new(cfg.clone()).unwrap();
-        let rx = OfdmDemodulator::new(cfg).unwrap();
-        let wave = tx.modulate(&bits, m).unwrap();
-
-        let legacy = rx.demodulate(&wave, m, bits.len()).unwrap();
-        let mut scratch = DemodScratch::new();
-        let explicit = rx.demodulate_with(&wave, m, bits.len(), &mut scratch).unwrap();
-
-        prop_assert_eq!(&explicit.bits, &legacy.bits);
-        prop_assert_eq!(explicit.sync.preamble_offset, legacy.sync.preamble_offset);
-        prop_assert_eq!(explicit.sync.preamble_score.to_bits(), legacy.sync.preamble_score.to_bits());
-        prop_assert_eq!(explicit.blocks.len(), legacy.blocks.len());
-        for (x, y) in explicit.blocks.iter().zip(&legacy.blocks) {
-            prop_assert_eq!(x.evm.to_bits(), y.evm.to_bits());
-            prop_assert_eq!(x.fine_offset, y.fine_offset);
-        }
-    }
 
     #[test]
     fn scratch_reuse_does_not_leak_between_payloads(
@@ -114,60 +90,27 @@ proptest! {
         m_a in any_modulation(),
         m_b in any_modulation(),
     ) {
-        use wearlock_modem::DemodScratch;
         let cfg = OfdmConfig::default();
         let tx = OfdmModulator::new(cfg.clone()).unwrap();
         let rx = OfdmDemodulator::new(cfg).unwrap();
-        let wave_a = tx.modulate(&bits_a, m_a).unwrap();
-        let wave_b = tx.modulate(&bits_b, m_b).unwrap();
+        let mut tx_scratch = TxScratch::new();
+        let (mut wave_a, mut wave_b) = (Vec::new(), Vec::new());
+        tx.modulate(&bits_a, m_a, &mut tx_scratch, &mut wave_a).unwrap();
+        tx.modulate(&bits_b, m_b, &mut tx_scratch, &mut wave_b).unwrap();
 
-        // Warm the scratch on payload A (possibly a different
-        // modulation / frame length), then demodulate B with it.
+        // Warm the scratch and frame on payload A (possibly a different
+        // modulation / frame length), then demodulate B with them.
         let mut scratch = DemodScratch::new();
-        rx.demodulate_with(&wave_a, m_a, bits_a.len(), &mut scratch).unwrap();
-        let reused = rx.demodulate_with(&wave_b, m_b, bits_b.len(), &mut scratch).unwrap();
+        let mut reused = DemodFrame::new();
+        rx.demodulate(&wave_a, m_a, bits_a.len(), &mut scratch, &mut reused).unwrap();
+        rx.demodulate(&wave_b, m_b, bits_b.len(), &mut scratch, &mut reused).unwrap();
 
-        let mut fresh_scratch = DemodScratch::new();
-        let fresh = rx.demodulate_with(&wave_b, m_b, bits_b.len(), &mut fresh_scratch).unwrap();
+        let mut fresh = DemodFrame::new();
+        rx.demodulate(&wave_b, m_b, bits_b.len(), &mut DemodScratch::new(), &mut fresh)
+            .unwrap();
 
         prop_assert_eq!(&reused.bits, &fresh.bits);
-        prop_assert_eq!(reused.blocks.len(), fresh.blocks.len());
-        for (x, y) in reused.blocks.iter().zip(&fresh.blocks) {
-            prop_assert_eq!(x.evm.to_bits(), y.evm.to_bits());
-            prop_assert_eq!(x.equalized.len(), y.equalized.len());
-            for (a, b) in x.equalized.iter().zip(&y.equalized) {
-                prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
-                prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn frame_into_matches_demodulate_synced(
-        bits in prop::collection::vec(any::<bool>(), 1..96),
-        m in any_modulation(),
-    ) {
-        use wearlock_modem::{DemodFrame, DemodScratch};
-        let cfg = OfdmConfig::default();
-        let tx = OfdmModulator::new(cfg.clone()).unwrap();
-        let rx = OfdmDemodulator::new(cfg).unwrap();
-        let wave = tx.modulate(&bits, m).unwrap();
-
-        let mut scratch = DemodScratch::new();
-        let sync = rx.detect_with(&wave, &mut scratch).unwrap();
-        let reference = rx
-            .demodulate_synced_with(&wave, m, bits.len(), sync, &mut scratch)
-            .unwrap();
-
-        let mut frame = DemodFrame::new();
-        rx.demodulate_frame_into(&wave, m, bits.len(), sync, &mut scratch, &mut frame)
-            .unwrap();
-        prop_assert_eq!(&frame.bits, &reference.bits);
-        prop_assert_eq!(frame.blocks, reference.blocks.len());
-        // frame.mean_evm averages the per-block EVMs in block order —
-        // the same additions DemodResult's blocks expose individually.
-        let mean: f64 = reference.blocks.iter().map(|b| b.evm).sum::<f64>()
-            / reference.blocks.len() as f64;
-        prop_assert_eq!(frame.mean_evm.to_bits(), mean.to_bits());
+        prop_assert_eq!(reused.blocks, fresh.blocks);
+        prop_assert_eq!(reused.mean_evm.to_bits(), fresh.mean_evm.to_bits());
     }
 }

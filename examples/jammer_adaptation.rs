@@ -19,12 +19,14 @@ use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::subchannel::{apply_selection, select_data_channels};
-use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = OfdmConfig::default();
     let mut rng = StdRng::seed_from_u64(9);
     let payload: Vec<bool> = (0..240).map(|_| rng.gen()).collect();
+    let (mut tx_scratch, mut scratch) = (TxScratch::new(), DemodScratch::new());
+    let (mut wave, mut frame) = (Vec::new(), DemodFrame::new());
 
     println!("jammed tones | BER (fixed channels) | BER (sub-channel selection)");
     println!("-------------+----------------------+----------------------------");
@@ -54,32 +56,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Fixed assignment.
         let tx = OfdmModulator::new(cfg.clone())?;
         let rx = OfdmDemodulator::new(cfg.clone())?;
-        let rec = link.transmit(
-            &tx.modulate(&payload, Modulation::Qpsk)?,
-            Spl(68.0),
-            &mut rng,
-        );
+        tx.modulate(&payload, Modulation::Qpsk, &mut tx_scratch, &mut wave)?;
+        let rec = link.transmit(&wave, Spl(68.0), &mut rng);
         let fixed = rx
-            .demodulate(&rec, Modulation::Qpsk, payload.len())
-            .map(|r| bit_error_rate(&payload, &r.bits))
+            .demodulate(
+                &rec,
+                Modulation::Qpsk,
+                payload.len(),
+                &mut scratch,
+                &mut frame,
+            )
+            .map(|()| bit_error_rate(&payload, &frame.bits))
             .unwrap_or(0.5);
 
         // Probe → rank noise → reselect → transmit.
-        let probe_rec = link.transmit(&tx.probe(2)?, Spl(68.0), &mut rng);
-        let adaptive = match rx.analyze_probe(&probe_rec) {
+        tx.probe(2, &mut tx_scratch, &mut wave)?;
+        let probe_rec = link.transmit(&wave, Spl(68.0), &mut rng);
+        let adaptive = match rx.analyze_probe(&probe_rec, &mut scratch) {
             Ok(report) => {
                 let sel = select_data_channels(&cfg, &report.noise_spectrum, 12)?;
                 let cfg2 = apply_selection(&cfg, &sel)?;
                 let tx2 = OfdmModulator::new(cfg2.clone())?;
                 let rx2 = OfdmDemodulator::new(cfg2)?;
-                let rec2 = link.transmit(
-                    &tx2.modulate(&payload, Modulation::Qpsk)?,
-                    Spl(68.0),
-                    &mut rng,
-                );
-                rx2.demodulate(&rec2, Modulation::Qpsk, payload.len())
-                    .map(|r| bit_error_rate(&payload, &r.bits))
-                    .unwrap_or(0.5)
+                tx2.modulate(&payload, Modulation::Qpsk, &mut tx_scratch, &mut wave)?;
+                let rec2 = link.transmit(&wave, Spl(68.0), &mut rng);
+                rx2.demodulate(
+                    &rec2,
+                    Modulation::Qpsk,
+                    payload.len(),
+                    &mut scratch,
+                    &mut frame,
+                )
+                .map(|()| bit_error_rate(&payload, &frame.bits))
+                .unwrap_or(0.5)
             }
             Err(_) => 0.5,
         };

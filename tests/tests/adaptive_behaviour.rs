@@ -168,8 +168,13 @@ fn subchannel_selection_changes_channels_under_jamming() {
         .unwrap();
     let tx = wearlock_modem::OfdmModulator::new(modem.clone()).unwrap();
     let rx = wearlock_modem::OfdmDemodulator::new(modem.clone()).unwrap();
-    let probe_rec = link.transmit(&tx.probe(2).unwrap(), Spl(68.0), &mut r);
-    let report = rx.analyze_probe(&probe_rec).unwrap();
+    let mut probe = Vec::new();
+    tx.probe(2, &mut wearlock_modem::TxScratch::new(), &mut probe)
+        .unwrap();
+    let probe_rec = link.transmit(&probe, Spl(68.0), &mut r);
+    let report = rx
+        .analyze_probe(&probe_rec, &mut wearlock_modem::DemodScratch::new())
+        .unwrap();
     let sel = wearlock_modem::subchannel::select_data_channels(&modem, &report.noise_spectrum, 12)
         .unwrap();
     for j in jammed {

@@ -48,13 +48,15 @@ fn repetition_and_conv_both_beat_uncoded_on_noisy_channel() {
     use wearlock_modem::coding::{conv_encode, viterbi_decode};
     use wearlock_modem::config::OfdmConfig;
     use wearlock_modem::constellation::Modulation;
-    use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+    use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
     let cfg = OfdmConfig::default();
     let tx = OfdmModulator::new(cfg.clone()).unwrap();
     let rx = OfdmDemodulator::new(cfg).unwrap();
     let mut r = rng(301);
     let ch = AwgnChannel::new(Db(-3.0));
+    let (mut tx_scratch, mut scratch) = (TxScratch::new(), DemodScratch::new());
+    let (mut wave, mut out) = (Vec::new(), DemodFrame::new());
 
     let mut uncoded_ok = 0;
     let mut conv_ok = 0;
@@ -63,25 +65,28 @@ fn repetition_and_conv_both_beat_uncoded_on_noisy_channel() {
         let bits: Vec<bool> = (0..32).map(|_| r.gen()).collect();
 
         // Uncoded 32-bit token.
-        let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
+        tx.modulate(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
+            .unwrap();
         let rec = ch.transmit(&wave, &mut r);
-        if let Ok(out) = rx.demodulate(&rec, Modulation::Qpsk, 32) {
-            if out.bits == bits {
-                uncoded_ok += 1;
-            }
+        if rx
+            .demodulate(&rec, Modulation::Qpsk, 32, &mut scratch, &mut out)
+            .is_ok()
+            && out.bits == bits
+        {
+            uncoded_ok += 1;
         }
 
         // Convolutionally coded token.
         let coded = conv_encode(&bits);
-        let wave = tx.modulate(&coded, Modulation::Qpsk).unwrap();
+        tx.modulate(&coded, Modulation::Qpsk, &mut tx_scratch, &mut wave)
+            .unwrap();
         let rec = ch.transmit(&wave, &mut r);
-        if let Ok(out) = rx.demodulate(&rec, Modulation::Qpsk, coded.len()) {
-            if viterbi_decode(&out.bits, 32)
-                .map(|d| d == bits)
-                .unwrap_or(false)
-            {
-                conv_ok += 1;
-            }
+        if rx
+            .demodulate(&rec, Modulation::Qpsk, coded.len(), &mut scratch, &mut out)
+            .is_ok()
+            && viterbi_decode(&out.bits, 32).is_ok_and(|d| d == bits)
+        {
+            conv_ok += 1;
         }
     }
     assert!(
@@ -147,13 +152,15 @@ fn fingerprint_rejects_foreign_speaker_through_session_probes() {
     use wearlock_acoustics::channel::AcousticLink;
     use wearlock_acoustics::hardware::SpeakerModel;
     use wearlock_dsp::units::Spl;
-    use wearlock_modem::{OfdmDemodulator, OfdmModulator};
+    use wearlock_modem::{DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
 
     let cfg = WearLockConfig::default();
     let modem_cfg = cfg.modem().clone();
     let tx = OfdmModulator::new(modem_cfg.clone()).unwrap();
     let rx = OfdmDemodulator::new(modem_cfg.clone()).unwrap();
     let mut r = StdRng::seed_from_u64(304);
+    let mut probe_wave = Vec::new();
+    tx.probe(2, &mut TxScratch::new(), &mut probe_wave).unwrap();
 
     let probe = |speaker: SpeakerModel, r: &mut StdRng| {
         let link = AcousticLink::builder()
@@ -162,8 +169,8 @@ fn fingerprint_rejects_foreign_speaker_through_session_probes() {
             .speaker(speaker)
             .build()
             .unwrap();
-        let rec = link.transmit(&tx.probe(2).unwrap(), Spl(65.0), r);
-        rx.analyze_probe(&rec).unwrap()
+        let rec = link.transmit(&probe_wave, Spl(65.0), r);
+        rx.analyze_probe(&rec, &mut DemodScratch::new()).unwrap()
     };
 
     let enrolled = FingerprintVerifier::enroll(

@@ -65,17 +65,25 @@ fn setup() -> (OfdmModulator, OfdmDemodulator, Vec<bool>) {
     (tx, rx, bits)
 }
 
+/// A QPSK frame carrying `bits`.
+fn qpsk_wave(tx: &OfdmModulator, bits: &[bool]) -> Vec<f64> {
+    let mut wave = Vec::new();
+    tx.modulate(bits, Modulation::Qpsk, &mut TxScratch::new(), &mut wave)
+        .unwrap();
+    wave
+}
+
 #[test]
 fn demodulate_frame_is_allocation_free_after_warmup() {
     let (tx, rx, bits) = setup();
-    let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
+    let wave = qpsk_wave(&tx, &bits);
     let mut scratch = DemodScratch::new();
     let mut frame = DemodFrame::new();
 
     // Warmup: grows scratch buffers, fills the plan cache and the
     // constellation tables.
-    let sync = rx.detect_with(&wave, &mut scratch).unwrap();
-    rx.demodulate_frame_into(
+    let sync = rx.detect(&wave, &mut scratch).unwrap();
+    rx.demodulate_synced(
         &wave,
         Modulation::Qpsk,
         bits.len(),
@@ -87,7 +95,7 @@ fn demodulate_frame_is_allocation_free_after_warmup() {
 
     let delta = alloc_delta(|| {
         for _ in 0..50 {
-            rx.demodulate_frame_into(
+            rx.demodulate_synced(
                 &wave,
                 Modulation::Qpsk,
                 bits.len(),
@@ -105,13 +113,13 @@ fn demodulate_frame_is_allocation_free_after_warmup() {
 #[test]
 fn detect_is_allocation_free_after_warmup() {
     let (tx, rx, bits) = setup();
-    let wave = tx.modulate(&bits, Modulation::Qpsk).unwrap();
+    let wave = qpsk_wave(&tx, &bits);
     let mut scratch = DemodScratch::new();
-    let warm = rx.detect_with(&wave, &mut scratch).unwrap();
+    let warm = rx.detect(&wave, &mut scratch).unwrap();
 
     let delta = alloc_delta(|| {
         for _ in 0..20 {
-            let sync = rx.detect_with(&wave, &mut scratch).unwrap();
+            let sync = rx.detect(&wave, &mut scratch).unwrap();
             assert_eq!(sync.preamble_offset, warm.preamble_offset);
         }
     });
@@ -123,13 +131,13 @@ fn modulate_into_is_allocation_free_after_warmup() {
     let (tx, _, bits) = setup();
     let mut scratch = TxScratch::new();
     let mut wave = Vec::new();
-    tx.modulate_into(&bits, Modulation::Qam16, &mut scratch, &mut wave)
+    tx.modulate(&bits, Modulation::Qam16, &mut scratch, &mut wave)
         .unwrap();
     let reference = wave.clone();
 
     let delta = alloc_delta(|| {
         for _ in 0..20 {
-            tx.modulate_into(&bits, Modulation::Qam16, &mut scratch, &mut wave)
+            tx.modulate(&bits, Modulation::Qam16, &mut scratch, &mut wave)
                 .unwrap();
         }
     });
@@ -147,10 +155,10 @@ fn full_synced_pipeline_is_allocation_free_per_round() {
     let mut frame = DemodFrame::new();
     let mut wave = Vec::new();
 
-    tx.modulate_into(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
+    tx.modulate(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
         .unwrap();
-    let sync = rx.detect_with(&wave, &mut scratch).unwrap();
-    rx.demodulate_frame_into(
+    let sync = rx.detect(&wave, &mut scratch).unwrap();
+    rx.demodulate_synced(
         &wave,
         Modulation::Qpsk,
         bits.len(),
@@ -162,10 +170,10 @@ fn full_synced_pipeline_is_allocation_free_per_round() {
 
     let delta = alloc_delta(|| {
         for _ in 0..10 {
-            tx.modulate_into(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
+            tx.modulate(&bits, Modulation::Qpsk, &mut tx_scratch, &mut wave)
                 .unwrap();
-            let sync = rx.detect_with(&wave, &mut scratch).unwrap();
-            rx.demodulate_frame_into(
+            let sync = rx.detect(&wave, &mut scratch).unwrap();
+            rx.demodulate_synced(
                 &wave,
                 Modulation::Qpsk,
                 bits.len(),
