@@ -17,7 +17,8 @@
 //!   limits (the Moto 360's ~7 kHz low-pass), clock jitter, self-noise
 //!   and ADC quantization ([`hardware`]),
 //! * a composed end-to-end link and a controlled AWGN channel
-//!   ([`channel`]).
+//!   ([`channel`]), whose linear filters run fused in the frequency
+//!   domain ([`fused`]).
 //!
 //! ## Example
 //!
@@ -41,6 +42,7 @@
 
 pub mod channel;
 mod error;
+pub mod fused;
 pub mod hardware;
 pub mod multipath;
 pub mod noise;
