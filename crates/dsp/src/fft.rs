@@ -52,12 +52,9 @@ pub struct Fft {
     size: usize,
     rev: Vec<usize>,
     /// Twiddles for the forward transform: `e^{-j2πk/N}` for k in 0..N/2.
+    /// The inverse conjugates them in its butterflies, an exact sign
+    /// flip, so no second table is kept.
     twiddles: Vec<Complex>,
-    /// Conjugated twiddles for the inverse transform. Conjugation is an
-    /// exact sign flip, so using this table instead of conjugating
-    /// inside the butterfly loop changes no output bit — it only
-    /// removes a branch from the hottest loop in the crate.
-    inv_twiddles: Vec<Complex>,
 }
 
 impl Fft {
@@ -78,12 +75,10 @@ impl Fft {
         let twiddles: Vec<Complex> = (0..size / 2)
             .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / size as f64))
             .collect();
-        let inv_twiddles = twiddles.iter().map(|w| w.conj()).collect();
         Ok(Fft {
             size,
             rev,
             twiddles,
-            inv_twiddles,
         })
     }
 
@@ -107,12 +102,18 @@ impl Fft {
     /// entry point, which is what keeps the allocating, `_into` and
     /// in-place paths bitwise interchangeable.
     pub(crate) fn butterflies(&self, buf: &mut [Complex], invert: bool) {
-        let n = self.size;
-        let tw = if invert {
-            &self.inv_twiddles
+        if invert {
+            self.stages::<true>(buf);
         } else {
-            &self.twiddles
-        };
+            self.stages::<false>(buf);
+        }
+    }
+
+    /// The radix-2 stages, with the twiddles conjugated for `INVERT`: a
+    /// compile-time choice, so the hot loop has no branch.
+    fn stages<const INVERT: bool>(&self, buf: &mut [Complex]) {
+        let n = self.size;
+        let tw = &self.twiddles;
         let mut len = 2;
         while len <= n {
             let half = len / 2;
@@ -121,7 +122,7 @@ impl Fft {
                 let (lo, hi) = buf[start..start + len].split_at_mut(half);
                 let mut ti = 0usize;
                 for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let w = tw[ti];
+                    let w = if INVERT { tw[ti].conj() } else { tw[ti] };
                     ti += step;
                     let x = *a;
                     let y = *b * w;
