@@ -24,8 +24,8 @@ use wearlock_modem::{
     DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TransmissionMode, TxScratch,
 };
 
-use crate::config::WearLockConfig;
-use crate::session::{decode_token, encode_token};
+use crate::config::{WearLockConfig, MAX_FAILURES, OTP_WINDOW, REPLAY_WINDOW_S};
+use crate::protocol::{decode_token, encode_token};
 use crate::WearLockError;
 
 /// Keyspace analysis of the brute-force attack (paper §IV.1).
@@ -50,15 +50,14 @@ pub fn brute_force<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> BruteForceReport {
     let keyspace = 2f64.powi(31); // 31-bit HOTP values
-    let guesses_allowed = config.max_failures;
+    let guesses_allowed = MAX_FAILURES;
     // Window widens acceptance: `window` valid tokens at any time.
-    let p_single = config.otp_window as f64 / keyspace;
+    let p_single = OTP_WINDOW as f64 / keyspace;
     let success_probability = 1.0 - (1.0 - p_single).powi(guesses_allowed as i32);
 
     let mut simulated_successes = 0;
     for t in 0..trials {
-        let mut verifier =
-            TokenVerifier::new(config.otp_key.clone(), t as u64 * 1_000, config.otp_window);
+        let mut verifier = TokenVerifier::new(config.otp_key.clone(), t as u64 * 1_000, OTP_WINDOW);
         let mut locked = wearlock_auth::LockoutPolicy::new(guesses_allowed);
         while !locked.is_locked_out() {
             let guess: u32 = rng.gen::<u32>() & 0x7fff_ffff;
@@ -169,7 +168,7 @@ pub enum ReplayOutcome {
 /// seconds later than the protocol's expected acoustic path time.
 pub fn record_and_replay(config: &WearLockConfig, replay_delay_s: f64) -> ReplayOutcome {
     let mut gen = TokenGenerator::new(config.otp_key.clone(), 0);
-    let mut verifier = TokenVerifier::new(config.otp_key.clone(), 0, config.otp_window);
+    let mut verifier = TokenVerifier::new(config.otp_key.clone(), 0, OTP_WINDOW);
 
     // Legitimate exchange completes: token consumed.
     let token = gen.next_token();
@@ -180,7 +179,7 @@ pub fn record_and_replay(config: &WearLockConfig, replay_delay_s: f64) -> Replay
 
     // The interactive two-phase protocol bounds the acoustic round:
     // arrivals outside the window are discarded before verification.
-    if replay_delay_s > config.replay_window() {
+    if replay_delay_s > REPLAY_WINDOW_S {
         return ReplayOutcome::TimedOut;
     }
     match verifier.verify(token) {
@@ -217,12 +216,8 @@ pub enum RelayOutcome {
 /// `fingerprint_threshold`: when `Some(t)`, receivers flag EVM floors
 /// above `t` as foreign hardware (the paper's proposed counter-measure);
 /// `None` disables fingerprinting (the paper's current design).
-pub fn relay_attack(
-    config: &WearLockConfig,
-    attack: RelayAttack,
-    fingerprint_threshold: Option<f64>,
-) -> RelayOutcome {
-    if attack.extra_delay_s > config.replay_window() {
+pub fn relay_attack(attack: RelayAttack, fingerprint_threshold: Option<f64>) -> RelayOutcome {
+    if attack.extra_delay_s > REPLAY_WINDOW_S {
         return RelayOutcome::TimedOut;
     }
     if let Some(threshold) = fingerprint_threshold {
@@ -434,11 +429,9 @@ mod tests {
 
     #[test]
     fn relay_succeeds_only_with_ideal_hardware_and_no_fingerprinting() {
-        let config = cfg();
         // The acknowledged limitation.
         assert_eq!(
             relay_attack(
-                &config,
                 RelayAttack {
                     extra_delay_s: 0.05,
                     relay_evm: 0.01
@@ -450,7 +443,6 @@ mod tests {
         // Counter-measures.
         assert_eq!(
             relay_attack(
-                &config,
                 RelayAttack {
                     extra_delay_s: 0.5,
                     relay_evm: 0.01
@@ -461,7 +453,6 @@ mod tests {
         );
         assert_eq!(
             relay_attack(
-                &config,
                 RelayAttack {
                     extra_delay_s: 0.05,
                     relay_evm: 0.2

@@ -1,15 +1,51 @@
 //! System configuration.
 
 use wearlock_acoustics::hardware::{MicrophoneModel, SpeakerModel};
+use wearlock_auth::token::DEFAULT_REPETITION;
 use wearlock_dsp::units::{Db, Meters, Spl};
 use wearlock_modem::coding::TokenCoding;
 use wearlock_modem::config::{FrequencyBand, OfdmConfig};
 use wearlock_modem::ModePolicy;
 use wearlock_platform::device::DeviceModel;
 use wearlock_platform::link::Transport;
-use wearlock_sensors::MotionFilter;
 
 use crate::error::{ConfigError, WearLockError};
+
+/// HOTP look-ahead window: the verifier accepts a token up to this many
+/// counter steps ahead of its own, so a few tokens the watch never heard
+/// do not desynchronise the pair (paper §IV; larger gaps are resynced
+/// over the control channel after a rejection).
+pub const OTP_WINDOW: u64 = 3;
+
+/// Consecutive token rejections after which acoustic unlocking is
+/// disabled until the PIN is entered (paper §IV's three-strike
+/// lockout, which bounds a brute-force attacker to three guesses).
+pub const MAX_FAILURES: u32 = 3;
+
+/// The secure range the volume control targets (paper §III): the
+/// phone plays just loud enough for a receiver this far away to clear
+/// the mode policy's minimal Eb/N0 over the measured ambient noise.
+pub const SECURE_RANGE: Meters = Meters(1.0);
+
+/// Quietest transmit volume the volume control picks, dB SPL — the
+/// floor under the noise-derived requirement in a very quiet room.
+pub const MIN_VOLUME: Spl = Spl(42.0);
+
+/// NLOS screen threshold `τ*` on the probe preamble's RMS delay spread,
+/// seconds (paper §III): a path blocked by the body arrives as
+/// scattered echoes whose spread exceeds it.
+pub const NLOS_SPREAD_THRESHOLD_S: f64 = 6e-4;
+
+/// Minimum similarity in `[0, 1]` between the phone's ambient reading
+/// and the noise lead-in of the watch's probe recording: below it the
+/// devices are judged to hear different rooms (the Sound-Proof-style
+/// co-location check).
+pub const AMBIENT_SIMILARITY_THRESHOLD: f64 = 0.35;
+
+/// Timing window of the interactive protocol, seconds (paper §IV): a
+/// token arriving later than this after its RTS — a replay or a relay
+/// — is discarded before verification.
+pub const REPLAY_WINDOW_S: f64 = 0.25;
 
 /// Where the heavy DSP of an unlock attempt runs (paper §V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,26 +113,17 @@ impl std::fmt::Display for NamedConfig {
 pub struct WearLockConfig {
     pub(crate) modem: OfdmConfig,
     pub(crate) policy: ModePolicy,
-    pub(crate) motion_filter: MotionFilter,
     pub(crate) otp_key: Vec<u8>,
     pub(crate) otp_counter: u64,
-    pub(crate) otp_window: u64,
     pub(crate) token_coding: TokenCoding,
-    pub(crate) secure_range: Meters,
-    pub(crate) nlos_spread_threshold: f64,
     pub(crate) nlos_score_threshold: f64,
     pub(crate) nlos_relax_max_ber: Option<f64>,
-    pub(crate) ambient_similarity_threshold: f64,
-    pub(crate) replay_window: f64,
     pub(crate) phone: DeviceModel,
     pub(crate) watch: DeviceModel,
     pub(crate) transport: Transport,
     pub(crate) plan: ExecutionPlan,
     pub(crate) speaker: SpeakerModel,
-    pub(crate) max_failures: u32,
     pub(crate) probe_blocks: usize,
-    pub(crate) subchannel_selection: bool,
-    pub(crate) min_volume: Spl,
 }
 
 impl WearLockConfig {
@@ -113,16 +140,6 @@ impl WearLockConfig {
     /// The adaptive modulation policy.
     pub fn policy(&self) -> ModePolicy {
         self.policy
-    }
-
-    /// The motion filter.
-    pub fn motion_filter(&self) -> MotionFilter {
-        self.motion_filter
-    }
-
-    /// The secure range the volume control targets.
-    pub fn secure_range(&self) -> Meters {
-        self.secure_range
     }
 
     /// The execution plan.
@@ -153,11 +170,6 @@ impl WearLockConfig {
     /// Number of pilot blocks in the RTS probe.
     pub fn probe_blocks(&self) -> usize {
         self.probe_blocks
-    }
-
-    /// Replay timing window in seconds.
-    pub fn replay_window(&self) -> f64 {
-        self.replay_window
     }
 
     /// The shared OTP secret.
@@ -194,10 +206,10 @@ impl WearLockConfig {
         let min_snr = Db(min_ebn0.value() - 10.0 * (b / r).log10() - CALIBRATION_DB);
         let prop = wearlock_acoustics::Propagation::spherical(Meters(0.05))
             .expect("static reference distance");
-        let req = prop.required_tx_spl(self.secure_range, noise, min_snr);
+        let req = prop.required_tx_spl(SECURE_RANGE, noise, min_snr);
         let clamped = req
             .value()
-            .max(self.min_volume.value())
+            .max(MIN_VOLUME.value())
             .min(self.speaker.max_spl().value());
         Spl(clamped)
     }
@@ -217,26 +229,16 @@ pub struct WearLockConfigBuilder {
     band: FrequencyBand,
     modem: Option<OfdmConfig>,
     max_ber: f64,
-    motion_filter: MotionFilter,
     otp_key: Vec<u8>,
     otp_counter: u64,
-    otp_window: u64,
-    repetition: usize,
     token_coding: Option<TokenCoding>,
-    secure_range: Meters,
-    nlos_spread_threshold: f64,
     nlos_score_threshold: f64,
     nlos_relax_max_ber: Option<f64>,
-    ambient_similarity_threshold: f64,
-    replay_window: f64,
     named: Option<NamedConfig>,
     transport: Transport,
     plan: ExecutionPlan,
     speaker: SpeakerModel,
-    max_failures: u32,
     probe_blocks: usize,
-    subchannel_selection: bool,
-    min_volume: Spl,
 }
 
 impl Default for WearLockConfigBuilder {
@@ -245,26 +247,16 @@ impl Default for WearLockConfigBuilder {
             band: FrequencyBand::Audible,
             modem: None,
             max_ber: 0.1,
-            motion_filter: MotionFilter::default(),
             otp_key: b"wearlock-shared-secret".to_vec(),
             otp_counter: 0,
-            otp_window: 3,
-            repetition: 5,
             token_coding: None,
-            secure_range: Meters(1.0),
-            nlos_spread_threshold: 6e-4,
             nlos_score_threshold: 0.05,
             nlos_relax_max_ber: None,
-            ambient_similarity_threshold: 0.35,
-            replay_window: 0.25,
             named: Some(NamedConfig::Config1),
             transport: Transport::Wifi,
             plan: ExecutionPlan::OffloadToPhone,
             speaker: SpeakerModel::smartphone(),
-            max_failures: 3,
             probe_blocks: 2,
-            subchannel_selection: true,
-            min_volume: Spl(42.0),
         }
     }
 }
@@ -288,12 +280,6 @@ impl WearLockConfigBuilder {
         self
     }
 
-    /// Sets the motion filter thresholds.
-    pub fn motion_filter(mut self, filter: MotionFilter) -> Self {
-        self.motion_filter = filter;
-        self
-    }
-
     /// Sets the shared OTP secret.
     pub fn otp_key(mut self, key: impl Into<Vec<u8>>) -> Self {
         self.otp_key = key.into();
@@ -306,35 +292,12 @@ impl WearLockConfigBuilder {
         self
     }
 
-    /// Sets the OTP resynchronization window (default 3).
-    pub fn otp_window(mut self, window: u64) -> Self {
-        self.otp_window = window;
-        self
-    }
-
-    /// Sets the token repetition factor (default 5). Only meaningful
-    /// for the repetition coding scheme.
-    pub fn repetition(mut self, repetition: usize) -> Self {
-        self.repetition = repetition;
-        self
-    }
-
     /// Sets the token channel coding explicitly (default: repetition
-    /// with the configured factor).
+    /// with [`DEFAULT_REPETITION`] copies).
+    ///
+    /// [`DEFAULT_REPETITION`]: wearlock_auth::token::DEFAULT_REPETITION
     pub fn token_coding(mut self, coding: TokenCoding) -> Self {
         self.token_coding = Some(coding);
-        self
-    }
-
-    /// Sets the secure range (default 1 m).
-    pub fn secure_range(mut self, range: Meters) -> Self {
-        self.secure_range = range;
-        self
-    }
-
-    /// Sets the NLOS RMS-delay-spread threshold `τ*` in seconds.
-    pub fn nlos_spread_threshold(mut self, tau: f64) -> Self {
-        self.nlos_spread_threshold = tau;
         self
     }
 
@@ -349,18 +312,6 @@ impl WearLockConfigBuilder {
     /// this value and continue (the case study's corrected protocol).
     pub fn nlos_relax_max_ber(mut self, max_ber: Option<f64>) -> Self {
         self.nlos_relax_max_ber = max_ber;
-        self
-    }
-
-    /// Sets the ambient-similarity threshold in `[0, 1]` (default 0.35).
-    pub fn ambient_similarity_threshold(mut self, t: f64) -> Self {
-        self.ambient_similarity_threshold = t;
-        self
-    }
-
-    /// Sets the replay timing window in seconds (default 0.25).
-    pub fn replay_window(mut self, seconds: f64) -> Self {
-        self.replay_window = seconds;
         self
     }
 
@@ -391,27 +342,9 @@ impl WearLockConfigBuilder {
         self
     }
 
-    /// Sets the lockout failure budget (default 3).
-    pub fn max_failures(mut self, n: u32) -> Self {
-        self.max_failures = n;
-        self
-    }
-
     /// Sets the number of probe pilot blocks (default 2).
     pub fn probe_blocks(mut self, blocks: usize) -> Self {
         self.probe_blocks = blocks;
-        self
-    }
-
-    /// Enables/disables sub-channel selection (default on).
-    pub fn subchannel_selection(mut self, on: bool) -> Self {
-        self.subchannel_selection = on;
-        self
-    }
-
-    /// Sets the minimum transmit volume (default 42 dB SPL).
-    pub fn min_volume(mut self, volume: Spl) -> Self {
-        self.min_volume = volume;
         self
     }
 
@@ -431,24 +364,8 @@ impl WearLockConfigBuilder {
         if self.otp_key.is_empty() {
             return Err(ConfigError::EmptyOtpKey.into());
         }
-        if self.repetition == 0 {
+        if matches!(self.token_coding, Some(TokenCoding::Repetition(0))) {
             return Err(ConfigError::ZeroRepetition.into());
-        }
-        let range = self.secure_range.value();
-        if range <= 0.0 || !range.is_finite() {
-            return Err(ConfigError::InvalidSecureRange { value: range }.into());
-        }
-        if !(0.0..=1.0).contains(&self.ambient_similarity_threshold) {
-            return Err(ConfigError::InvalidAmbientThreshold {
-                value: self.ambient_similarity_threshold,
-            }
-            .into());
-        }
-        if self.nlos_spread_threshold <= 0.0 || !self.nlos_spread_threshold.is_finite() {
-            return Err(ConfigError::InvalidNlosSpreadThreshold {
-                value: self.nlos_spread_threshold,
-            }
-            .into());
         }
         if !(0.0..=1.0).contains(&self.nlos_score_threshold) {
             return Err(ConfigError::InvalidNlosScoreThreshold {
@@ -464,20 +381,8 @@ impl WearLockConfigBuilder {
                 return Err(ConfigError::InvalidNlosRelaxMaxBer { value: relaxed }.into());
             }
         }
-        if self.replay_window < 0.0 || !self.replay_window.is_finite() {
-            return Err(ConfigError::InvalidReplayWindow {
-                value: self.replay_window,
-            }
-            .into());
-        }
         if self.probe_blocks == 0 {
             return Err(ConfigError::ZeroProbeBlocks.into());
-        }
-        if !self.min_volume.value().is_finite() {
-            return Err(ConfigError::InvalidMinVolume {
-                value: self.min_volume.value(),
-            }
-            .into());
         }
         let modem = match self.modem {
             Some(m) => m,
@@ -491,28 +396,19 @@ impl WearLockConfigBuilder {
         Ok(WearLockConfig {
             modem,
             policy,
-            motion_filter: self.motion_filter,
             otp_key: self.otp_key,
             otp_counter: self.otp_counter,
-            otp_window: self.otp_window,
             token_coding: self
                 .token_coding
-                .unwrap_or(TokenCoding::Repetition(self.repetition)),
-            secure_range: self.secure_range,
-            nlos_spread_threshold: self.nlos_spread_threshold,
+                .unwrap_or(TokenCoding::Repetition(DEFAULT_REPETITION)),
             nlos_score_threshold: self.nlos_score_threshold,
             nlos_relax_max_ber: self.nlos_relax_max_ber,
-            ambient_similarity_threshold: self.ambient_similarity_threshold,
-            replay_window: self.replay_window,
             phone,
             watch: DeviceModel::moto360(),
             transport,
             plan,
             speaker: self.speaker,
-            max_failures: self.max_failures,
             probe_blocks: self.probe_blocks,
-            subchannel_selection: self.subchannel_selection,
-            min_volume: self.min_volume,
         })
     }
 }
@@ -526,7 +422,6 @@ mod tests {
         let cfg = WearLockConfig::default();
         assert_eq!(cfg.modem().fft_size(), 256);
         assert_eq!(cfg.policy().max_ber(), 0.1);
-        assert_eq!(cfg.secure_range(), Meters(1.0));
         assert_eq!(cfg.plan(), ExecutionPlan::OffloadToPhone);
         assert_eq!(cfg.transport(), Transport::Wifi);
     }
@@ -545,13 +440,8 @@ mod tests {
             .otp_key(Vec::new())
             .build()
             .is_err());
-        assert!(WearLockConfig::builder().repetition(0).build().is_err());
         assert!(WearLockConfig::builder()
-            .secure_range(Meters(0.0))
-            .build()
-            .is_err());
-        assert!(WearLockConfig::builder()
-            .ambient_similarity_threshold(1.5)
+            .token_coding(TokenCoding::Repetition(0))
             .build()
             .is_err());
         assert!(WearLockConfig::builder().max_ber(0.9).build().is_err());
@@ -565,42 +455,12 @@ mod tests {
 
     #[test]
     fn rejects_zero_repetition() {
-        let e = config_err(WearLockConfig::builder().repetition(0).build());
+        let e = config_err(
+            WearLockConfig::builder()
+                .token_coding(TokenCoding::Repetition(0))
+                .build(),
+        );
         assert_eq!(e, ConfigError::ZeroRepetition);
-    }
-
-    #[test]
-    fn rejects_bad_secure_range() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let e = config_err(WearLockConfig::builder().secure_range(Meters(bad)).build());
-            assert!(matches!(e, ConfigError::InvalidSecureRange { .. }), "{bad}");
-        }
-    }
-
-    #[test]
-    fn rejects_ambient_threshold_outside_unit_interval() {
-        for bad in [-0.1, 1.5, f64::NAN] {
-            let e = config_err(
-                WearLockConfig::builder()
-                    .ambient_similarity_threshold(bad)
-                    .build(),
-            );
-            assert!(
-                matches!(e, ConfigError::InvalidAmbientThreshold { .. }),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_bad_nlos_spread_threshold() {
-        for bad in [0.0, -6e-4, f64::NAN] {
-            let e = config_err(WearLockConfig::builder().nlos_spread_threshold(bad).build());
-            assert!(
-                matches!(e, ConfigError::InvalidNlosSpreadThreshold { .. }),
-                "{bad}"
-            );
-        }
     }
 
     #[test]
@@ -636,27 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_replay_window() {
-        for bad in [-0.25, f64::NAN, f64::INFINITY] {
-            let e = config_err(WearLockConfig::builder().replay_window(bad).build());
-            assert!(
-                matches!(e, ConfigError::InvalidReplayWindow { .. }),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_zero_probe_blocks() {
         // Previously clamped to 1 silently; now a typed error.
         let e = config_err(WearLockConfig::builder().probe_blocks(0).build());
         assert_eq!(e, ConfigError::ZeroProbeBlocks);
-    }
-
-    #[test]
-    fn rejects_non_finite_min_volume() {
-        let e = config_err(WearLockConfig::builder().min_volume(Spl(f64::NAN)).build());
-        assert!(matches!(e, ConfigError::InvalidMinVolume { .. }));
     }
 
     #[test]

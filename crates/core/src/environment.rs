@@ -1,9 +1,15 @@
 //! Physical-world scenario description for one unlock attempt.
 
-use wearlock_acoustics::channel::PathKind;
+use rand::Rng;
+
+use wearlock_acoustics::channel::{AcousticLink, PathKind};
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
-use wearlock_sensors::Activity;
+use wearlock_sensors::activity::{synthesize_different_pair, synthesize_pair};
+use wearlock_sensors::{AccelTrace, Activity};
+
+use crate::config::WearLockConfig;
+use crate::error::WearLockError;
 
 /// How the two devices are moving relative to each other.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,6 +71,35 @@ impl Environment {
     /// Whether phone and watch are on the same body.
     pub fn co_located(&self) -> bool {
         matches!(self.motion, MotionScenario::CoLocated { .. })
+    }
+
+    /// The simulated air of this setting: `config`'s speaker, the
+    /// distance, path and ambient noise, and the receiving microphone,
+    /// sampled at the modem's rate.
+    pub(crate) fn acoustic_link(
+        &self,
+        config: &WearLockConfig,
+    ) -> Result<AcousticLink, WearLockError> {
+        Ok(AcousticLink::builder()
+            .sample_rate(config.modem.sample_rate())
+            .distance(self.distance)
+            .noise(self.location.noise_model())
+            .path(self.path)
+            .speaker(config.speaker.clone())
+            .microphone(config.receiver_microphone())
+            .build()?)
+    }
+
+    /// One attempt's (phone, watch) accelerometer traces.
+    pub(crate) fn sensor_traces<R: Rng + ?Sized>(&self, rng: &mut R) -> (AccelTrace, AccelTrace) {
+        match self.motion {
+            MotionScenario::CoLocated { activity } => {
+                synthesize_pair(activity, self.sensor_samples, rng)
+            }
+            MotionScenario::Different { phone, watch } => {
+                synthesize_different_pair(phone, watch, self.sensor_samples, rng)
+            }
+        }
     }
 }
 

@@ -20,21 +20,6 @@ pub enum ConfigError {
     EmptyOtpKey,
     /// The token repetition factor is zero.
     ZeroRepetition,
-    /// The secure range is not a positive finite distance, metres.
-    InvalidSecureRange {
-        /// The rejected value.
-        value: f64,
-    },
-    /// The ambient-similarity threshold is outside `[0, 1]`.
-    InvalidAmbientThreshold {
-        /// The rejected value.
-        value: f64,
-    },
-    /// The NLOS RMS-delay-spread threshold is not positive and finite.
-    InvalidNlosSpreadThreshold {
-        /// The rejected value.
-        value: f64,
-    },
     /// The NLOS preamble-score threshold is outside `[0, 1]`.
     InvalidNlosScoreThreshold {
         /// The rejected value.
@@ -47,19 +32,9 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// The replay timing window is negative or not finite, seconds.
-    InvalidReplayWindow {
-        /// The rejected value.
-        value: f64,
-    },
     /// The probe has zero pilot blocks, so phase 1 could never
     /// estimate the channel.
     ZeroProbeBlocks,
-    /// The minimum transmit volume is not finite, dB SPL.
-    InvalidMinVolume {
-        /// The rejected value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -67,37 +42,13 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyOtpKey => f.write_str("otp key is empty"),
             ConfigError::ZeroRepetition => f.write_str("token repetition must be >= 1"),
-            ConfigError::InvalidSecureRange { value } => {
-                write!(f, "secure range must be positive and finite, got {value} m")
-            }
-            ConfigError::InvalidAmbientThreshold { value } => {
-                write!(
-                    f,
-                    "ambient similarity threshold must be in [0, 1], got {value}"
-                )
-            }
-            ConfigError::InvalidNlosSpreadThreshold { value } => {
-                write!(
-                    f,
-                    "NLOS spread threshold must be positive and finite, got {value} s"
-                )
-            }
             ConfigError::InvalidNlosScoreThreshold { value } => {
                 write!(f, "NLOS score threshold must be in [0, 1], got {value}")
             }
             ConfigError::InvalidNlosRelaxMaxBer { value } => {
                 write!(f, "NLOS relaxed MaxBER must be in (0, 0.5], got {value}")
             }
-            ConfigError::InvalidReplayWindow { value } => {
-                write!(
-                    f,
-                    "replay window must be non-negative and finite, got {value} s"
-                )
-            }
             ConfigError::ZeroProbeBlocks => f.write_str("probe must have at least one pilot block"),
-            ConfigError::InvalidMinVolume { value } => {
-                write!(f, "minimum volume must be finite, got {value} dB SPL")
-            }
         }
     }
 }

@@ -58,6 +58,7 @@ pub mod fieldtest;
 pub mod fingerprint;
 pub mod live;
 pub mod offload;
+mod protocol;
 pub mod ranging;
 pub mod session;
 pub mod trim;

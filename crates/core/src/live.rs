@@ -1,149 +1,74 @@
-//! Live two-thread session: the phone and watch controllers as real
-//! concurrent agents.
+//! Live two-thread session: the phone and watch roles as concurrent
+//! agents.
 //!
-//! [`UnlockSession`](crate::session::UnlockSession) simulates the
-//! protocol sequentially for measurement; this module runs the same
-//! roles as two OS threads exchanging messages over crossbeam channels
-//! — the control channel (Bluetooth/WiFi stand-in) and the acoustic
-//! medium — with a `parking_lot`-guarded keyguard shared like an
-//! Android system service. It exists to validate the protocol's
-//! *distributed* behaviour: message ordering, the interactive two-phase
-//! structure, and clean termination.
+//! [`UnlockSession`](crate::session::UnlockSession) drives the protocol
+//! sequentially for measurement; this module drives the same phone and
+//! watch steps from two OS threads exchanging messages over crossbeam
+//! channels — the control channel (Bluetooth/WiFi stand-in) and the
+//! acoustic medium. It exists to validate the protocol's *distributed*
+//! behaviour: message ordering, the interactive two-phase structure,
+//! and clean termination. There is no virtual clock, cost model or
+//! fault injection here; each thread draws its part of the world from
+//! its own seeded stream (sensor traces and the ambient reading on the
+//! phone, the air on the watch).
 
-use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use wearlock_acoustics::channel::AcousticLink;
-use wearlock_auth::token::{TokenGenerator, TokenVerifier, VerifyOutcome};
-use wearlock_dsp::units::{Db, Spl};
-use wearlock_modem::{
-    DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TransmissionMode, TxScratch,
-};
-use wearlock_platform::keyguard::{Keyguard, KeyguardEvent, LockState};
+use wearlock_dsp::units::Spl;
+use wearlock_platform::keyguard::LockState;
 
 use crate::config::WearLockConfig;
 use crate::environment::Environment;
-use crate::session::{decode_token, encode_token};
+use crate::protocol::{Cts, PhoneRole, WatchRole};
+use crate::session::{AttemptReport, AttemptTuning, DenyReason, Outcome};
+use crate::trim::{PROBE_NOISE_LEAD_S, TOKEN_NOISE_LEAD_S};
 use crate::WearLockError;
 
-/// Messages from phone to watch over the control channel.
-#[derive(Debug)]
+/// Messages from phone to watch.
 enum ToWatch {
-    /// Start of the protocol: begin recording.
-    StartRecording,
-    /// Acoustic emission (the simulated air carries the waveform and
-    /// the transmit volume; the watch's side of the link renders what
-    /// its microphone would capture).
-    Acoustic { waveform: Vec<f64>, volume_db: f64 },
-    /// The chosen transmission mode for phase 2.
-    Mode(TransmissionMode),
-    /// Protocol over.
-    Done,
+    /// RTS: the phone's ambient reading, and the probe it plays at
+    /// `volume` (the simulated air carries the waveform; the watch's
+    /// side renders what its microphone captures).
+    Probe {
+        ambient: Vec<f64>,
+        waveform: Vec<f64>,
+        volume: Spl,
+    },
+    /// The token, played at the probe's volume.
+    Token { waveform: Vec<f64>, volume: Spl },
 }
 
 /// Messages from watch to phone.
-#[derive(Debug)]
 enum ToPhone {
-    /// Ready to record (CTS for phase 1).
-    Ready,
-    /// Probe analysis: pilot SNR estimate in dB (the CTS payload).
-    ProbeSnr(Option<f64>),
-    /// Demodulated phase-2 bits.
+    /// CTS: the data channels and mode for phase 2, or a denial.
+    Cts(Result<Cts, DenyReason>),
+    /// The demodulated token bits, if a frame was found.
     TokenBits(Option<Vec<bool>>),
 }
 
 /// Result of a live session run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveOutcome {
-    /// Whether the phone ended unlocked.
-    pub unlocked: bool,
-    /// The mode used for the token, if phase 2 ran.
-    pub mode: Option<TransmissionMode>,
+    /// The attempt's outcome, as the sequential session reports it.
+    pub outcome: Outcome,
     /// Final keyguard state.
     pub final_state: LockState,
 }
 
 const STEP_TIMEOUT: Duration = Duration::from_secs(20);
 
-fn watch_role(
-    config: &WearLockConfig,
-    env: &Environment,
-    seed: u64,
-    rx_ctrl: Receiver<ToWatch>,
-    tx_ctrl: Sender<ToPhone>,
-) -> Result<(), WearLockError> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let link = AcousticLink::builder()
-        .distance(env.distance)
-        .noise(env.location.noise_model())
-        .path(env.path)
-        .speaker(config.speaker.clone())
-        .microphone(config.receiver_microphone())
-        .build()?;
-    let demod = OfdmDemodulator::new(config.modem().clone())?;
-    let mut scratch = DemodScratch::new();
-    let mut mode: Option<TransmissionMode> = None;
-
-    loop {
-        let msg = rx_ctrl
-            .recv_timeout(STEP_TIMEOUT)
-            .map_err(|e| WearLockError::SessionFailed(format!("watch recv: {e}")))?;
-        match msg {
-            ToWatch::StartRecording => {
-                tx_ctrl
-                    .send(ToPhone::Ready)
-                    .map_err(|e| WearLockError::SessionFailed(e.to_string()))?;
-            }
-            ToWatch::Acoustic {
-                waveform,
-                volume_db,
-            } => {
-                let recording = link.transmit(&waveform, Spl(volume_db), &mut rng);
-                match mode {
-                    None => {
-                        // Phase 1: analyze the probe, report SNR.
-                        let snr = demod
-                            .analyze_probe(&recording, &mut scratch)
-                            .ok()
-                            .map(|r| r.psnr.value());
-                        tx_ctrl
-                            .send(ToPhone::ProbeSnr(snr))
-                            .map_err(|e| WearLockError::SessionFailed(e.to_string()))?;
-                    }
-                    Some(m) => {
-                        // Phase 2: demodulate the token bits.
-                        let n_bits = config.token_coding().coded_len(wearlock_auth::TOKEN_BITS);
-                        let mut frame = DemodFrame::new();
-                        let bits = demod
-                            .demodulate(
-                                &recording,
-                                m.modulation(),
-                                n_bits,
-                                &mut scratch,
-                                &mut frame,
-                            )
-                            .ok()
-                            .map(|()| frame.bits);
-                        tx_ctrl
-                            .send(ToPhone::TokenBits(bits))
-                            .map_err(|e| WearLockError::SessionFailed(e.to_string()))?;
-                    }
-                }
-            }
-            ToWatch::Mode(m) => mode = Some(m),
-            ToWatch::Done => return Ok(()),
-        }
-    }
+fn failed(e: impl std::fmt::Display) -> WearLockError {
+    WearLockError::SessionFailed(e.to_string())
 }
 
-/// Runs a full live session: spawns the watch thread, drives the phone
-/// role on the calling thread, and returns the outcome.
+/// Runs one live unlock attempt: spawns the watch thread, drives the
+/// phone role on the calling thread, and returns the outcome.
 ///
 /// # Errors
 ///
@@ -154,151 +79,149 @@ pub fn run_live_session(
     env: &Environment,
     seed: u64,
 ) -> Result<LiveOutcome, WearLockError> {
-    let (tx_to_watch, rx_at_watch) = bounded::<ToWatch>(4);
-    let (tx_to_phone, rx_at_phone) = bounded::<ToPhone>(4);
-    let keyguard = Arc::new(Mutex::new(Keyguard::new()));
+    let acoustic = &env.acoustic_link(config)?;
+    let mut phone = PhoneRole::new(config)?;
+    let (to_watch, at_watch) = bounded(4);
+    let (to_phone, at_phone) = bounded(4);
+    let outcome = thread::scope(|scope| {
+        let watch = thread::Builder::new()
+            .name("wearlock-watch".into())
+            .spawn_scoped(scope, move || {
+                watch_side(config, acoustic, seed ^ 0xdead, at_watch, to_phone)
+            })
+            .map_err(failed)?;
+        // Returning drops the phone's sender, which ends the watch loop.
+        let outcome = phone_side(config, env, acoustic, &mut phone, seed, to_watch, at_phone);
+        let watch = watch
+            .join()
+            .unwrap_or_else(|_| Err(failed("watch thread panicked")));
+        outcome.and_then(|outcome| watch.map(|()| outcome))
+    })?;
+    Ok(LiveOutcome {
+        outcome,
+        final_state: phone.keyguard.state(),
+    })
+}
 
-    let watch_cfg = config.clone();
-    let watch_env = env.clone();
-    let watch_handle = thread::Builder::new()
-        .name("wearlock-watch".into())
-        .spawn(move || {
-            watch_role(
-                &watch_cfg,
-                &watch_env,
-                seed ^ 0xdead,
-                rx_at_watch,
-                tx_to_phone,
-            )
-        })
-        .map_err(|e| WearLockError::SessionFailed(e.to_string()))?;
+fn phone_side(
+    config: &WearLockConfig,
+    env: &Environment,
+    acoustic: &AcousticLink,
+    phone: &mut PhoneRole,
+    seed: u64,
+    outbox: Sender<ToWatch>,
+    inbox: Receiver<ToPhone>,
+) -> Result<Outcome, WearLockError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // The steps' diagnostics; the live runner reports only the outcome.
+    let mut report = AttemptReport::new();
+    if phone.locked_out() {
+        return Ok(Outcome::Denied(DenyReason::LockedOut));
+    }
+    if !env.wireless_in_range {
+        return Ok(Outcome::Denied(DenyReason::NoWirelessLink));
+    }
+    let (phone_trace, watch_trace) = env.sensor_traces(&mut rng);
+    if let Some(outcome) = phone.motion_filter(&phone_trace, &watch_trace, &mut report) {
+        return Ok(outcome);
+    }
 
-    let phone = || -> Result<LiveOutcome, WearLockError> {
-        let modem = OfdmModulator::new(config.modem().clone())?;
-        let mut generator = TokenGenerator::new(config.otp_key().to_vec(), 0);
-        let mut verifier = TokenVerifier::new(config.otp_key().to_vec(), 0, 3);
-        let volume = config.required_volume(env.location.ambient_spl());
-
-        let recv = |rx: &Receiver<ToPhone>| -> Result<ToPhone, WearLockError> {
-            rx.recv_timeout(STEP_TIMEOUT)
-                .map_err(|e: RecvTimeoutError| {
-                    WearLockError::SessionFailed(format!("phone recv: {e}"))
-                })
-        };
-        let send = |msg: ToWatch| -> Result<(), WearLockError> {
-            tx_to_watch
-                .send(msg)
-                .map_err(|e| WearLockError::SessionFailed(e.to_string()))
-        };
-
-        // Phase 1: RTS.
-        send(ToWatch::StartRecording)?;
-        match recv(&rx_at_phone)? {
-            ToPhone::Ready => {}
-            other => {
-                return Err(WearLockError::SessionFailed(format!(
-                    "unexpected watch reply {other:?}"
-                )))
-            }
-        }
-        let mut tx_scratch = TxScratch::new();
-        let mut probe = Vec::new();
-        modem.probe(config.probe_blocks(), &mut tx_scratch, &mut probe)?;
-        send(ToWatch::Acoustic {
-            waveform: probe,
-            volume_db: volume.value(),
-        })?;
-        let snr = match recv(&rx_at_phone)? {
-            ToPhone::ProbeSnr(snr) => snr,
-            other => {
-                return Err(WearLockError::SessionFailed(format!(
-                    "unexpected watch reply {other:?}"
-                )))
-            }
-        };
-        let Some(psnr_db) = snr else {
-            send(ToWatch::Done)?;
-            let state = keyguard.lock().state();
-            return Ok(LiveOutcome {
-                unlocked: false,
-                mode: None,
-                final_state: state,
-            });
-        };
-
-        // CTS: decide the mode from the reported SNR.
-        let ebn0 = wearlock_modem::demodulator::ebn0_from_psnr(
-            Db(psnr_db),
-            config.modem(),
-            TransmissionMode::Qpsk.modulation(),
-        );
-        let Some(mode) = config.policy().select_mode(ebn0) else {
-            send(ToWatch::Done)?;
-            let state = keyguard.lock().state();
-            return Ok(LiveOutcome {
-                unlocked: false,
-                mode: None,
-                final_state: state,
-            });
-        };
-        send(ToWatch::Mode(mode))?;
-
-        // Phase 2: token.
-        let token = generator.next_token();
-        let coded = encode_token(config.token_coding(), token);
-        let mut wave = Vec::new();
-        modem.modulate(&coded, mode.modulation(), &mut tx_scratch, &mut wave)?;
-        send(ToWatch::Acoustic {
-            waveform: wave,
-            volume_db: volume.value(),
-        })?;
-        let bits = match recv(&rx_at_phone)? {
-            ToPhone::TokenBits(bits) => bits,
-            other => {
-                return Err(WearLockError::SessionFailed(format!(
-                    "unexpected watch reply {other:?}"
-                )))
-            }
-        };
-        send(ToWatch::Done)?;
-
-        let unlocked = bits
-            .and_then(|b| decode_token(config.token_coding(), &b))
-            .map(|t| matches!(verifier.verify(t), VerifyOutcome::Accepted { .. }))
-            .unwrap_or(false);
-        let mut kg = keyguard.lock();
-        if unlocked {
-            kg.handle(KeyguardEvent::AcousticUnlockVerified);
-        } else {
-            kg.handle(KeyguardEvent::AcousticUnlockFailed { lockout: false });
-        }
-        Ok(LiveOutcome {
-            unlocked,
-            mode: Some(mode),
-            final_state: kg.state(),
-        })
+    let ambient = acoustic.record_ambient(4_096, &mut rng);
+    let volume = PhoneRole::volume(config, &ambient, AttemptTuning::default());
+    let mut waveform = Vec::new();
+    phone.probe(config, &mut waveform);
+    let send = |msg| outbox.send(msg).map_err(failed);
+    let recv = || {
+        inbox
+            .recv_timeout(STEP_TIMEOUT)
+            .map_err(|e| failed(format!("phone recv: {e}")))
+    };
+    send(ToWatch::Probe {
+        ambient,
+        waveform,
+        volume,
+    })?;
+    let ToPhone::Cts(cts) = recv()? else {
+        return Err(failed("expected the CTS"));
+    };
+    let cts = match cts {
+        Ok(cts) => cts,
+        Err(reason) => return Ok(Outcome::Denied(reason)),
     };
 
-    let result = phone();
-    match watch_handle.join() {
-        Ok(Ok(())) => result,
-        Ok(Err(e)) => result.and(Err(e)),
-        Err(_) => Err(WearLockError::SessionFailed("watch thread panicked".into())),
+    let mut waveform = Vec::new();
+    phone.token(config, &cts, &mut waveform);
+    send(ToWatch::Token { waveform, volume })?;
+    let ToPhone::TokenBits(bits) = recv()? else {
+        return Err(failed("expected the token bits"));
+    };
+    Ok(phone.verify(config, bits.as_deref(), cts.mode))
+}
+
+fn watch_side(
+    config: &WearLockConfig,
+    acoustic: &AcousticLink,
+    seed: u64,
+    inbox: Receiver<ToWatch>,
+    outbox: Sender<ToPhone>,
+) -> Result<(), WearLockError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut watch = WatchRole::default();
+    let mut report = AttemptReport::new();
+    let mut cts = None;
+    while let Ok(msg) = inbox.recv() {
+        let reply = match msg {
+            ToWatch::Probe {
+                ambient,
+                waveform,
+                volume,
+            } => {
+                let recording = acoustic.transmit(&waveform, volume, &mut rng);
+                let rx = WatchRole::receive(
+                    config,
+                    &config.modem,
+                    &recording,
+                    waveform.len(),
+                    PROBE_NOISE_LEAD_S,
+                );
+                let verdict = watch.analyze_probe(config, &rx, &ambient, None, &mut report);
+                cts = verdict.as_ref().ok().cloned();
+                ToPhone::Cts(verdict)
+            }
+            ToWatch::Token { waveform, volume } => {
+                let cts = cts.as_ref().ok_or_else(|| failed("token before the CTS"))?;
+                let recording = acoustic.transmit(&waveform, volume, &mut rng);
+                let rx = WatchRole::receive(
+                    config,
+                    &cts.data_cfg,
+                    &recording,
+                    waveform.len(),
+                    TOKEN_NOISE_LEAD_S,
+                );
+                let bits = watch.demodulate_token(config, &rx, cts.mode);
+                ToPhone::TokenBits(bits.map(<[bool]>::to_vec))
+            }
+        };
+        outbox.send(reply).map_err(failed)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::UnlockPath;
 
     #[test]
     fn live_session_unlocks_in_benign_environment() {
         let config = WearLockConfig::default();
         let env = Environment::default();
         let out = run_live_session(&config, &env, 1234).unwrap();
-        assert!(out.unlocked, "{out:?}");
+        assert!(
+            matches!(out.outcome, Outcome::Unlocked(UnlockPath::Acoustic(_))),
+            "{out:?}"
+        );
         assert_eq!(out.final_state, LockState::Unlocked);
-        assert!(out.mode.is_some());
     }
 
     #[test]
@@ -309,7 +232,7 @@ mod tests {
             .build()
             .unwrap();
         let out = run_live_session(&config, &Environment::default(), 1234).unwrap();
-        assert!(out.unlocked, "{out:?}");
+        assert!(out.outcome.unlocked(), "{out:?}");
         assert_eq!(out.final_state, LockState::Unlocked);
     }
 
@@ -322,6 +245,6 @@ mod tests {
             .location(wearlock_acoustics::noise::Location::Cafe)
             .build();
         let out = run_live_session(&config, &env, 999).unwrap();
-        assert!(!out.unlocked, "{out:?}");
+        assert!(!out.outcome.unlocked(), "{out:?}");
     }
 }

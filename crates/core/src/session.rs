@@ -16,63 +16,36 @@
 //!    token over OFDM; the watch's recording is demodulated and the
 //!    token verified (counter window, replay detection, lockout).
 //!
-//! Every step advances a virtual clock and an energy ledger, producing
-//! the per-phase breakdowns behind Figs. 6 and 10–12.
+//! The phone's and the watch's steps live in their protocol roles, shared
+//! with the [`live`](crate::live) two-thread runner. The session drives
+//! them in order and supplies the world around them: wireless delays,
+//! sensor traces, the acoustic link and fault plans. Every stage
+//! advances a virtual clock and an energy ledger, producing the
+//! per-phase breakdowns behind Figs. 6 and 10–12.
 
 use rand::Rng;
 
-use wearlock_acoustics::channel::{AcousticLink, PathKind};
-use wearlock_auth::token::{
-    bits_to_token, repetition_decode, repetition_encode, token_to_bits, TokenGenerator,
-    TokenVerifier, VerifyOutcome,
-};
+use wearlock_acoustics::channel::PathKind;
 use wearlock_auth::LockoutPolicy;
-use wearlock_auth::TOKEN_BITS;
 use wearlock_dsp::units::{Db, Seconds, Spl};
 use wearlock_faults::{FaultInjector, FaultPlan};
-use wearlock_modem::coding::{conv_encode, viterbi_decode, TokenCoding};
 use wearlock_modem::demodulator::bit_error_rate;
-use wearlock_modem::subchannel::{apply_selection, select_data_channels};
-use wearlock_modem::{
-    DemodFrame, DemodScratch, ModePolicy, OfdmConfig, OfdmDemodulator, OfdmModulator,
-    TransmissionMode, TxScratch,
-};
+use wearlock_modem::TransmissionMode;
 use wearlock_platform::device::Workload;
 use wearlock_platform::keyguard::{Keyguard, KeyguardEvent};
 use wearlock_platform::link::WirelessLink;
 use wearlock_platform::pin::PinEntryModel;
 use wearlock_platform::VirtualClock;
-use wearlock_sensors::activity::{synthesize_different_pair, synthesize_pair};
-use wearlock_sensors::FilterDecision;
 use wearlock_telemetry::{
     AttemptEvent, AttemptOutcome, EventSink, NullSink, RetryAction, RetryEvent, StageSpan,
 };
 
-use crate::ambient::ambient_similarity;
 use crate::config::{ExecutionPlan, WearLockConfig};
-use crate::environment::{Environment, MotionScenario};
+use crate::environment::Environment;
 use crate::error::WearLockError;
 use crate::offload::{step_cost, StepCost};
+use crate::protocol::{PhoneRole, WatchRole};
 use crate::trim;
-
-/// Channel-codes a token for phase 2 under `coding`.
-pub(crate) fn encode_token(coding: TokenCoding, token: u32) -> Vec<bool> {
-    let bits = token_to_bits(token);
-    match coding {
-        TokenCoding::Repetition(r) => repetition_encode(&bits, r),
-        TokenCoding::Convolutional => conv_encode(&bits),
-    }
-}
-
-/// Decodes demodulated phase-2 bits back to a token under `coding`;
-/// `None` when the bits do not decode.
-pub(crate) fn decode_token(coding: TokenCoding, coded: &[bool]) -> Option<u32> {
-    let bits = match coding {
-        TokenCoding::Repetition(r) => repetition_decode(coded, TOKEN_BITS, r),
-        TokenCoding::Convolutional => viterbi_decode(coded, TOKEN_BITS).ok(),
-    };
-    bits.as_deref().and_then(bits_to_token)
-}
 
 /// Why an unlock attempt was denied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,6 +196,33 @@ pub struct AttemptReport {
     pub phone_energy_j: f64,
 }
 
+impl AttemptReport {
+    /// An empty report; its outcome is a placeholder until the attempt
+    /// decides one.
+    pub(crate) fn new() -> Self {
+        AttemptReport {
+            outcome: Outcome::Denied(DenyReason::NoWirelessLink),
+            total_delay: Seconds(0.0),
+            delays: Vec::new(),
+            mode: None,
+            measured_ber: None,
+            psnr: None,
+            ebn0: None,
+            dtw_score: None,
+            ambient_similarity: None,
+            volume: None,
+            nlos_flagged: false,
+            rms_delay_spread: None,
+            // Filled in at sub-channel selection; an attempt denied
+            // before phase 2 reports no data channels rather than the
+            // configured default it never used.
+            data_channels: Vec::new(),
+            watch_energy_j: 0.0,
+            phone_energy_j: 0.0,
+        }
+    }
+}
+
 /// A long-lived unlocking session between one phone and one watch.
 ///
 /// Holds the shared OTP state, lockout policy and keyguard across
@@ -246,18 +246,13 @@ pub struct AttemptReport {
 #[derive(Debug)]
 pub struct UnlockSession {
     config: WearLockConfig,
-    generator: TokenGenerator,
-    verifier: TokenVerifier,
-    lockout: LockoutPolicy,
-    keyguard: Keyguard,
+    /// The phone's protocol state: OTP, lockout, keyguard, transmitter.
+    phone: PhoneRole,
+    /// The watch's receive-side working memory, reused across attempts
+    /// so repeated unlocks (retry ladders, funnels) demodulate
+    /// allocation-free.
+    watch: WatchRole,
     link: WirelessLink,
-    /// Receive-side working memory, reused across attempts so repeated
-    /// unlocks (retry ladders, funnels) demodulate allocation-free.
-    scratch: DemodScratch,
-    /// Phase-2 decode target, reused across attempts like `scratch`.
-    frame: DemodFrame,
-    /// Transmit-side working memory for probe and token synthesis.
-    tx_scratch: TxScratch,
 }
 
 impl UnlockSession {
@@ -268,25 +263,11 @@ impl UnlockSession {
     /// Returns [`WearLockError::Modem`] if the modem cannot be built
     /// from the configured parameters.
     pub fn new(config: WearLockConfig) -> Result<Self, WearLockError> {
-        // Validate the modem config eagerly.
-        let _ = OfdmModulator::new(config.modem.clone())?;
-        let generator = TokenGenerator::new(config.otp_key.clone(), config.otp_counter);
-        let verifier = TokenVerifier::new(
-            config.otp_key.clone(),
-            config.otp_counter,
-            config.otp_window,
-        );
-        let link = WirelessLink::new(config.transport);
         Ok(UnlockSession {
-            lockout: LockoutPolicy::new(config.max_failures),
-            keyguard: Keyguard::new(),
-            generator,
-            verifier,
+            phone: PhoneRole::new(&config)?,
+            watch: WatchRole::default(),
+            link: WirelessLink::new(config.transport),
             config,
-            link,
-            scratch: DemodScratch::new(),
-            frame: DemodFrame::new(),
-            tx_scratch: TxScratch::new(),
         })
     }
 
@@ -297,40 +278,19 @@ impl UnlockSession {
 
     /// The keyguard state machine.
     pub fn keyguard(&self) -> &Keyguard {
-        &self.keyguard
+        &self.phone.keyguard
     }
 
     /// The lockout policy state.
     pub fn lockout(&self) -> &LockoutPolicy {
-        &self.lockout
+        &self.phone.lockout
     }
 
     /// Simulates a successful manual PIN entry: clears lockout and
     /// unlocks.
     pub fn enter_pin(&mut self) {
-        self.lockout.reset();
-        self.keyguard.handle(KeyguardEvent::PinEntered);
-    }
-
-    fn build_acoustic_link(&self, env: &Environment) -> AcousticLink {
-        AcousticLink::builder()
-            .distance(env.distance)
-            .noise(env.location.noise_model())
-            .path(env.path)
-            .speaker(self.config.speaker.clone())
-            .microphone(self.config.receiver_microphone())
-            .build()
-            .expect("environment distances are validated positive")
-    }
-
-    /// Builds a demodulator for `cfg` with the session's preamble
-    /// detection threshold. Both acoustic phases must screen the
-    /// preamble identically — this is the single construction point, so
-    /// phase 2 can never silently fall back to the library default.
-    fn demodulator_for(&self, cfg: &OfdmConfig) -> OfdmDemodulator {
-        OfdmDemodulator::new(cfg.clone())
-            .expect("validated at build")
-            .with_detection_threshold(self.config.nlos_score_threshold.max(0.3))
+        self.phone.lockout.reset();
+        self.phone.keyguard.handle(KeyguardEvent::PinEntered);
     }
 
     /// The unlock entry point: one attempt, or a budgeted retry series,
@@ -377,7 +337,7 @@ impl UnlockSession {
         let mut attempt_total = 0.0;
         let mut backoff_total = 0.0;
         let mut escalations = 0u32;
-        loop {
+        let (outcome, pin_delay) = loop {
             let faults = match options.faults {
                 FaultSource::Plan(plan) => plan,
                 FaultSource::Injector(injector) => injector.plan(attempts.len() as u64),
@@ -393,28 +353,12 @@ impl UnlockSession {
             let tries = attempts.len() as u32;
 
             let reason = match outcome {
-                Outcome::Unlocked(path) => {
-                    return ResilienceReport {
-                        outcome: ResilientOutcome::Unlocked(path),
-                        attempts,
-                        total_delay: Seconds(attempt_total + backoff_total),
-                        backoff_delay: Seconds(backoff_total),
-                        pin_delay: None,
-                        escalations,
-                    };
-                }
+                Outcome::Unlocked(path) => break (ResilientOutcome::Unlocked(path), None),
+                // Without the watch link there is no protocol to retry
+                // and no trusted channel to re-arm; this is the one
+                // denial even PIN surrender doesn't model.
                 Outcome::Denied(DenyReason::NoWirelessLink) => {
-                    // Without the watch link there is no protocol to
-                    // retry and no trusted channel to re-arm; this is
-                    // the one denial even PIN surrender doesn't model.
-                    return ResilienceReport {
-                        outcome: ResilientOutcome::Denied(DenyReason::NoWirelessLink),
-                        attempts,
-                        total_delay: Seconds(attempt_total + backoff_total),
-                        backoff_delay: Seconds(backoff_total),
-                        pin_delay: None,
-                        escalations,
-                    };
+                    break (ResilientOutcome::Denied(DenyReason::NoWirelessLink), None)
                 }
                 Outcome::Denied(reason) => reason,
             };
@@ -422,35 +366,21 @@ impl UnlockSession {
             let exhausted = tries >= policy.max_attempts
                 || attempt_total + backoff_total >= policy.total_budget.value()
                 || reason == DenyReason::LockedOut;
-            if exhausted {
-                if policy.surrender_to_pin {
-                    if sink.enabled() {
-                        sink.record_retry(&RetryEvent {
-                            attempt: tries,
-                            outcome: outcome_event(outcome),
-                            action: RetryAction::Surrender,
-                            backoff_s: 0.0,
-                        });
-                    }
-                    let pin = PinEntryModel::four_digit().sample(rng);
-                    self.enter_pin();
-                    return ResilienceReport {
-                        outcome: ResilientOutcome::PinFallback,
-                        attempts,
-                        total_delay: Seconds(attempt_total + backoff_total + pin.value()),
-                        backoff_delay: Seconds(backoff_total),
-                        pin_delay: Some(pin),
-                        escalations,
-                    };
+            if exhausted && policy.surrender_to_pin {
+                if sink.enabled() {
+                    sink.record_retry(&RetryEvent {
+                        attempt: tries,
+                        outcome: outcome_event(outcome),
+                        action: RetryAction::Surrender,
+                        backoff_s: 0.0,
+                    });
                 }
-                return ResilienceReport {
-                    outcome: ResilientOutcome::Denied(reason),
-                    attempts,
-                    total_delay: Seconds(attempt_total + backoff_total),
-                    backoff_delay: Seconds(backoff_total),
-                    pin_delay: None,
-                    escalations,
-                };
+                let pin = PinEntryModel::four_digit().sample(rng);
+                self.enter_pin();
+                break (ResilientOutcome::PinFallback, Some(pin));
+            }
+            if exhausted {
+                break (ResilientOutcome::Denied(reason), None);
             }
 
             let escalate = matches!(
@@ -488,6 +418,15 @@ impl UnlockSession {
                     backoff_s: backoff,
                 });
             }
+        };
+        let total = attempt_total + backoff_total;
+        ResilienceReport {
+            outcome,
+            attempts,
+            total_delay: Seconds(pin_delay.map_or(total, |pin: Seconds| total + pin.value())),
+            backoff_delay: Seconds(backoff_total),
+            pin_delay,
+            escalations,
         }
     }
 
@@ -515,42 +454,34 @@ impl UnlockSession {
             energy: StepCost::default(),
             sink,
         };
-        let mut report = AttemptReport {
-            outcome: Outcome::Denied(DenyReason::NoWirelessLink),
-            total_delay: Seconds(0.0),
-            delays: Vec::new(),
-            mode: None,
-            measured_ber: None,
-            psnr: None,
-            ebn0: None,
-            dtw_score: None,
-            ambient_similarity: None,
-            volume: None,
-            nlos_flagged: false,
-            rms_delay_spread: None,
-            // Filled in at sub-channel selection; an attempt denied
-            // before phase 2 reports no data channels rather than the
-            // configured default it never used.
-            data_channels: Vec::new(),
-            watch_energy_j: 0.0,
-            phone_energy_j: 0.0,
-        };
+        let mut report = AttemptReport::new();
+        report.outcome = self.attempt(env, faults, tuning, &mut ledger, &mut report, rng);
+        ledger.finish(&mut report);
+        report
+    }
 
-        let deny = |report: &mut AttemptReport, ledger: &StageLedger<'_>, reason: DenyReason| {
-            report.outcome = Outcome::Denied(reason);
-            ledger.finish(report);
-        };
-
-        // 0. Lockout gate.
-        if self.lockout.is_locked_out() {
-            deny(&mut report, &ledger, DenyReason::LockedOut);
-            return report;
+    /// One attempt of the protocol: the phone and watch steps in order,
+    /// with the world (wireless delays, sensor traces, the acoustic
+    /// link, faults) and the pricing of every stage in between. Each
+    /// stage span is recorded after the work it prices and before the
+    /// work that follows, so a wall-stamping sink can attribute host
+    /// time to pipeline layers.
+    fn attempt<R: Rng + ?Sized>(
+        &mut self,
+        env: &Environment,
+        faults: &FaultPlan,
+        tuning: AttemptTuning,
+        ledger: &mut StageLedger<'_>,
+        report: &mut AttemptReport,
+        rng: &mut R,
+    ) -> Outcome {
+        let config = &self.config;
+        if self.phone.locked_out() {
+            return Outcome::Denied(DenyReason::LockedOut);
         }
-
-        // 1. Wireless link presence (the cheapest filter).
+        // The wireless link is the cheapest filter.
         if !env.wireless_in_range {
-            deny(&mut report, &ledger, DenyReason::NoWirelessLink);
-            return report;
+            return Outcome::Denied(DenyReason::NoWirelessLink);
         }
         // Link fault: congestion stretches every wireless operation of
         // this attempt (latency and throughput both degrade).
@@ -558,8 +489,7 @@ impl UnlockSession {
             Some(f) => self.link.with_latency_factor(f),
             None => self.link,
         };
-        let rt = link.round_trip(rng);
-        ledger.step("wireless:handshake", rt, 0.0, 0.0);
+        ledger.step("wireless:handshake", link.round_trip(rng), 0.0, 0.0);
         if faults.link.probe_loss {
             // Link fault: the RTS control message is lost; the watch
             // re-requests it after a one-round-trip timeout.
@@ -571,16 +501,9 @@ impl UnlockSession {
             ledger.step("fault:clock-drift", Seconds(faults.clock.drift_s), 0.0, 0.0);
         }
 
-        // 2. Sensor traces (buffered in the background on both devices;
-        //    the watch ships ~2 kB) and the motion filter on the phone.
-        let (phone_trace, watch_trace) = match env.motion {
-            MotionScenario::CoLocated { activity } => {
-                synthesize_pair(activity, env.sensor_samples, rng)
-            }
-            MotionScenario::Different { phone, watch } => {
-                synthesize_different_pair(phone, watch, env.sensor_samples, rng)
-            }
-        };
+        // Sensor traces (buffered in the background on both devices;
+        // the watch ships ~2 kB) and the motion filter on the phone.
+        let (phone_trace, watch_trace) = env.sensor_traces(rng);
         let sensor_delay = link.file_delay(env.sensor_samples * 12, rng);
         ledger.step("wireless:sensor-transfer", sensor_delay, 0.0, 0.0);
         let dtw_work = Workload::Dtw {
@@ -589,53 +512,25 @@ impl UnlockSession {
         };
         ledger.step(
             "compute:motion-filter",
-            self.config.phone.execute(&dtw_work),
+            config.phone.execute(&dtw_work),
             0.0,
-            self.config.phone.energy_for(&dtw_work),
+            config.phone.energy_for(&dtw_work),
         );
-        let decision = self
-            .config
-            .motion_filter
-            .evaluate(&phone_trace, &watch_trace);
-        report.dtw_score = Some(decision.score());
-        match decision {
-            FilterDecision::Abort { .. } => {
-                deny(&mut report, &ledger, DenyReason::MotionMismatch);
-                return report;
-            }
-            FilterDecision::SkipSecondPhase { .. } => {
-                // High-confidence co-location: unlock without acoustics.
-                self.keyguard.handle(KeyguardEvent::AcousticUnlockVerified);
-                self.lockout.record_success();
-                report.outcome = Outcome::Unlocked(UnlockPath::MotionSkip);
-                ledger.finish(&mut report);
-                return report;
-            }
-            FilterDecision::Continue { .. } => {}
+        if let Some(outcome) = self.phone.motion_filter(&phone_trace, &watch_trace, report) {
+            return outcome;
         }
 
-        // 3. Phase 1: volume control, probe transmission and analysis.
-        let acoustic = self.build_acoustic_link(env);
-        let ambient_phone = acoustic.record_ambient(4_096, rng);
-        let noise_spl = wearlock_dsp::level::spl(&ambient_phone);
-        let volume = self.config.required_volume(noise_spl);
-        // Retry escalation: boost the transmit volume above what the
-        // noise floor asks for, clamped to the speaker's ceiling and
-        // never below what an earlier attempt of the series played.
-        let volume = if tuning.volume_boost_db > 0.0 {
-            Spl((volume.value() + tuning.volume_boost_db)
-                .min(self.config.speaker.max_spl().value())
-                .max(tuning.volume_floor))
-        } else {
-            volume
-        };
+        // Phase 1: volume from the phone's ambient reading, the RTS
+        // probe over the air, then the watch's trim and probe analysis.
+        let acoustic = env
+            .acoustic_link(config)
+            .expect("environment distances are validated positive");
+        let ambient = acoustic.record_ambient(4_096, rng);
+        let volume = PhoneRole::volume(config, &ambient, tuning);
         report.volume = Some(volume);
-
-        let sample_rate = self.config.modem.sample_rate();
-        let tx = OfdmModulator::new(self.config.modem.clone()).expect("validated at build");
+        let sample_rate = config.modem.sample_rate();
         let mut probe = Vec::new();
-        tx.probe(self.config.probe_blocks, &mut self.tx_scratch, &mut probe)
-            .expect("probe is valid");
+        self.phone.probe(config, &mut probe);
         let mut probe_rec = acoustic.transmit(&probe, volume, rng);
         // Acoustic faults draw from plan-owned seeds, never from `rng`;
         // a null plan leaves the recording untouched.
@@ -647,42 +542,21 @@ impl UnlockSession {
             0.0,
         );
 
-        // The watch trims its recording to the active segment plus a
-        // noise-estimation lead-in before shipping or processing it
-        // (cheap energy detection, priced as the `LevelMeasure` over
-        // the full buffer; part of the paper's computation-reduction
-        // theme) — the heavy correlator never sees the full buffer and
-        // Bluetooth never carries it.
-        let probe_trim = trim::plan_trim(
+        let rx = WatchRole::receive(
+            config,
+            &config.modem,
             &probe_rec,
-            sample_rate,
             probe.len(),
             trim::PROBE_NOISE_LEAD_S,
         );
-        let probe_trimmed = probe_trim.slice(&probe_rec);
-        // The wireless start message bounds when the probe can arrive,
-        // so the correlator only searches a ±50 ms window around the
-        // detected position instead of the whole recording.
-        let pad = trim::search_pad(sample_rate);
-        let rx = if probe_trim.detected {
-            let (lo, hi) = probe_trim.search_bounds(pad, self.config.modem.preamble_len());
-            self.demodulator_for(&self.config.modem)
-                .with_search_window(lo, hi)
-        } else {
-            // Nothing rose above the noise floor: scan everything so the
-            // denial carries full diagnostics (and pay for that scan).
-            self.demodulator_for(&self.config.modem)
-        };
-        // `search_span` is the same clamp `detect` executes, so the
-        // priced correlation length equals the samples actually scanned.
-        let (search_from, search_to) = rx.search_span(probe_trimmed.len());
+        // The trim is priced as a level measure over the full buffer.
         let probe_work = Workload::combined(&[
             Workload::CrossCorrelation {
-                signal_len: search_to - search_from,
-                template_len: self.config.modem.preamble_len(),
+                signal_len: rx.searched,
+                template_len: config.modem.preamble_len(),
             },
             Workload::Fft {
-                size: self.config.modem.fft_size(),
+                size: config.modem.fft_size(),
                 count: 10,
             },
             Workload::LevelMeasure {
@@ -690,136 +564,40 @@ impl UnlockSession {
             },
         ]);
         let c1 = step_cost(
-            self.config.plan,
+            config.plan,
             &probe_work,
-            probe_trim.len(),
-            &self.config.phone,
-            &self.config.watch,
+            rx.samples.len(),
+            &config.phone,
+            &config.watch,
             &link,
             rng,
         );
         ledger.step_cost("compute:phase1-probing", c1);
 
-        let probe_report = match rx.analyze_probe(probe_trimmed, &mut self.scratch) {
-            Ok(r) => r,
-            Err(_) => {
-                deny(&mut report, &ledger, DenyReason::ProbeNotDetected);
-                return report;
-            }
-        };
-        report.psnr = Some(probe_report.psnr);
-        report.rms_delay_spread = Some(probe_report.sync.rms_delay_spread);
-
-        // NLOS screen: weak preamble or ballooned delay spread.
-        let mut policy = self.config.policy;
-        // Retry escalation: accept a higher BER target so a marginal
-        // channel still gets a (low-order) mode instead of a denial.
-        if let Some(relaxed) = tuning.relax_max_ber {
-            policy = ModePolicy::new(relaxed).unwrap_or(policy);
-        }
-        if probe_report.sync.preamble_score < self.config.nlos_score_threshold {
-            deny(&mut report, &ledger, DenyReason::ProbeNotDetected);
-            return report;
-        }
-        if probe_report.sync.rms_delay_spread > self.config.nlos_spread_threshold {
-            report.nlos_flagged = true;
-            match self.config.nlos_relax_max_ber {
-                Some(relaxed) => {
-                    policy = ModePolicy::new(relaxed).unwrap_or(policy);
-                }
-                None => {
-                    deny(&mut report, &ledger, DenyReason::NlosDetected);
-                    return report;
-                }
-            }
-        }
-
-        // Ambient-noise similarity (Sound-Proof-style co-location). The
-        // trim kept a noise lead-in before the preamble for exactly
-        // this comparison.
-        let watch_ambient =
-            &probe_trimmed[..probe_report.sync.preamble_offset.min(probe_trimmed.len())];
-        let sim = ambient_similarity(&ambient_phone, watch_ambient, acoustic.sample_rate());
-        report.ambient_similarity = Some(sim);
-        if sim < self.config.ambient_similarity_threshold {
-            deny(&mut report, &ledger, DenyReason::AmbientMismatch);
-            return report;
-        }
-
-        // Sub-channel selection from the probed noise spectrum. Bins
-        // whose probed channel gain sits in a deep fade are treated as
-        // noisy (effective noise = noise / |H|²) so selection avoids
-        // them just like jammed bins.
-        let mut modem_cfg = self.config.modem.clone();
-        if self.config.subchannel_selection {
-            let gains: Vec<f64> = probe_report
-                .channel_gain
-                .iter()
-                .flatten()
-                .map(|h| h.norm_sq())
-                .collect();
-            let mut sorted = gains.clone();
-            sorted.sort_by(f64::total_cmp);
-            let median_gain = sorted.get(sorted.len() / 2).copied().unwrap_or(1.0);
-            let effective_noise: Vec<f64> = probe_report
-                .noise_spectrum
-                .iter()
-                .enumerate()
-                .map(
-                    |(k, &noise)| match probe_report.channel_gain.get(k).copied().flatten() {
-                        Some(h) => {
-                            let g = (h.norm_sq() / median_gain.max(1e-30)).max(1e-3);
-                            noise / g
-                        }
-                        None => noise,
-                    },
-                )
-                .collect();
-            if let Ok(sel) = select_data_channels(
-                &modem_cfg,
-                &effective_noise,
-                modem_cfg.data_channels().len(),
-            ) {
-                if let Ok(cfg2) = apply_selection(&modem_cfg, &sel) {
-                    modem_cfg = cfg2;
-                }
-            }
-        }
-        report.data_channels = modem_cfg.data_channels().to_vec();
-
-        // Mode decision from the pilot SNR (CTS reply).
-        let ebn0 = probe_report.ebn0(&modem_cfg, TransmissionMode::Qpsk.modulation());
-        report.ebn0 = Some(ebn0);
-        if faults.link.drop_after_phase1 {
+        let analysis =
+            self.watch
+                .analyze_probe(config, &rx, &ambient, tuning.relax_max_ber, report);
+        let cts = match (analysis, faults.link.drop_after_phase1) {
             // Link fault: the control channel died after the probe was
             // analyzed — no CTS can be sent, no verdict returned.
-            deny(&mut report, &ledger, DenyReason::LinkDropped);
-            return report;
-        }
-        let mode = match policy.select_mode(ebn0) {
-            Some(m) => m,
-            None => {
-                deny(&mut report, &ledger, DenyReason::SnrTooLow);
-                return report;
+            (Ok(_) | Err(DenyReason::SnrTooLow), true) => {
+                return Outcome::Denied(DenyReason::LinkDropped)
             }
+            (Err(reason), _) => return Outcome::Denied(reason),
+            (Ok(cts), false) => cts,
         };
-        report.mode = Some(mode);
+        report.mode = Some(cts.mode);
         ledger.step("wireless:cts", link.message_delay(rng), 0.0, 0.0);
 
-        // 4. Phase 2: token transmission and verification.
-        let tx2 = OfdmModulator::new(modem_cfg.clone()).expect("selection keeps config valid");
+        // Phase 2: token transmission, the watch's trim and demodulation,
+        // and verification on the phone.
         // Clock fault: the generator ticked while the devices disagreed
         // on time, so its counter runs ahead of the verifier's. Small
         // skews land inside the verify window; larger ones force a
-        // rejection followed by the counter resync below.
-        for _ in 0..faults.clock.counter_skew {
-            let _ = self.generator.next_token();
-        }
-        let token = self.generator.next_token();
-        let coded = encode_token(self.config.token_coding, token);
+        // rejection followed by a counter resync.
+        self.phone.skip_tokens(faults.clock.counter_skew);
         let mut wave = Vec::new();
-        tx2.modulate(&coded, mode.modulation(), &mut self.tx_scratch, &mut wave)
-            .expect("coded token is non-empty");
+        let (coded, blocks) = self.phone.token(config, &cts, &mut wave);
         let mut token_rec = acoustic.transmit(&wave, volume, rng);
         faults.phase2.apply(&mut token_rec);
         ledger.step(
@@ -829,39 +607,28 @@ impl UnlockSession {
             0.0,
         );
 
-        // Same trim-then-search as phase 1, with a shorter noise
-        // lead-in: phase 2 only needs a noise floor, not an ambient
-        // spectrum.
-        let token_trim = trim::plan_trim(
+        let rx2 = WatchRole::receive(
+            config,
+            &cts.data_cfg,
             &token_rec,
-            sample_rate,
             wave.len(),
             trim::TOKEN_NOISE_LEAD_S,
         );
-        let token_trimmed = token_trim.slice(&token_rec);
-        let rx2 = if token_trim.detected {
-            let (lo, hi) = token_trim.search_bounds(pad, modem_cfg.preamble_len());
-            self.demodulator_for(&modem_cfg).with_search_window(lo, hi)
-        } else {
-            self.demodulator_for(&modem_cfg)
-        };
-        let (search2_from, search2_to) = rx2.search_span(token_trimmed.len());
-        let blocks = tx2.blocks_for(coded.len(), mode.modulation());
         let demod_work = Workload::combined(&[
             Workload::CrossCorrelation {
-                signal_len: search2_to - search2_from,
-                template_len: modem_cfg.preamble_len(),
+                signal_len: rx2.searched,
+                template_len: cts.data_cfg.preamble_len(),
             },
             Workload::LevelMeasure {
                 samples: token_rec.len(),
             },
         ]);
         let c2 = step_cost(
-            self.config.plan,
+            config.plan,
             &demod_work,
-            token_trim.len(),
-            &self.config.phone,
-            &self.config.watch,
+            rx2.samples.len(),
+            &config.phone,
+            &config.watch,
             &link,
             rng,
         );
@@ -869,69 +636,37 @@ impl UnlockSession {
 
         let demod_only = Workload::OfdmDemod {
             blocks,
-            fft_size: modem_cfg.fft_size(),
-            cp_len: modem_cfg.cp_len(),
+            fft_size: cts.data_cfg.fft_size(),
+            cp_len: cts.data_cfg.cp_len(),
         };
         // The audio already crossed the link with the preprocess step;
         // demodulation is pure compute on the chosen device.
-        let c3 = match self.config.plan {
+        let c3 = match config.plan {
             ExecutionPlan::LocalOnWatch => StepCost {
-                time: self.config.watch.execute(&demod_only),
-                watch_energy_j: self.config.watch.energy_for(&demod_only),
+                time: config.watch.execute(&demod_only),
+                watch_energy_j: config.watch.energy_for(&demod_only),
                 phone_energy_j: 0.0,
             },
             ExecutionPlan::OffloadToPhone => StepCost {
-                time: self.config.phone.execute(&demod_only),
+                time: config.phone.execute(&demod_only),
                 watch_energy_j: 0.0,
-                phone_energy_j: self.config.phone.energy_for(&demod_only),
+                phone_energy_j: config.phone.energy_for(&demod_only),
             },
         };
         ledger.step_cost("compute:phase2-demod", c3);
         ledger.step("wireless:verdict", link.message_delay(rng), 0.0, 0.0);
 
-        let verified = match rx2.demodulate(
-            token_trimmed,
-            mode.modulation(),
-            coded.len(),
-            &mut self.scratch,
-            &mut self.frame,
-        ) {
-            Ok(()) => {
-                report.measured_ber = Some(bit_error_rate(&coded, &self.frame.bits));
-                decode_token(self.config.token_coding, &self.frame.bits)
-                    .map(|t| matches!(self.verifier.verify(t), VerifyOutcome::Accepted { .. }))
-                    .unwrap_or(false)
-            }
-            Err(_) => false,
-        };
-
-        if verified {
-            self.lockout.record_success();
-            self.keyguard.handle(KeyguardEvent::AcousticUnlockVerified);
-            report.outcome = Outcome::Unlocked(UnlockPath::Acoustic(mode));
-        } else {
-            let locked_out = self.lockout.record_failure();
-            self.keyguard.handle(KeyguardEvent::AcousticUnlockFailed {
-                lockout: locked_out,
-            });
-            // Counter resync over the secure control channel (the paper
-            // allows key/counter updates over Bluetooth at any time).
-            self.verifier = TokenVerifier::new(
-                self.config.otp_key.clone(),
-                self.generator.counter(),
-                self.config.otp_window,
-            );
-            report.outcome = Outcome::Denied(DenyReason::TokenRejected);
-        }
-        ledger.finish(&mut report);
-        report
+        let bits = self.watch.demodulate_token(config, &rx2, cts.mode);
+        // Ground truth the real system does not have: the raw BER.
+        report.measured_ber = bits.map(|b| bit_error_rate(&coded, b));
+        self.phone.verify(config, bits, cts.mode)
     }
 
     /// The OTP generator's current counter. Advances once per phase-2
     /// token issued; harnesses use it to track token consumption across
     /// a trial series.
     pub fn last_counter(&self) -> u64 {
-        self.generator.counter()
+        self.phone.generator.counter()
     }
 }
 
@@ -1048,16 +783,16 @@ impl<'a> AttemptOptions<'a> {
 /// escalation turns the knobs the paper's adaptive layer exposes
 /// (transmit volume, BER target) instead of blindly repeating.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct AttemptTuning {
+pub(crate) struct AttemptTuning {
     /// Extra transmit volume on top of the noise-derived requirement,
     /// dB (clamped to the speaker ceiling).
-    volume_boost_db: f64,
+    pub(crate) volume_boost_db: f64,
     /// Replacement MaxBER target for mode selection, if relaxed.
-    relax_max_ber: Option<f64>,
+    pub(crate) relax_max_ber: Option<f64>,
     /// Loudest volume an earlier attempt of the series played, dB SPL
     /// (0 before any did): a boosted attempt never plays quieter, so a
     /// quieter ambient reading cannot undo an escalation.
-    volume_floor: f64,
+    pub(crate) volume_floor: f64,
 }
 
 /// Budget and escalation knobs for the retry ladder of
@@ -1225,11 +960,15 @@ pub fn is_severely_blocked(path: PathKind) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::environment::Environment;
+    use crate::environment::{Environment, MotionScenario};
+    use crate::protocol::{decode_token, demodulator, encode_token};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wearlock_acoustics::noise::Location;
+    use wearlock_auth::token::TokenVerifier;
+    use wearlock_auth::TOKEN_BITS;
     use wearlock_dsp::units::Meters;
+    use wearlock_modem::TokenCoding;
     use wearlock_sensors::Activity;
 
     fn rng(seed: u64) -> StdRng {
@@ -1331,7 +1070,7 @@ mod tests {
                 unlocked += 1;
             }
             // Reset lockout between trials: we measure PHY, not policy.
-            s.lockout.reset();
+            s.phone.lockout.reset();
         }
         assert!(unlocked <= 1, "{unlocked}/5 unlocks at 4 m");
     }
@@ -1350,7 +1089,7 @@ mod tests {
             if !report.outcome.unlocked() {
                 denied += 1;
             }
-            s.lockout.reset();
+            s.phone.lockout.reset();
         }
         assert!(denied >= 4, "only {denied}/5 denials when blocked");
     }
@@ -1359,7 +1098,7 @@ mod tests {
     fn lockout_after_repeated_failures() {
         let mut s = session();
         // Sabotage: make verification impossible by desyncing the keys.
-        s.verifier = TokenVerifier::new(&b"wrong-key"[..], 0, 3);
+        s.phone.verifier = TokenVerifier::new(&b"wrong-key"[..], 0, 3);
         let env = Environment::default();
         let mut r = rng(7);
         let mut reasons = Vec::new();
@@ -1372,7 +1111,7 @@ mod tests {
             }
             reasons.push(rep.outcome);
             // The resync after a rejection replaces the verifier; re-sabotage.
-            s.verifier = TokenVerifier::new(&b"wrong-key"[..], 0, 3);
+            s.phone.verifier = TokenVerifier::new(&b"wrong-key"[..], 0, 3);
         }
         assert!(
             reasons.contains(&Outcome::Denied(DenyReason::LockedOut)),
@@ -1471,26 +1210,21 @@ mod tests {
         // the session's detection threshold, silently falling back to
         // the library default — a weak-but-passing phase-1 preamble
         // could then be rejected in phase 2 under a stricter bar. Both
-        // phases build through `demodulator_for`, so the thresholds
+        // phases build through `protocol::demodulator`, so the thresholds
         // agree for any configured value.
-        let strict = UnlockSession::new(
-            WearLockConfig::builder()
-                .nlos_score_threshold(0.45)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let rx1 = strict.demodulator_for(&strict.config.modem);
-        let rx2 = strict.demodulator_for(&strict.config.modem);
+        let strict = WearLockConfig::builder()
+            .nlos_score_threshold(0.45)
+            .build()
+            .unwrap();
+        let rx1 = demodulator(&strict, &strict.modem);
+        let rx2 = demodulator(&strict, &strict.modem);
         assert_eq!(rx1.detection_threshold(), 0.45);
         assert_eq!(rx1.detection_threshold(), rx2.detection_threshold());
         // The default low NLOS score threshold is floored at 0.3 for
         // preamble detection in both phases.
-        let default = session();
+        let default = WearLockConfig::default();
         assert_eq!(
-            default
-                .demodulator_for(&default.config.modem)
-                .detection_threshold(),
+            demodulator(&default, &default.modem).detection_threshold(),
             0.3
         );
     }
@@ -1550,7 +1284,7 @@ mod tests {
             let options = AttemptOptions::new().fault_plan(faults);
             let series = s.run(&Environment::default(), &options, &mut r);
             let rep = series.final_attempt();
-            s.lockout.reset();
+            s.phone.lockout.reset();
             if rep.psnr.is_some() && !rep.outcome.unlocked() {
                 assert_eq!(rep.outcome, Outcome::Denied(DenyReason::LinkDropped));
                 // Phase 1 diagnostics survive; no mode was ever chosen.

@@ -98,7 +98,7 @@ fn main() -> Result<(), wearlock::WearLockError> {
         ),
     ];
     for (desc, attack, fp) in cases {
-        let out = relay_attack(&config, attack, fp);
+        let out = relay_attack(attack, fp);
         let verdict = match out {
             RelayOutcome::Accepted => "SUCCEEDS (paper's admitted gap)",
             RelayOutcome::FingerprintMismatch => "BLOCKED (hardware fingerprint)",

@@ -94,8 +94,8 @@ fn main() -> Result<(), wearlock::WearLockError> {
     println!("\n--- live two-thread session (crossbeam channels) ---");
     let out = run_live_session(&WearLockConfig::default(), &Environment::default(), 4242)?;
     println!(
-        "live session: unlocked = {}, mode = {:?}, keyguard = {:?}",
-        out.unlocked, out.mode, out.final_state
+        "live session: outcome = {:?}, keyguard = {:?}",
+        out.outcome, out.final_state
     );
     Ok(())
 }

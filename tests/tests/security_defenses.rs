@@ -88,7 +88,6 @@ fn replay_and_relay_defences_hold() {
     // window succeeds without fingerprinting...
     assert_eq!(
         relay_attack(
-            &config,
             RelayAttack {
                 extra_delay_s: 0.05,
                 relay_evm: 0.0
@@ -100,7 +99,6 @@ fn replay_and_relay_defences_hold() {
     // ...and the paper's proposed counter-measures stop realistic ones.
     assert_eq!(
         relay_attack(
-            &config,
             RelayAttack {
                 extra_delay_s: 0.05,
                 relay_evm: 0.1
