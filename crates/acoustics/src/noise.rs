@@ -20,7 +20,7 @@ use rand::Rng;
 use wearlock_dsp::cache::planned;
 use wearlock_dsp::level::rms;
 use wearlock_dsp::units::{Hz, SampleRate, Spl};
-use wearlock_dsp::Complex;
+use wearlock_dsp::{Complex, Fft};
 
 use crate::fused::{low_pass, LowPass, MAX_TRANSFORM};
 use crate::hardware::{MicrophoneModel, MIC_TAPS};
@@ -495,9 +495,11 @@ impl Synthesis {
             }
             bins
         };
-        // Buffers sized once for the longest period.
+        // Buffers sized once for the longest period; the bins and the
+        // plan change only with the period's length.
         let longest = periods.iter().map(|&(_, n)| n).max().unwrap_or(0);
         let mut spectra = (0, Vec::with_capacity(longest / 2 + 1));
+        let mut plan = None;
         let mut fades = Fades::default();
         let mut packed = Vec::with_capacity(longest);
         for (p, &(start, n)) in periods.iter().enumerate() {
@@ -505,7 +507,9 @@ impl Synthesis {
                 spectra.1.clear();
                 spectra.1.extend((0..=n / 2).map(|k| bin_spectrum(k, n)));
                 spectra.0 = n;
+                plan = Some(planned(n).expect("a power of two"));
             }
+            let fft: &Fft = plan.as_deref().expect("planned with the bins");
             packed.clear();
             packed.resize(n, Complex::ZERO);
             let mut energy = [0.0; 2];
@@ -533,10 +537,12 @@ impl Synthesis {
                 }
                 // A real sequence's spectrum is Hermitian: bin n − k is
                 // the conjugate of bin k. The second lane enters times j.
+                // Bins go straight to their bit-reversed slots, the
+                // inverse transform's input order.
                 let [a, b] = bins;
-                packed[k] = Complex::new(a.re - b.im, a.im + b.re);
+                packed[fft.bit_reversed(k)] = Complex::new(a.re - b.im, a.im + b.re);
                 if !edge {
-                    packed[n - k] = Complex::new(a.re + b.im, b.re - a.im);
+                    packed[fft.bit_reversed(n - k)] = Complex::new(a.re + b.im, b.re - a.im);
                 }
             }
             // Parseval, with the inverse transform's 1/n: the period's
@@ -556,9 +562,7 @@ impl Synthesis {
                 })
                 .collect();
 
-            planned(n)
-                .expect("a power of two")
-                .inverse_in_place(&mut packed)
+            fft.inverse_bit_reversed_in_place(&mut packed)
                 .expect("planned length");
             let end = (start + n).min(len);
             let sequences = &mut packed[..end - start];

@@ -1,5 +1,6 @@
 //! Microbenchmarks of the DSP substrate's hot paths: the 256-point FFT
-//! the modem runs per OFDM block, and preamble cross-correlation.
+//! the modem runs per OFDM block, the 1 024- and 4 096-point transforms
+//! of the acoustic channel, and preamble cross-correlation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use wearlock_dsp::chirp::Chirp;
@@ -43,6 +44,43 @@ fn bench_fft(c: &mut Criterion) {
                 .unwrap()
         })
     });
+}
+
+/// The acoustic channel's transform sizes: its noise synthesis inverts
+/// a 1 024-point first period and 4 096-point periods after it, and its
+/// signal path runs 4 096-point transforms. In-place on a reused buffer
+/// (the copy that restores the input each iteration is timed too).
+fn bench_fft_channel_sizes(c: &mut Criterion) {
+    for n in [1_024usize, 4_096] {
+        let fft = Fft::new(n).unwrap();
+        let x: Vec<Complex> = (0..n)
+            .map(|i| Complex::new((i as f64 * 0.1).sin(), (i as f64 * 0.07).cos()))
+            .collect();
+        let mut buf = x.clone();
+        c.bench_function(&format!("fft_{n}_forward_in_place"), |b| {
+            b.iter(|| {
+                buf.copy_from_slice(&x);
+                fft.forward_in_place(std::hint::black_box(&mut buf))
+                    .unwrap()
+            })
+        });
+        c.bench_function(&format!("fft_{n}_inverse_in_place"), |b| {
+            b.iter(|| {
+                buf.copy_from_slice(&x);
+                fft.inverse_in_place(std::hint::black_box(&mut buf))
+                    .unwrap()
+            })
+        });
+        // The noise synthesis's path: bins already in bit-reversed
+        // slots, so no permutation.
+        c.bench_function(&format!("fft_{n}_inverse_bit_reversed_in_place"), |b| {
+            b.iter(|| {
+                buf.copy_from_slice(&x);
+                fft.inverse_bit_reversed_in_place(std::hint::black_box(&mut buf))
+                    .unwrap()
+            })
+        });
+    }
 }
 
 /// The seed implementation of the FFT preamble correlator, kept here
@@ -221,6 +259,7 @@ fn bench_preamble_detect(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_fft,
+    bench_fft_channel_sizes,
     bench_xcorr,
     bench_xcorr_fft_vs_direct,
     bench_normalized_xcorr_scaling,

@@ -7,7 +7,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DspError {
-    /// The requested FFT size is not a power of two `>= 2`.
+    /// The requested FFT size is not a power of two from 2 to 2³¹.
     InvalidFftSize(usize),
     /// An input buffer had the wrong length.
     LengthMismatch {
@@ -26,7 +26,7 @@ impl fmt::Display for DspError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DspError::InvalidFftSize(n) => {
-                write!(f, "fft size {n} is not a power of two >= 2")
+                write!(f, "fft size {n} is not a power of two from 2 to 2^31")
             }
             DspError::LengthMismatch { expected, actual } => {
                 write!(f, "expected buffer of length {expected}, got {actual}")

@@ -21,12 +21,35 @@
 //! * in-place ([`Fft::forward_in_place`]) — transform a buffer without
 //!   even a copy (the permutation runs as swaps).
 //!
+//! A caller that can write its input straight to bit-reversed slots
+//! ([`Fft::bit_reversed`]) skips the permutation altogether with
+//! [`Fft::inverse_bit_reversed_in_place`].
+//!
+//! ## The kernel
+//!
+//! The decimation-in-time stages `len = 2, 4, …, N` run in fused pairs
+//! (radix-2²): one pass loads four values, runs the two butterflies of
+//! stage `len` and the two of stage `2·len` that connect them, and
+//! stores four values. When `log2 N` is odd a lone radix-2 stage ends
+//! the schedule. Each butterfly computes `(a + b·w, a − b·w)` on the
+//! same operands, with the same twiddle, as a stage-by-stage transform,
+//! so fusing changes only the order of independent butterflies and the
+//! output is the same bit for bit. Two back-ends run this one schedule
+//! on the same tables: a portable scalar one, and on x86-64 CPUs with
+//! AVX (detected at run time, for `N ≥ 8`) one that computes two
+//! butterflies per 256-bit vector with the same IEEE operations and no
+//! fused multiply-add.
+//!
 //! Plans are cheap to share: [`crate::cache::planned`] hands out
 //! `Arc<Fft>` from a process-wide cache so the bit-reversal table and
 //! twiddles for each size are computed exactly once.
 
 use crate::complex::Complex;
 use crate::error::DspError;
+
+#[cfg(target_arch = "x86_64")]
+mod avx;
+mod scalar;
 
 /// A planned FFT of a fixed power-of-two size.
 ///
@@ -50,11 +73,26 @@ use crate::error::DspError;
 #[derive(Debug, Clone)]
 pub struct Fft {
     size: usize,
-    rev: Vec<usize>,
-    /// Twiddles for the forward transform: `e^{-j2πk/N}` for k in 0..N/2.
-    /// The inverse conjugates them in its butterflies, an exact sign
-    /// flip, so no second table is kept.
+    /// The bit-reversal permutation; sizes are capped at 2³¹, so its
+    /// indices fit `u32`.
+    rev: Vec<u32>,
+    /// Forward twiddles, one contiguous table per stage: stage `len`
+    /// holds `e^{-j2πk/len}` for `k < len/2` at offset `len/2 − 1`, so
+    /// `N − 1` entries in all. Each entry is entry `k·N/len` of the last
+    /// stage's table `e^{-j2πk/N}`, copied bit for bit. The inverse
+    /// conjugates them in its butterflies, an exact sign flip, so no
+    /// second table is kept.
     twiddles: Vec<Complex>,
+}
+
+/// One pass of the stage schedule over the whole buffer, with the
+/// twiddle tables of the stages it runs.
+enum Pass<'a> {
+    /// Stages `len` and `2·len` fused (radix-2²): their tables of
+    /// `len/2` and `len` entries.
+    Pair(&'a [Complex], &'a [Complex]),
+    /// A lone radix-2 stage, the last one when `log2 N` is odd.
+    Single(&'a [Complex]),
 }
 
 impl Fft {
@@ -63,18 +101,29 @@ impl Fft {
     /// # Errors
     ///
     /// Returns [`DspError::InvalidFftSize`] unless `size` is a power of
-    /// two and at least 2.
+    /// two from 2 to 2³¹.
     pub fn new(size: usize) -> Result<Self, DspError> {
+        let points = u32::try_from(size).map_err(|_| DspError::InvalidFftSize(size))?;
         if size < 2 || !size.is_power_of_two() {
             return Err(DspError::InvalidFftSize(size));
         }
         let bits = size.trailing_zeros();
-        let rev = (0..size)
-            .map(|i| i.reverse_bits() >> (usize::BITS - bits))
+        let rev = (0..points)
+            .map(|i| i.reverse_bits() >> (u32::BITS - bits))
             .collect();
-        let twiddles: Vec<Complex> = (0..size / 2)
-            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / size as f64))
-            .collect();
+        let mut twiddles = vec![Complex::ZERO; size - 1];
+        let (earlier, last) = twiddles.split_at_mut(size / 2 - 1);
+        for (k, w) in last.iter_mut().enumerate() {
+            *w = Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / size as f64);
+        }
+        let mut len = 2;
+        while len < size {
+            let stage = &mut earlier[len / 2 - 1..len - 1];
+            for (w, &v) in stage.iter_mut().zip(last.iter().step_by(size / len)) {
+                *w = v;
+            }
+            len <<= 1;
+        }
         Ok(Fft {
             size,
             rev,
@@ -88,6 +137,17 @@ impl Fft {
         self.size
     }
 
+    /// The slot of bin `k` in bit-reversed order: the input layout of
+    /// [`Fft::inverse_bit_reversed_in_place`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= size`.
+    #[inline]
+    pub fn bit_reversed(&self, k: usize) -> usize {
+        self.rev[k] as usize
+    }
+
     fn check_len(&self, len: usize) -> Result<(), DspError> {
         if len != self.size {
             return Err(DspError::LengthMismatch {
@@ -98,47 +158,49 @@ impl Fft {
         Ok(())
     }
 
-    /// The shared butterfly kernel: identical operation order for every
-    /// entry point, which is what keeps the allocating, `_into` and
-    /// in-place paths bitwise interchangeable.
-    pub(crate) fn butterflies(&self, buf: &mut [Complex], invert: bool) {
-        if invert {
-            self.stages::<true>(buf);
-        } else {
-            self.stages::<false>(buf);
-        }
+    /// Stage `len`'s twiddle table.
+    fn stage(&self, len: usize) -> &[Complex] {
+        &self.twiddles[len / 2 - 1..len - 1]
     }
 
-    /// The radix-2 stages, with the twiddles conjugated for `INVERT`: a
-    /// compile-time choice, so the hot loop has no branch.
-    fn stages<const INVERT: bool>(&self, buf: &mut [Complex]) {
-        let n = self.size;
-        let tw = &self.twiddles;
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let step = n / len;
-            for start in (0..n).step_by(len) {
-                let (lo, hi) = buf[start..start + len].split_at_mut(half);
-                let mut ti = 0usize;
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let w = if INVERT { tw[ti].conj() } else { tw[ti] };
-                    ti += step;
-                    let x = *a;
-                    let y = *b * w;
-                    *a = x + y;
-                    *b = x - y;
+    /// The stage schedule both back-ends follow: stages fused in pairs
+    /// from the shortest, then a lone last stage if one is left over.
+    fn passes(&self) -> impl Iterator<Item = Pass<'_>> {
+        std::iter::successors(Some(2usize), |&len| len.checked_mul(4))
+            .take_while(move |&len| len <= self.size)
+            .map(move |len| {
+                if 2 * len <= self.size {
+                    Pass::Pair(self.stage(len), self.stage(2 * len))
+                } else {
+                    Pass::Single(self.stage(len))
                 }
-            }
-            len <<= 1;
+            })
+    }
+
+    /// The shared butterfly kernel: every entry point runs it, which is
+    /// what keeps the allocating, `_into` and in-place paths bitwise
+    /// interchangeable. Both back-ends produce the same bits, so which
+    /// one runs is invisible to callers.
+    fn butterflies(&self, buf: &mut [Complex], invert: bool) {
+        #[cfg(target_arch = "x86_64")]
+        if self.size >= 8 && std::is_x86_feature_detected!("avx") {
+            // SAFETY: `avx::stages` needs nothing but the AVX
+            // instructions its `#[target_feature]` enables, and the CPU
+            // running this was just detected to have them.
+            #[allow(unsafe_code)]
+            unsafe {
+                avx::stages(self, buf, invert)
+            };
+            return;
         }
+        scalar::stages(self, buf, invert);
     }
 
     /// Applies the bit-reversal permutation in place (the permutation is
     /// an involution, so swapping `i < rev[i]` pairs realizes it).
-    pub(crate) fn permute_in_place(&self, buf: &mut [Complex]) {
-        for i in 0..self.size {
-            let j = self.rev[i];
+    fn permute_in_place(&self, buf: &mut [Complex]) {
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
                 buf.swap(i, j);
             }
@@ -188,7 +250,7 @@ impl Fft {
         self.check_len(input.len())?;
         self.check_len(out.len())?;
         for (o, &r) in out.iter_mut().zip(&self.rev) {
-            *o = input[r];
+            *o = input[r as usize];
         }
         self.butterflies(out, false);
         Ok(())
@@ -205,7 +267,7 @@ impl Fft {
         self.check_len(input.len())?;
         self.check_len(out.len())?;
         for (o, &r) in out.iter_mut().zip(&self.rev) {
-            *o = input[r];
+            *o = input[r as usize];
         }
         self.butterflies(out, true);
         self.scale_inverse(out);
@@ -237,6 +299,22 @@ impl Fft {
         Ok(())
     }
 
+    /// Inverse DFT, in place, of a spectrum stored in bit-reversed
+    /// order: slot [`Fft::bit_reversed`]`(k)` holds bin `k`. The output
+    /// is in natural order and bitwise identical to
+    /// [`Fft::inverse_in_place`] on the naturally ordered spectrum; the
+    /// permutation is skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::LengthMismatch`] if `buf.len() != size`.
+    pub fn inverse_bit_reversed_in_place(&self, buf: &mut [Complex]) -> Result<(), DspError> {
+        self.check_len(buf.len())?;
+        self.butterflies(buf, true);
+        self.scale_inverse(buf);
+        Ok(())
+    }
+
     /// Forward DFT of a real signal (zero imaginary parts are implied).
     ///
     /// Bitwise identical to [`Fft::forward`] on the widened input.
@@ -262,7 +340,7 @@ impl Fft {
         self.check_len(input.len())?;
         self.check_len(out.len())?;
         for (o, &r) in out.iter_mut().zip(&self.rev) {
-            *o = Complex::from_re(input[r]);
+            *o = Complex::from_re(input[r as usize]);
         }
         self.butterflies(out, false);
         Ok(())
@@ -367,18 +445,26 @@ mod tests {
         }
     }
 
-    /// The seed repository's transform, kept verbatim as the bitwise
-    /// oracle for every refactored entry point.
-    fn seed_transform(fft: &Fft, input: &[Complex], invert: bool) -> Vec<Complex> {
-        let n = fft.size;
-        let mut buf: Vec<Complex> = (0..n).map(|i| input[fft.rev[i]]).collect();
+    /// The seed repository's transform, with the seed's bit-reversal
+    /// and twiddle tables, kept as the bitwise oracle for every entry
+    /// point and both back-ends.
+    fn seed_transform(input: &[Complex], invert: bool) -> Vec<Complex> {
+        let n = input.len();
+        let bits = n.trailing_zeros();
+        let rev: Vec<usize> = (0..n)
+            .map(|i| i.reverse_bits() >> (usize::BITS - bits))
+            .collect();
+        let twiddles: Vec<Complex> = (0..n / 2)
+            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+            .collect();
+        let mut buf: Vec<Complex> = (0..n).map(|i| input[rev[i]]).collect();
         let mut len = 2;
         while len <= n {
             let half = len / 2;
             let step = n / len;
             for start in (0..n).step_by(len) {
                 for k in 0..half {
-                    let mut w = fft.twiddles[k * step];
+                    let mut w = twiddles[k * step];
                     if invert {
                         w = w.conj();
                     }
@@ -399,6 +485,65 @@ mod tests {
         buf
     }
 
+    /// The scalar back-end called directly, with the entry points'
+    /// permutation and scaling: on AVX hosts the entry points run the
+    /// AVX back-end from eight points up.
+    fn scalar_transform(fft: &Fft, input: &[Complex], invert: bool) -> Vec<Complex> {
+        let mut buf: Vec<Complex> = fft.rev.iter().map(|&r| input[r as usize]).collect();
+        scalar::stages(fft, &mut buf, invert);
+        if invert {
+            fft.scale_inverse(&mut buf);
+        }
+        buf
+    }
+
+    /// The splitmix64 generator: test inputs without a dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A value of one kind the kernels must carry bit for bit: 0 signed
+    /// zeros, 1 subnormals, 2 magnitudes near 1e300 (small enough that
+    /// no sum over 8 192 points overflows), 3 ordinary values.
+    fn special_value(bits: u64, kind: u64) -> f64 {
+        let sign = if bits & 1 == 0 { 1.0 } else { -1.0 };
+        let unit = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        sign * match kind {
+            0 => 0.0,
+            1 => f64::from_bits((bits >> 12).max(1)),
+            2 => 1e300 * (0.5 + unit),
+            _ => 4.0 * unit - 2.0,
+        }
+    }
+
+    /// `n` random values of one kind, or of all kinds mixed for `None`.
+    fn special_signal(n: usize, state: &mut u64, kind: Option<u64>) -> Vec<Complex> {
+        let mut value = || {
+            let bits = splitmix(state);
+            special_value(bits, kind.unwrap_or(bits >> 1 & 3))
+        };
+        (0..n).map(|_| Complex::new(value(), value())).collect()
+    }
+
+    /// Every power-of-two size up to 8 192: odd and even stage counts,
+    /// so schedules with and without a lone last stage, on both sides
+    /// of the AVX back-end's eight-point minimum.
+    fn sizes() -> impl Iterator<Item = usize> {
+        (1..=13).map(|bits| 1usize << bits)
+    }
+
+    /// Ordinary, mixed special and single-kind special inputs.
+    fn inputs(n: usize) -> Vec<Vec<Complex>> {
+        let mut state = n as u64;
+        let mut inputs = vec![noisy_signal(n), special_signal(n, &mut state, None)];
+        inputs.extend((0..4).map(|kind| special_signal(n, &mut state, Some(kind))));
+        inputs
+    }
+
     fn noisy_signal(n: usize) -> Vec<Complex> {
         (0..n)
             .map(|i| {
@@ -416,6 +561,11 @@ mod tests {
         assert!(matches!(Fft::new(1), Err(DspError::InvalidFftSize(1))));
         assert!(matches!(Fft::new(12), Err(DspError::InvalidFftSize(12))));
         assert!(Fft::new(256).is_ok());
+        #[cfg(target_pointer_width = "64")]
+        assert!(matches!(
+            Fft::new(1 << 32),
+            Err(DspError::InvalidFftSize(0x1_0000_0000))
+        ));
     }
 
     #[test]
@@ -448,48 +598,99 @@ mod tests {
 
     #[test]
     fn all_entry_points_are_bitwise_identical_to_the_seed_path() {
-        for n in [2usize, 8, 64, 256, 1024] {
-            let x = noisy_signal(n);
+        for n in sizes() {
             let fft = Fft::new(n).unwrap();
-            for invert in [false, true] {
-                let seed = seed_transform(&fft, &x, invert);
-                let alloc = if invert {
-                    fft.inverse(&x).unwrap()
-                } else {
-                    fft.forward(&x).unwrap()
-                };
-                assert_bitwise(&alloc, &seed);
+            for x in inputs(n) {
+                for invert in [false, true] {
+                    let seed = seed_transform(&x, invert);
+                    let alloc = if invert {
+                        fft.inverse(&x).unwrap()
+                    } else {
+                        fft.forward(&x).unwrap()
+                    };
+                    assert_bitwise(&alloc, &seed);
 
-                let mut into = vec![Complex::ZERO; n];
-                if invert {
-                    fft.inverse_into(&x, &mut into).unwrap()
-                } else {
-                    fft.forward_into(&x, &mut into).unwrap()
-                };
-                assert_bitwise(&into, &seed);
+                    let mut into = vec![Complex::ZERO; n];
+                    if invert {
+                        fft.inverse_into(&x, &mut into).unwrap()
+                    } else {
+                        fft.forward_into(&x, &mut into).unwrap()
+                    };
+                    assert_bitwise(&into, &seed);
 
-                let mut in_place = x.clone();
+                    let mut in_place = x.clone();
+                    if invert {
+                        fft.inverse_in_place(&mut in_place).unwrap()
+                    } else {
+                        fft.forward_in_place(&mut in_place).unwrap()
+                    };
+                    assert_bitwise(&in_place, &seed);
+                }
+
+                let mut reversed = vec![Complex::ZERO; n];
+                for (k, &v) in x.iter().enumerate() {
+                    reversed[fft.bit_reversed(k)] = v;
+                }
+                fft.inverse_bit_reversed_in_place(&mut reversed).unwrap();
+                assert_bitwise(&reversed, &seed_transform(&x, true));
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_back_end_is_bitwise_identical_to_the_seed_path() {
+        for n in sizes() {
+            let fft = Fft::new(n).unwrap();
+            for x in inputs(n) {
+                for invert in [false, true] {
+                    assert_bitwise(
+                        &scalar_transform(&fft, &x, invert),
+                        &seed_transform(&x, invert),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "10^4 random transforms per size, release mode: cargo test --release -p wearlock-dsp -- --ignored fft_random"]
+    fn fft_random_transforms_on_both_back_ends_match_the_seed_path() {
+        let mut state = 0x5EED;
+        for n in sizes() {
+            let fft = Fft::new(n).unwrap();
+            let mut out = vec![Complex::ZERO; n];
+            for i in 0..10_000 {
+                let x = special_signal(n, &mut state, None);
+                let invert = i % 2 == 1;
+                let seed = seed_transform(&x, invert);
+                assert_bitwise(&scalar_transform(&fft, &x, invert), &seed);
                 if invert {
-                    fft.inverse_in_place(&mut in_place).unwrap()
+                    for (k, &v) in x.iter().enumerate() {
+                        out[fft.bit_reversed(k)] = v;
+                    }
+                    fft.inverse_bit_reversed_in_place(&mut out).unwrap();
                 } else {
-                    fft.forward_in_place(&mut in_place).unwrap()
-                };
-                assert_bitwise(&in_place, &seed);
+                    fft.forward_into(&x, &mut out).unwrap();
+                }
+                assert_bitwise(&out, &seed);
             }
         }
     }
 
     #[test]
     fn forward_real_into_is_bitwise_identical_to_widened_forward() {
-        let n = 256;
-        let xr: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let xc: Vec<Complex> = xr.iter().map(|&v| Complex::from_re(v)).collect();
-        let fft = Fft::new(n).unwrap();
-        let seed = seed_transform(&fft, &xc, false);
-        let mut out = vec![Complex::ZERO; n];
-        fft.forward_real_into(&xr, &mut out).unwrap();
-        assert_bitwise(&out, &seed);
-        assert_bitwise(&fft.forward_real(&xr).unwrap(), &seed);
+        for n in sizes() {
+            let fft = Fft::new(n).unwrap();
+            for x in inputs(n) {
+                let xr: Vec<f64> = x.iter().map(|z| z.re).collect();
+                let xc: Vec<Complex> = xr.iter().map(|&v| Complex::from_re(v)).collect();
+                let seed = seed_transform(&xc, false);
+                let mut out = vec![Complex::ZERO; n];
+                fft.forward_real_into(&xr, &mut out).unwrap();
+                assert_bitwise(&out, &seed);
+                assert_bitwise(&fft.forward_real(&xr).unwrap(), &seed);
+            }
+        }
     }
 
     #[test]

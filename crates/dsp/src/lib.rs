@@ -47,7 +47,7 @@
 //! # Ok::<(), wearlock_dsp::DspError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

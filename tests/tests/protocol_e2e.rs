@@ -43,6 +43,27 @@ fn every_location_supports_close_range_unlocks() {
     }
 }
 
+/// The rate behind the Grocery Store floor of
+/// `every_location_supports_close_range_unlocks`. Five sweeps of 600
+/// attempts (base seeds `k << 20`, k = 1..=5, so no two share a task
+/// stream) unlocked 2 107 of 3 000 (70.2 %), whose one-sided 99.9 %
+/// Clopper–Pearson lower limit is 67.6 %; 600 attempts at that rate fall
+/// below 370 unlocks with probability ≤ 0.1 %.
+#[test]
+#[ignore = "600 attempts, release mode: cargo test --release -p wearlock -p wearlock-tests -- --ignored floor_rate"]
+fn floor_rate_grocery_store_close_range_unlocks() {
+    let env = Environment::builder()
+        .location(Location::GroceryStore)
+        .distance(Meters(0.25))
+        .build();
+    let attempts = 600;
+    let unlocked = (unlock_rate(&env, attempts, 6 << 20) * attempts as f64).round();
+    assert!(
+        unlocked >= 370.0,
+        "{unlocked} of {attempts} attempts unlocked"
+    );
+}
+
 #[test]
 fn the_four_deny_paths_trigger() {
     let mut session = default_session();
