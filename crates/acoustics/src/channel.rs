@@ -669,11 +669,12 @@ mod tests {
             rows.join("\n")
         }
 
-        /// Digests of the direct-form chain, as the direct-form channel
-        /// kernels (the `*_reference` loops in the filter, resample and
-        /// multipath tests) compute them from the ziggurat
-        /// `StandardNormal` stream with glibc's libm on x86-64. The
-        /// blocked kernels must reproduce every bit.
+        /// Digests of the direct-form chain from the ziggurat
+        /// `StandardNormal` stream with glibc's libm on x86-64, as first
+        /// recorded with the blocked FIR and multipath kernels and now
+        /// reproduced by the plain loops of `Fir::apply` and
+        /// `ImpulseResponse::apply` (and the blocked `fractional_delay`,
+        /// pinned to its own direct loop in its tests).
         const CHANNEL_DIGESTS: [(u64, u64); 20] = [
             (0x6ad3b3bdcf107e37, 0xe7b5a9fbbc5e7cf3),
             (0xc5a12f976b2ab20e, 0x950da4c5d6174c32),

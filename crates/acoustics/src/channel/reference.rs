@@ -4,6 +4,10 @@
 //! "same"-length FIR (speaker band-pass and ripple, noise shaping,
 //! microphone low-pass), and every noise source is drawn sample by
 //! sample and calibrated on its realised RMS.
+//!
+//! The speaker and microphone stages are written out here, as the
+//! sample-domain `SpeakerModel::emit` and `MicrophoneModel::record` ran
+//! them before the fused operator replaced both.
 
 use std::f64::consts::TAU;
 
@@ -26,8 +30,17 @@ pub(super) fn transmit<R: Rng + ?Sized>(
     volume: Spl,
     rng: &mut R,
 ) -> Vec<f64> {
-    // 1. Speaker: volume calibration, rise, ringing, band limit.
-    let emitted = link.speaker.emit(signal, volume, link.sample_rate);
+    // 1. Speaker: volume calibration, rise, ringing, band limit, ripple.
+    let mut emitted = link.speaker.drive(signal, volume, link.sample_rate);
+    for fir in [
+        link.speaker.band_pass(link.sample_rate),
+        link.speaker.ripple(),
+    ]
+    .iter()
+    .flatten()
+    {
+        emitted = fir.apply(&emitted);
+    }
 
     // 2. Propagation: spreading loss + fractional delay.
     let travelled = link.propagate(&emitted);
@@ -43,7 +56,7 @@ pub(super) fn transmit<R: Rng + ?Sized>(
     }
 
     // 5. Microphone: band limit, jitter, self-noise, quantization.
-    link.microphone.record(&recording, link.sample_rate, rng)
+    record(link, recording, rng)
 }
 
 /// [`AcousticLink::record_ambient`] as a chain of direct-form stages.
@@ -53,7 +66,18 @@ pub(super) fn record_ambient<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<f64> {
     let ambient = generate(&link.noise, len, link.sample_rate, rng);
-    link.microphone.record(&ambient, link.sample_rate, rng)
+    record(link, ambient, rng)
+}
+
+/// The microphone in the sample domain: its band limit, then jitter,
+/// self-noise and quantization.
+fn record<R: Rng + ?Sized>(link: &AcousticLink, signal: Vec<f64>, rng: &mut R) -> Vec<f64> {
+    let mut out = match link.microphone.band_limit(link.sample_rate) {
+        Some(lpf) => lpf.apply(&signal),
+        None => signal,
+    };
+    link.microphone.capture(&mut out, rng);
+    out
 }
 
 /// Rescales `signal` in place so its RMS matches the target SPL's

@@ -17,8 +17,9 @@
 //!   Gaussian spectra drawn directly in the frequency domain.
 //!
 //! Filter spectra are designed once per process and parameter set and
-//! shared through small process-wide tables, like the speaker's ripple
-//! FIR.
+//! shared through small process-wide tables. [`SpeakerModel::emit`] is
+//! the signal path through an ideal microphone and the identity
+//! response, so the speaker's filters have this one implementation.
 
 use std::sync::{Arc, Mutex};
 
@@ -113,10 +114,7 @@ fn signal_response(
         let low_pass = microphone.band_limit(sample_rate);
         let mut half_spectrum = vec![Complex::ONE; fft.size() / 2 + 1];
         let mut delay = 0;
-        for fir in [band_pass.as_ref(), speaker.ripple(), low_pass.as_ref()]
-            .into_iter()
-            .flatten()
-        {
+        for fir in [band_pass, speaker.ripple(), low_pass].iter().flatten() {
             for (h, s) in half_spectrum.iter_mut().zip(spectrum(fft, fir.taps())) {
                 *h *= s;
             }
@@ -357,7 +355,7 @@ mod tests {
         let ir = ImpulseResponse::from_taps(vec![1.0, 0.0, -0.3, 0.2]).unwrap();
         let composite = [
             speaker.band_pass(sr).unwrap(),
-            speaker.ripple().unwrap().clone(),
+            speaker.ripple().unwrap(),
             mic.band_limit(sr).unwrap(),
         ]
         .iter()

@@ -17,18 +17,18 @@
 //!   amplitude-shift keying needing *less* SNR per bit than phase-shift
 //!   keying on real devices (Fig. 5), inverting the textbook ordering.
 
-use std::fmt;
-use std::sync::Arc;
-
 use rand::distributions::StandardNormal;
 use rand::Rng;
 
+use wearlock_dsp::cache::planned;
 use wearlock_dsp::filter::Fir;
 use wearlock_dsp::level::rms;
 use wearlock_dsp::resample::sample_at;
 use wearlock_dsp::units::{Hz, SampleRate, Seconds, Spl};
+use wearlock_dsp::Complex;
 
-use crate::fused::Designs;
+use crate::fused::add_received_signal;
+use crate::multipath::ImpulseResponse;
 
 /// Taps of the speaker's output band-pass.
 pub(crate) const BAND_PASS_TAPS: usize = 101;
@@ -43,7 +43,7 @@ pub(crate) const MIC_TAPS: usize = 101;
 
 /// A loudspeaker model: volume ceiling, attack (rise) envelope, ring-out
 /// tail, and output band limit.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeakerModel {
     max_spl: Spl,
     rise: Seconds,
@@ -55,23 +55,6 @@ pub struct SpeakerModel {
     /// has its own resonance placement, making the ripple a usable
     /// hardware fingerprint (the paper's proposed relay counter-measure).
     ripple_phase: f64,
-    /// The allpass FIR realizing the ripple, looked up whenever the two
-    /// ripple parameters are set (`None` without ripple).
-    ripple_fir: Option<Arc<Fir>>,
-}
-
-impl fmt::Debug for SpeakerModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The ripple FIR is derived from the fields shown.
-        f.debug_struct("SpeakerModel")
-            .field("max_spl", &self.max_spl)
-            .field("rise", &self.rise)
-            .field("ringing", &self.ringing)
-            .field("band", &self.band)
-            .field("phase_ripple", &self.phase_ripple)
-            .field("ripple_phase", &self.ripple_phase)
-            .finish()
-    }
 }
 
 /// Builds the fixed allpass FIR realizing a speaker's phase-response
@@ -82,7 +65,7 @@ impl fmt::Debug for SpeakerModel {
 /// Fig. 5 discussion).
 fn phase_ripple_fir(amplitude: f64, phase_offset: f64) -> Fir {
     const N: usize = RIPPLE_TAPS;
-    let fft = wearlock_dsp::Fft::new(N).expect("static fft size");
+    let fft = planned(N).expect("static fft size");
     let phi = |k: usize| -> f64 {
         let x = k as f64;
         // Spatial period of 8.6 modem bins (34.4 design bins):
@@ -96,11 +79,11 @@ fn phase_ripple_fir(amplitude: f64, phase_offset: f64) -> Fir {
         amplitude * roll * (std::f64::consts::TAU * x / 34.4 + 0.7 + phase_offset).sin()
     };
 
-    let mut spectrum = vec![wearlock_dsp::Complex::ZERO; N];
-    spectrum[0] = wearlock_dsp::Complex::ONE;
-    spectrum[N / 2] = wearlock_dsp::Complex::ONE;
+    let mut spectrum = vec![Complex::ZERO; N];
+    spectrum[0] = Complex::ONE;
+    spectrum[N / 2] = Complex::ONE;
     for k in 1..N / 2 {
-        let h = wearlock_dsp::Complex::cis(phi(k));
+        let h = Complex::cis(phi(k));
         spectrum[k] = h;
         spectrum[N - k] = h.conj();
     }
@@ -109,19 +92,6 @@ fn phase_ripple_fir(amplitude: f64, phase_offset: f64) -> Fir {
     // compensation keeps the output aligned.
     let taps: Vec<f64> = (0..N).map(|i| ir[(i + N / 2) % N].re).collect();
     Fir::from_taps(taps).expect("non-empty taps")
-}
-
-/// The ripple FIR for `(amplitude, phase_offset)`, shared process-wide:
-/// every speaker built with the same parameters (one per session
-/// configuration, and a fleet builds a session per cold user) reuses
-/// one 8 KiB design instead of repeating the inverse FFT. Keyed on the
-/// exact bits; the few most recent designs are kept, so a sweep over
-/// ripple phases stays bounded.
-fn shared_ripple_fir(amplitude: f64, phase_offset: f64) -> Arc<Fir> {
-    static DESIGNS: Designs<(u64, u64), Fir> = Designs::new(8);
-    DESIGNS.get((amplitude.to_bits(), phase_offset.to_bits()), || {
-        phase_ripple_fir(amplitude, phase_offset)
-    })
 }
 
 /// The `taps`-tap low-pass at `cutoff`, or `None` where it would not
@@ -149,9 +119,7 @@ impl SpeakerModel {
             band: Some((Hz(100.0), Hz(20_000.0))),
             phase_ripple: 0.55,
             ripple_phase: 0.0,
-            ripple_fir: None,
         }
-        .with_designed_ripple()
     }
 
     /// An idealized speaker (no rise/ringing/band limit), useful for
@@ -164,15 +132,7 @@ impl SpeakerModel {
             band: None,
             phase_ripple: 0.0,
             ripple_phase: 0.0,
-            ripple_fir: None,
         }
-    }
-
-    /// Sets the ripple FIR for the current ripple parameters.
-    fn with_designed_ripple(mut self) -> Self {
-        self.ripple_fir = (self.phase_ripple > 0.0)
-            .then(|| shared_ripple_fir(self.phase_ripple, self.ripple_phase));
-        self
     }
 
     /// Overrides the maximum output SPL.
@@ -197,7 +157,7 @@ impl SpeakerModel {
     /// (0 disables it).
     pub fn with_phase_ripple(mut self, amplitude: f64) -> Self {
         self.phase_ripple = amplitude;
-        self.with_designed_ripple()
+        self
     }
 
     /// Sets this unit's ripple phase offset — distinct physical
@@ -205,7 +165,7 @@ impl SpeakerModel {
     /// hardware fingerprinting keys on.
     pub fn with_ripple_phase(mut self, phase: f64) -> Self {
         self.ripple_phase = phase;
-        self.with_designed_ripple()
+        self
     }
 
     /// The loudest SPL this speaker can produce.
@@ -214,19 +174,26 @@ impl SpeakerModel {
     }
 
     /// Renders `signal` at the requested `volume` (target SPL, clamped
-    /// to the speaker ceiling), applying rise envelope, ringing tail and
-    /// band limit. Output is `signal.len() + ringing` samples.
+    /// to the speaker ceiling), applying rise envelope, ringing tail,
+    /// band limit and phase ripple. Output is `signal.len() + ringing`
+    /// samples.
+    ///
+    /// The band-pass and ripple run as the channel's fused operator
+    /// ([`add_received_signal`] through an ideal microphone and the
+    /// identity response), so their tails are cut once, at the ends of
+    /// the output.
     pub fn emit(&self, signal: &[f64], volume: Spl, sample_rate: SampleRate) -> Vec<f64> {
-        let mut out = self.drive(signal, volume, sample_rate);
-        if out.is_empty() {
-            return out;
-        }
-        if let Some(bpf) = self.band_pass(sample_rate) {
-            out = bpf.apply(&out);
-        }
-        if let Some(ripple) = &self.ripple_fir {
-            out = ripple.apply(&out);
-        }
+        let drive = self.drive(signal, volume, sample_rate);
+        let mut out = vec![0.0; drive.len()];
+        add_received_signal(
+            self,
+            &MicrophoneModel::ideal(),
+            sample_rate,
+            &drive,
+            &ImpulseResponse::identity(),
+            &mut out,
+            0,
+        );
         out
     }
 
@@ -289,9 +256,10 @@ impl SpeakerModel {
         Fir::band_pass(lo, hi, BAND_PASS_TAPS, sample_rate).ok()
     }
 
-    /// The phase-ripple allpass, if this speaker has ripple.
-    pub(crate) fn ripple(&self) -> Option<&Fir> {
-        self.ripple_fir.as_deref()
+    /// The phase-ripple allpass, if this speaker has ripple, designed
+    /// on each call (the fused channel keeps the composite spectrum).
+    pub(crate) fn ripple(&self) -> Option<Fir> {
+        (self.phase_ripple > 0.0).then(|| phase_ripple_fir(self.phase_ripple, self.ripple_phase))
     }
 
     /// The exact bits of everything that shapes this speaker's linear
@@ -300,7 +268,7 @@ impl SpeakerModel {
         let (lo, hi) = self
             .band
             .map_or((0.0, 0.0), |(lo, hi)| (lo.value(), hi.value()));
-        let (amplitude, phase) = if self.ripple_fir.is_some() {
+        let (amplitude, phase) = if self.phase_ripple > 0.0 {
             (self.phase_ripple, self.ripple_phase)
         } else {
             (0.0, 0.0)
@@ -402,29 +370,10 @@ impl MicrophoneModel {
         band_limit(self.cutoff?, MIC_TAPS, sample_rate)
     }
 
-    /// Records a pressure waveform through this microphone: band limit,
-    /// clock jitter, self noise, then ADC quantization.
-    ///
-    /// The returned buffer has the same length as the input. A cutoff
-    /// that is not positive and finite (which `AcousticLink`'s builder
-    /// rejects) leaves the band unlimited.
-    pub fn record<R: Rng + ?Sized>(
-        &self,
-        signal: &[f64],
-        sample_rate: SampleRate,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let mut out = match self.band_limit(sample_rate) {
-            Some(lpf) => lpf.apply(signal),
-            None => signal.to_vec(),
-        };
-        self.capture(&mut out, rng);
-        out
-    }
-
     /// The microphone stages after its band limit, in place: clock
-    /// jitter, self noise, then ADC quantization.
-    pub(crate) fn capture<R: Rng + ?Sized>(&self, out: &mut [f64], rng: &mut R) {
+    /// jitter, self noise, then ADC quantization. The band limit itself
+    /// is part of the fused channel ([`add_received_signal`]).
+    pub fn capture<R: Rng + ?Sized>(&self, out: &mut [f64], rng: &mut R) {
         if out.is_empty() {
             return;
         }
@@ -502,6 +451,23 @@ mod tests {
             .collect()
     }
 
+    /// `signal` through `mic`'s band limit (the fused channel with an
+    /// ideal speaker and the identity response), then captured.
+    fn record(mic: &MicrophoneModel, signal: &[f64], rng: &mut StdRng) -> Vec<f64> {
+        let mut out = vec![0.0; signal.len()];
+        add_received_signal(
+            &SpeakerModel::ideal(),
+            mic,
+            SampleRate::CD,
+            signal,
+            &ImpulseResponse::identity(),
+            &mut out,
+            0,
+        );
+        mic.capture(&mut out, rng);
+        out
+    }
+
     #[test]
     fn speaker_calibrates_output_spl() {
         let spk = SpeakerModel::smartphone();
@@ -520,19 +486,11 @@ mod tests {
     #[test]
     fn ripple_fir_is_designed_by_the_ripple_setters() {
         let spk = SpeakerModel::smartphone().with_ripple_phase(2.0);
-        let fir = spk.ripple_fir.as_deref().expect("smartphone ripple");
-        assert_eq!(fir, &phase_ripple_fir(0.55, 2.0));
+        assert_eq!(spk.ripple(), Some(phase_ripple_fir(0.55, 2.0)));
         let flat = spk.with_phase_ripple(0.0);
-        assert!(flat.ripple_fir.is_none());
+        assert_eq!(flat.ripple(), None);
         let again = flat.with_phase_ripple(0.3);
-        assert_eq!(
-            again.ripple_fir.as_deref(),
-            Some(&phase_ripple_fir(0.3, 2.0))
-        );
-        // Equal parameters share one design.
-        let a = SpeakerModel::smartphone().ripple_fir.unwrap();
-        let b = SpeakerModel::smartphone().ripple_fir.unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(again.ripple(), Some(phase_ripple_fir(0.3, 2.0)));
     }
 
     #[test]
@@ -568,8 +526,8 @@ mod tests {
     fn moto360_kills_near_ultrasound() {
         let mic = MicrophoneModel::moto360().with_noise_floor(Spl(f64::NEG_INFINITY));
         let mut r = rng();
-        let audible = mic.record(&tone(3_000.0, 8_192), SampleRate::CD, &mut r);
-        let ultra = mic.record(&tone(18_000.0, 8_192), SampleRate::CD, &mut r);
+        let audible = record(&mic, &tone(3_000.0, 8_192), &mut r);
+        let ultra = record(&mic, &tone(18_000.0, 8_192), &mut r);
         let pa = goertzel_power(&audible, Hz(3_000.0), SampleRate::CD).unwrap();
         let pu = goertzel_power(&ultra, Hz(18_000.0), SampleRate::CD).unwrap();
         assert!(pa > 100.0 * pu, "audible {pa} ultra {pu}");
@@ -578,7 +536,7 @@ mod tests {
     #[test]
     fn smartphone_mic_passes_near_ultrasound() {
         let mic = MicrophoneModel::smartphone().with_noise_floor(Spl(f64::NEG_INFINITY));
-        let ultra = mic.record(&tone(18_000.0, 8_192), SampleRate::CD, &mut rng());
+        let ultra = record(&mic, &tone(18_000.0, 8_192), &mut rng());
         let p = goertzel_power(&ultra, Hz(18_000.0), SampleRate::CD).unwrap();
         assert!(p > 0.1, "p {p}");
     }
@@ -589,8 +547,8 @@ mod tests {
             .with_cutoff(None)
             .with_jitter(0.0)
             .with_noise_floor(Spl(10.0));
-        let silence = vec![0.0; 44_100];
-        let out = mic.record(&silence, SampleRate::CD, &mut rng());
+        let mut out = vec![0.0; 44_100];
+        mic.capture(&mut out, &mut rng());
         assert!((spl(&out).value() - 10.0).abs() < 1.0, "{}", spl(&out));
     }
 
@@ -598,7 +556,8 @@ mod tests {
     fn ideal_mic_is_transparent() {
         let mic = MicrophoneModel::ideal();
         let sig = tone(1_000.0, 256);
-        let out = mic.record(&sig, SampleRate::CD, &mut rng());
+        let mut out = sig.clone();
+        mic.capture(&mut out, &mut rng());
         assert_eq!(out, sig);
     }
 
@@ -609,8 +568,9 @@ mod tests {
         let mut r2 = rng();
         let low = tone(1_000.0, 8_192);
         let high = tone(18_000.0, 8_192);
-        let low_out = mic.record(&low, SampleRate::CD, &mut r1);
-        let high_out = mic.record(&high, SampleRate::CD, &mut r2);
+        let (mut low_out, mut high_out) = (low.clone(), high.clone());
+        mic.capture(&mut low_out, &mut r1);
+        mic.capture(&mut high_out, &mut r2);
         // Same jitter realization (same seed): compare distortion energy.
         let err_low: f64 = low
             .iter()
@@ -653,27 +613,48 @@ mod tests {
     #[test]
     fn invalid_cutoffs_record_without_a_band_limit() {
         let sig = tone(18_000.0, 1_024);
+        let unlimited = record(&MicrophoneModel::ideal(), &sig, &mut rng());
         for cutoff in [0.0, -5.0, f64::NAN] {
             let mic = MicrophoneModel::ideal().with_cutoff(Some(Hz(cutoff)));
             assert!(mic.band_limit(SampleRate::CD).is_none());
-            assert_eq!(mic.record(&sig, SampleRate::CD, &mut rng()), sig);
+            assert_eq!(record(&mic, &sig, &mut rng()), unlimited);
         }
     }
 
     #[test]
-    fn emit_is_the_drive_through_band_pass_and_ripple() {
+    fn emit_matches_the_direct_form_chain_away_from_the_edges() {
         let spk = SpeakerModel::smartphone();
-        let sig = tone(3_000.0, 2_000);
+        let sig = tone(3_000.0, 6_000);
+        let out = spk.emit(&sig, Spl(65.0), SampleRate::CD);
         let drive = spk.drive(&sig, Spl(65.0), SampleRate::CD);
+        assert_eq!(out.len(), drive.len());
+        // The direct-form chain cuts each filter's tails at the ends; the
+        // fused operator cuts the composite's once. They agree beyond one
+        // composite filter length of either end.
         let bpf = spk.band_pass(SampleRate::CD).unwrap();
         let want = spk.ripple().unwrap().apply(&bpf.apply(&drive));
-        assert_eq!(spk.emit(&sig, Spl(65.0), SampleRate::CD), want);
-        // The key changes with the ripple phase, not with the volume cap.
+        let composite = BAND_PASS_TAPS + RIPPLE_TAPS - 1;
+        let (mut err, mut energy) = (0.0, 0.0);
+        for (o, w) in out[composite..out.len() - composite]
+            .iter()
+            .zip(&want[composite..])
+        {
+            err += (o - w) * (o - w);
+            energy += w * w;
+        }
+        let rel = (err / energy).sqrt();
+        assert!(rel <= 1e-9, "relative RMS error {rel:e}");
+        // The key changes with the ripple phase, not with the volume cap,
+        // and without ripple the phase is ignored.
         let other = spk.clone().with_ripple_phase(1.0);
         assert_ne!(spk.response_key(), other.response_key());
         assert_eq!(
             spk.response_key(),
             spk.clone().with_max_spl(Spl(60.0)).response_key()
+        );
+        assert_eq!(
+            spk.with_phase_ripple(0.0).response_key(),
+            other.with_phase_ripple(0.0).response_key()
         );
     }
 
@@ -682,8 +663,7 @@ mod tests {
         assert!(SpeakerModel::default()
             .emit(&[], Spl(60.0), SampleRate::CD)
             .is_empty());
-        assert!(MicrophoneModel::default()
-            .record(&[], SampleRate::CD, &mut rng())
-            .is_empty());
+        assert!(record(&MicrophoneModel::default(), &[], &mut rng()).is_empty());
+        MicrophoneModel::default().capture(&mut [], &mut rng());
     }
 }

@@ -15,10 +15,6 @@ use wearlock_dsp::units::{SampleRate, Seconds};
 
 use crate::error::AcousticsError;
 
-/// Outputs [`ImpulseResponse::apply`] computes together, one
-/// accumulator each.
-const LANES: usize = 8;
-
 /// A sampled channel impulse response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImpulseResponse {
@@ -159,76 +155,20 @@ impl ImpulseResponse {
     }
 
     /// Convolves a signal with this response (`full` convolution,
-    /// output length `signal.len() + taps.len() - 1`).
-    ///
-    /// Output `o` sums `signal[i] · taps[o − i]` in ascending `i`,
-    /// computed as a gather over eight outputs at a time, each in its
-    /// own accumulator. Zero inputs and zero taps add ±0 to an
-    /// accumulator that starts at +0 and so never becomes −0; the gather
-    /// therefore skips the zero taps (most of a line-of-sight tail), and
-    /// for a finite signal the result is bit-for-bit that of the direct
-    /// sum.
+    /// output length `signal.len() + taps.len() - 1`), scattering each
+    /// non-zero input sample over the taps in ascending order.
     pub fn apply(&self, signal: &[f64]) -> Vec<f64> {
         if signal.is_empty() {
             return Vec::new();
         }
-        let n = signal.len();
-        // Non-zero taps by descending index, i.e. ascending input index.
-        let taps: Vec<(usize, f64)> = self
-            .taps
-            .iter()
-            .copied()
-            .enumerate()
-            .rev()
-            .filter(|&(_, h)| h != 0.0)
-            .collect();
-        // Tap j reaches input o − j of output o when o + 1 − n <= j <= o.
-        let dot = |acc: f64, o: usize, taps: &[(usize, f64)]| {
-            taps.iter().fold(acc, |acc, &(j, h)| {
-                if j <= o && o < j + n {
-                    acc + signal[o - j] * h
-                } else {
-                    acc
-                }
-            })
-        };
-
-        let out_len = n + self.taps.len() - 1;
-        let mut out = vec![0.0; out_len];
-        let mut blocks = out.chunks_exact_mut(LANES);
-        for (b, block) in (&mut blocks).enumerate() {
-            let o0 = b * LANES;
-            // Taps[lo..hi] reach inside the signal for every output of
-            // the block; the taps before and after them run per output,
-            // in order, around the vectorised middle.
-            let lo = taps.partition_point(|&(j, _)| j > o0);
-            let hi = taps.partition_point(|&(j, _)| j + n >= o0 + LANES);
-            if lo >= hi {
-                for (k, o) in block.iter_mut().enumerate() {
-                    *o = dot(0.0, o0 + k, &taps);
-                }
+        let mut out = vec![0.0; signal.len() + self.taps.len() - 1];
+        for (i, &x) in signal.iter().enumerate() {
+            if x == 0.0 {
                 continue;
             }
-            let mut acc = [0.0; LANES];
-            for (k, a) in acc.iter_mut().enumerate() {
-                *a = dot(0.0, o0 + k, &taps[..lo]);
+            for (o, &h) in out[i..].iter_mut().zip(&self.taps) {
+                *o += x * h;
             }
-            for &(j, h) in &taps[lo..hi] {
-                let x: &[f64; LANES] = signal[o0 - j..o0 - j + LANES]
-                    .try_into()
-                    .expect("a LANES-long window");
-                for (a, &x) in acc.iter_mut().zip(x) {
-                    *a += x * h;
-                }
-            }
-            for (k, (o, a)) in block.iter_mut().zip(acc).enumerate() {
-                *o = dot(a, o0 + k, &taps[hi..]);
-            }
-        }
-        let rest = blocks.into_remainder();
-        let o0 = out_len - rest.len();
-        for (k, o) in rest.iter_mut().enumerate() {
-            *o = dot(0.0, o0 + k, &taps);
         }
         out
     }
@@ -251,62 +191,6 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
-    }
-
-    /// The scatter loop [`ImpulseResponse::apply`] must match bit for
-    /// bit.
-    fn apply_reference(taps: &[f64], signal: &[f64]) -> Vec<f64> {
-        if signal.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![0.0; signal.len() + taps.len() - 1];
-        for (i, &x) in signal.iter().enumerate() {
-            if x == 0.0 {
-                continue;
-            }
-            for (j, &h) in taps.iter().enumerate() {
-                out[i + j] += x * h;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn apply_is_bitwise_the_scatter_loop() {
-        let sr = SampleRate::CD;
-        let mut r = rng();
-        let irs = [
-            ImpulseResponse::identity(),
-            ImpulseResponse::from_taps(vec![0.0, -0.5, 0.0, 0.25]).unwrap(),
-            ImpulseResponse::line_of_sight(Seconds(0.004), 60.0, 0.25, sr, &mut r).unwrap(),
-            ImpulseResponse::body_blocked(Seconds(0.0025), 25.0, sr, &mut r).unwrap(),
-            ImpulseResponse::body_blocked(Seconds(0.0002), 3.0, sr, &mut r).unwrap(),
-        ];
-        // Empty, 1-sample, shorter-than-IR and long signals with
-        // negative, zero and subnormal samples.
-        for len in [0, 1, 2, 7, 9, 40, 177, 500, 3_001] {
-            let sig: Vec<f64> = (0..len)
-                .map(|i| match i % 9 {
-                    1 => 0.0,
-                    4 => -0.0,
-                    6 => -f64::MIN_POSITIVE / 9.0,
-                    _ => (i as f64 * 0.73).cos() * if i % 2 == 0 { 2.0 } else { -0.3 },
-                })
-                .collect();
-            for ir in &irs {
-                let got = ir.apply(&sig);
-                let want = apply_reference(ir.taps(), &sig);
-                assert_eq!(got.len(), want.len());
-                for (o, (a, b)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} taps, len {len}, out {o}",
-                        ir.len()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

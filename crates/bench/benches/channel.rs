@@ -1,11 +1,10 @@
 //! Microbenchmarks of the acoustic channel kernels that dominate an
-//! unlock attempt's host time: FIR filtering (the direct-form speaker
-//! band-pass and phase ripple and microphone low-pass of
-//! `SpeakerModel::emit` and `MicrophoneModel::record`), the
-//! windowed-sinc propagation delay, multipath convolution, the Gaussian
-//! source, the fused FFT-domain signal path, the noise synthesis (flat
-//! and through the watch microphone's band limit) and microphone model,
-//! and the whole `AcousticLink::transmit` per field-test location.
+//! unlock attempt's host time: the windowed-sinc propagation delay, the
+//! Gaussian source, the fused FFT-domain signal path (which also renders
+//! `SpeakerModel::emit`), the noise synthesis (flat and through the
+//! watch microphone's band limit), the microphone's capture stages
+//! (jitter, self-noise, quantization), and the whole
+//! `AcousticLink::transmit` per field-test location.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::distributions::StandardNormal;
@@ -18,7 +17,6 @@ use wearlock_acoustics::hardware::{MicrophoneModel, SpeakerModel};
 use wearlock_acoustics::multipath::ImpulseResponse;
 use wearlock_acoustics::noise::{Location, NoiseModel};
 use wearlock_acoustics::SPEED_OF_SOUND;
-use wearlock_dsp::filter::Fir;
 use wearlock_dsp::resample::fractional_delay;
 use wearlock_dsp::units::{Hz, Meters, SampleRate, Seconds, Spl};
 
@@ -35,49 +33,12 @@ fn recording() -> Vec<f64> {
         .collect()
 }
 
-fn bench_fir(c: &mut Criterion) {
-    let sr = SampleRate::CD;
-    let x = recording();
-    // Tap counts of the noise shaping (61), the speaker band-pass and
-    // microphone low-pass (101), and the speaker phase ripple (1 024).
-    let ripple: Vec<f64> = (0..1_024)
-        .map(|i| ((i as f64 - 512.0) * 0.37).sin() / (1.0 + (i as f64 - 512.0).abs()))
-        .collect();
-    let filters = [
-        (
-            "fir_61_taps_16k",
-            Fir::low_pass(Hz(4_000.0), 61, sr).unwrap(),
-        ),
-        (
-            "fir_101_taps_16k",
-            Fir::low_pass(Hz(7_000.0), 101, sr).unwrap(),
-        ),
-        ("fir_1024_taps_16k", Fir::from_taps(ripple).unwrap()),
-    ];
-    for (name, fir) in &filters {
-        c.bench_function(name, |b| b.iter(|| fir.apply(black_box(&x))));
-    }
-}
-
 fn bench_fractional_delay(c: &mut Criterion) {
     let x = recording();
     // The propagation delay of the default 0.5 m link.
     let delay = 0.5 / SPEED_OF_SOUND * 44_100.0;
     c.bench_function("fractional_delay_16k", |b| {
         b.iter(|| fractional_delay(black_box(&x), delay).unwrap())
-    });
-}
-
-fn bench_impulse_response(c: &mut Criterion) {
-    let sr = SampleRate::CD;
-    let x = recording();
-    let mut rng = StdRng::seed_from_u64(5);
-    // The responses AcousticLink::transmit draws for each path kind.
-    let los = ImpulseResponse::line_of_sight(Seconds(0.004), 60.0, 0.25, sr, &mut rng).unwrap();
-    let nlos = ImpulseResponse::body_blocked(Seconds(0.0025), 25.0, sr, &mut rng).unwrap();
-    c.bench_function("multipath_los_16k", |b| b.iter(|| los.apply(black_box(&x))));
-    c.bench_function("multipath_nlos_16k", |b| {
-        b.iter(|| nlos.apply(black_box(&x)))
     });
 }
 
@@ -182,11 +143,15 @@ fn bench_microphone(c: &mut Criterion) {
     let x = recording();
     let mut rng = StdRng::seed_from_u64(6);
     for (name, mic) in [
-        ("mic_record_16k_moto360", MicrophoneModel::moto360()),
-        ("mic_record_16k_smartphone", MicrophoneModel::smartphone()),
+        ("mic_capture_16k_moto360", MicrophoneModel::moto360()),
+        ("mic_capture_16k_smartphone", MicrophoneModel::smartphone()),
     ] {
         c.bench_function(name, |b| {
-            b.iter(|| mic.record(black_box(&x), SampleRate::CD, &mut rng))
+            b.iter(|| {
+                let mut rec = black_box(&x).clone();
+                mic.capture(&mut rec, &mut rng);
+                rec
+            })
         });
     }
 }
@@ -215,9 +180,7 @@ fn bench_transmit(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_fir,
     bench_fractional_delay,
-    bench_impulse_response,
     bench_fused_signal,
     bench_standard_normal,
     bench_noise,

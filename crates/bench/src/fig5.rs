@@ -68,12 +68,14 @@ pub fn ber_at_ebn0(
     let gamma = ebn0.to_linear_power();
     let sigma = (data_energy / (2.0 * gamma * payload.len() as f64)).sqrt();
 
+    // The ideal microphone has no band limit: the jittery capture is
+    // all it adds.
     let mut rec = emitted;
     let noise = gaussian_noise(rec.len(), sigma, rng);
     for (s, n) in rec.iter_mut().zip(noise) {
         *s += n;
     }
-    let rec = mic.record(&rec, sr, rng);
+    mic.capture(&mut rec, rng);
 
     let mut frame = DemodFrame::new();
     match rx.demodulate(&rec, modulation, payload.len(), scratch, &mut frame) {

@@ -36,7 +36,7 @@ pub struct DelayBreakdown {
     pub total: Seconds,
 }
 
-fn span_sum(delays: &[(String, Seconds)], prefix: &str) -> Seconds {
+fn span_sum(delays: &[(&str, Seconds)], prefix: &str) -> Seconds {
     Seconds(
         delays
             .iter()

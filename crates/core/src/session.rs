@@ -149,11 +149,7 @@ impl StageLedger<'_> {
     /// Copies the final clock/energy state into the report.
     fn finish(&self, report: &mut AttemptReport) {
         report.total_delay = self.clock.now();
-        report.delays = self
-            .clock
-            .spans()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
+        report.delays = self.clock.spans().collect();
         report.watch_energy_j = self.energy.watch_energy_j;
         report.phone_energy_j = self.energy.phone_energy_j;
     }
@@ -167,7 +163,7 @@ pub struct AttemptReport {
     /// Total wall-clock delay from button press to decision.
     pub total_delay: Seconds,
     /// Labelled delay spans.
-    pub delays: Vec<(String, Seconds)>,
+    pub delays: Vec<(&'static str, Seconds)>,
     /// Transmission mode chosen in phase 1 (if reached).
     pub mode: Option<TransmissionMode>,
     /// Raw channel BER measured on the phase-2 coded bits (diagnostic;

@@ -9,6 +9,10 @@ use crate::error::DspError;
 use crate::units::{Hz, SampleRate};
 use crate::window::apply_fade;
 
+/// The raised-cosine fade on each end of a chirp is `1 / FADE_DIVISOR`
+/// of its length, mitigating speaker rise and ringing.
+const FADE_DIVISOR: usize = 16;
+
 /// A linear chirp specification.
 ///
 /// # Examples
@@ -29,15 +33,13 @@ pub struct Chirp {
     f_end: Hz,
     len: usize,
     sample_rate: SampleRate,
-    fade: usize,
 }
 
 impl Chirp {
     /// Creates a chirp sweeping `f_start → f_end` over `len` samples.
     ///
     /// A small raised-cosine fade (1/16 of the length) is applied to both
-    /// ends by default to mitigate speaker rise/ringing; see
-    /// [`Chirp::with_fade`].
+    /// ends to mitigate speaker rise/ringing.
     ///
     /// # Errors
     ///
@@ -72,14 +74,7 @@ impl Chirp {
             f_end,
             len,
             sample_rate,
-            fade: len / 16,
         })
-    }
-
-    /// Overrides the edge fade length in samples.
-    pub fn with_fade(mut self, fade: usize) -> Self {
-        self.fade = fade;
-        self
     }
 
     /// Start frequency.
@@ -123,7 +118,7 @@ impl Chirp {
                 (2.0 * std::f64::consts::PI * (f0 * t + 0.5 * k * t * t)).sin()
             })
             .collect();
-        apply_fade(&mut out, self.fade);
+        apply_fade(&mut out, self.len / FADE_DIVISOR);
         out
     }
 }

@@ -65,12 +65,6 @@ pub mod stft;
 pub mod units;
 pub mod window;
 
-/// Outputs that the blocked channel kernels ([`filter::Fir::apply`],
-/// [`resample::fractional_delay`]) compute together, one accumulator
-/// each, so the compiler can vectorise across outputs without
-/// reordering any output's sum.
-const LANES: usize = 8;
-
 pub use cache::FftCache;
 pub use complex::Complex;
 pub use correlate::CorrelationWorkspace;

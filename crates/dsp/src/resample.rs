@@ -5,7 +5,12 @@
 //! changes) and sample-clock skew between two independent devices.
 
 use crate::error::DspError;
-use crate::LANES;
+
+/// Outputs [`fractional_delay`] computes together, one accumulator
+/// each, so the compiler can vectorise across outputs without
+/// reordering any output's sum. It is the one blocked kernel of the
+/// channel: every other sample-domain filter is a direct loop.
+const LANES: usize = 8;
 
 /// Samples `signal` at position `pos` (fractional index) with linear
 /// interpolation; positions outside the signal return `0.0`.

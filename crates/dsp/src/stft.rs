@@ -3,8 +3,8 @@
 //! Used for ambient-noise fingerprinting (Sound-Proof-style co-location
 //! checks) and for noise-spectrum estimation windows.
 
+use crate::cache::planned;
 use crate::error::DspError;
-use crate::fft::Fft;
 use crate::window::WindowKind;
 
 /// A power spectrogram: `frames × (fft_size/2)` one-sided bin powers.
@@ -51,7 +51,7 @@ impl Spectrogram {
         if hop == 0 {
             return Err(DspError::InvalidParameter("hop must be >= 1".into()));
         }
-        let fft = Fft::new(fft_size)?;
+        let fft = planned(fft_size)?;
         if signal.len() < fft_size {
             return Err(DspError::EmptyInput);
         }

@@ -113,18 +113,21 @@ pub fn required_ebn0(modulation: Modulation, max_ber: f64) -> Option<Db> {
     Some(Db((a - max_ber.log10()) / b))
 }
 
+/// The Eb/N0 headroom, dB, a mode must clear above its fitted
+/// requirement: the fit is measured under white noise, real
+/// environments are burstier, so the boundary needs headroom.
+const SELECTION_MARGIN_DB: f64 = 3.0;
+
 /// The adaptive modulation policy: keep BER under `max_ber` while
 /// preferring the highest-order usable mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModePolicy {
     max_ber: f64,
-    margin_db: f64,
 }
 
 impl ModePolicy {
-    /// Creates a policy with the given BER ceiling and the default
-    /// 3 dB selection margin (the fit is measured under white noise;
-    /// real environments are burstier, so the boundary needs headroom).
+    /// Creates a policy with the given BER ceiling and the 3 dB
+    /// selection margin.
     ///
     /// # Errors
     ///
@@ -135,16 +138,7 @@ impl ModePolicy {
                 "max_ber {max_ber} outside (0, 0.5]"
             )));
         }
-        Ok(ModePolicy {
-            max_ber,
-            margin_db: 3.0,
-        })
-    }
-
-    /// Overrides the selection margin in dB (0 = trust the fit exactly).
-    pub fn with_margin(mut self, margin_db: f64) -> Self {
-        self.margin_db = margin_db.max(0.0);
-        self
+        Ok(ModePolicy { max_ber })
     }
 
     /// The BER ceiling.
@@ -154,7 +148,7 @@ impl ModePolicy {
 
     /// The selection margin in dB.
     pub fn margin_db(&self) -> f64 {
-        self.margin_db
+        SELECTION_MARGIN_DB
     }
 
     /// Selects the highest-order transmission mode whose required Eb/N0
@@ -168,7 +162,7 @@ impl ModePolicy {
             TransmissionMode::Qask,
         ] {
             if let Some(req) = required_ebn0(mode.modulation(), self.max_ber) {
-                if ebn0.value() >= req.value() + self.margin_db {
+                if ebn0.value() >= req.value() + SELECTION_MARGIN_DB {
                     return Some(mode);
                 }
             }
@@ -191,10 +185,7 @@ impl ModePolicy {
 impl Default for ModePolicy {
     /// The paper's common operating point, `MaxBER = 0.1`.
     fn default() -> Self {
-        ModePolicy {
-            max_ber: 0.1,
-            margin_db: 3.0,
-        }
+        ModePolicy { max_ber: 0.1 }
     }
 }
 

@@ -26,7 +26,7 @@ use wearlock_dsp::units::Seconds;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VirtualClock {
     now: f64,
-    spans: BTreeMap<String, f64>,
+    spans: BTreeMap<&'static str, f64>,
 }
 
 impl VirtualClock {
@@ -43,10 +43,10 @@ impl VirtualClock {
     /// Advances the clock by `dt`, attributing it to `label`.
     ///
     /// Negative durations are clamped to zero.
-    pub fn advance(&mut self, label: &str, dt: Seconds) {
+    pub fn advance(&mut self, label: &'static str, dt: Seconds) {
         let dt = dt.value().max(0.0);
         self.now += dt;
-        *self.spans.entry(label.to_string()).or_insert(0.0) += dt;
+        *self.spans.entry(label).or_insert(0.0) += dt;
     }
 
     /// Total time attributed to `label` (zero if never used).
@@ -55,8 +55,8 @@ impl VirtualClock {
     }
 
     /// All labelled spans in insertion-independent (sorted) order.
-    pub fn spans(&self) -> impl Iterator<Item = (&str, Seconds)> {
-        self.spans.iter().map(|(k, &v)| (k.as_str(), Seconds(v)))
+    pub fn spans(&self) -> impl Iterator<Item = (&'static str, Seconds)> + '_ {
+        self.spans.iter().map(|(&k, &v)| (k, Seconds(v)))
     }
 
     /// Resets to time zero, clearing spans.

@@ -76,16 +76,6 @@ impl SweepRunner {
         SweepRunner::new(1)
     }
 
-    /// A runner honouring the `WEARLOCK_THREADS` environment variable
-    /// (`0`/unset → one worker per CPU).
-    pub fn from_env() -> Self {
-        let threads = std::env::var("WEARLOCK_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        SweepRunner::new(threads)
-    }
-
     /// The worker count.
     pub fn threads(&self) -> usize {
         self.threads

@@ -66,12 +66,13 @@ impl FilterDecision {
 pub struct MotionFilter {
     d_l: f64,
     d_h: f64,
-    /// Minimum magnitude standard deviation (m/s²) for the comparison
-    /// to be meaningful: two *still* devices match trivially, so the
-    /// filter only decides "when the user is engaged in activities"
-    /// (paper §V) and stays inconclusive otherwise.
-    min_motion: f64,
 }
+
+/// Minimum magnitude standard deviation (m/s²) for the comparison to be
+/// meaningful: two *still* devices match trivially, so the filter only
+/// decides "when the user is engaged in activities" (paper §V) and
+/// stays inconclusive otherwise. Resting tremor stays below it.
+const MIN_MOTION: f64 = 1.2;
 
 impl MotionFilter {
     /// Creates a filter; requires `0 <= d_l < d_h`.
@@ -83,18 +84,7 @@ impl MotionFilter {
         if !(d_l >= 0.0 && d_l < d_h) {
             return Err(SensorsError::InvalidThresholds { d_l, d_h });
         }
-        Ok(MotionFilter {
-            d_l,
-            d_h,
-            min_motion: 1.2,
-        })
-    }
-
-    /// Overrides the minimum-motion gate (m/s² of magnitude standard
-    /// deviation; default 1.2 — resting tremor stays below it).
-    pub fn with_min_motion(mut self, min_motion: f64) -> Self {
-        self.min_motion = min_motion;
-        self
+        Ok(MotionFilter { d_l, d_h })
     }
 
     /// The skip threshold `d_l`.
@@ -127,7 +117,7 @@ impl MotionFilter {
             let m = xs.iter().sum::<f64>() / xs.len() as f64;
             (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
         };
-        let moving = std(phone) >= self.min_motion && std(watch) >= self.min_motion;
+        let moving = std(phone) >= MIN_MOTION && std(watch) >= MIN_MOTION;
         if !score.is_finite() || (moving && score > self.d_h) {
             FilterDecision::Abort { score }
         } else if moving && score < self.d_l {
@@ -148,7 +138,6 @@ impl Default for MotionFilter {
         MotionFilter {
             d_l: 0.1,
             d_h: 0.15,
-            min_motion: 1.2,
         }
     }
 }

@@ -36,7 +36,7 @@ fn main() -> Result<(), wearlock::WearLockError> {
     }
 
     println!("\ntotal delay: {:.0} ms", report.total_delay.value() * 1e3);
-    for (label, t) in &report.delays {
+    for &(label, t) in &report.delays {
         println!("  {label:<28} {:7.1} ms", t.value() * 1e3);
     }
     if let Some(v) = report.volume {

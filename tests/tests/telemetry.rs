@@ -51,7 +51,7 @@ fn spans_reconcile_with_the_attempt_report() {
     // exactly the report's entry for it.
     let span_count: u64 = snap.stages.values().map(|s| s.latency_s.count).sum();
     assert_eq!(span_count, report.delays.len() as u64);
-    for (stage, delay) in &report.delays {
+    for &(stage, delay) in &report.delays {
         let s = snap.stages.get(stage).unwrap_or_else(|| {
             panic!(
                 "stage {stage} missing from metrics: {:?}",
