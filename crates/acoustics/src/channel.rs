@@ -8,7 +8,6 @@
 //! controlled additive-white-Gaussian-noise channel used for the
 //! Eb/N0-sweep experiments (Fig. 5).
 
-use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::level::power;
@@ -363,10 +362,12 @@ impl AwgnChannel {
             return signal.to_vec();
         }
         let noise_std = (p / self.snr.to_linear_power()).sqrt();
-        signal
-            .iter()
-            .map(|&s| s + noise_std * rng.sample(StandardNormal))
-            .collect()
+        let mut out = vec![0.0; signal.len()];
+        rng.fill_standard_normal(&mut out);
+        for (o, &s) in out.iter_mut().zip(signal) {
+            *o = s + noise_std * *o;
+        }
+        out
     }
 }
 

@@ -50,19 +50,33 @@ impl<K: PartialEq, T> Designs<K, T> {
     }
 
     /// The design for `key`, made by `design` on first use.
-    pub(crate) fn get(&self, key: K, design: impl FnOnce() -> T) -> Arc<T> {
+    pub(crate) fn get(&self, key: K, design: impl FnOnce() -> T) -> Arc<T>
+    where
+        K: Clone,
+    {
+        self.get_matching(|k| *k == key, || key.clone(), design)
+    }
+
+    /// The design whose key `matches`, else one made by `design` and kept
+    /// under `key()`: a lookup that builds no key unless it misses.
+    pub(crate) fn get_matching(
+        &self,
+        matches: impl Fn(&K) -> bool,
+        key: impl FnOnce() -> K,
+        design: impl FnOnce() -> T,
+    ) -> Arc<T> {
         let mut entries = self
             .entries
             .lock()
             .expect("design table poisoned by a panicking design");
-        if let Some((_, d)) = entries.iter().find(|(k, _)| *k == key) {
+        if let Some((_, d)) = entries.iter().find(|(k, _)| matches(k)) {
             return Arc::clone(d);
         }
         let d = Arc::new(design());
         if entries.len() == self.kept {
             entries.remove(0);
         }
-        entries.push((key, Arc::clone(&d)));
+        entries.push((key(), Arc::clone(&d)));
         d
     }
 }
@@ -212,17 +226,6 @@ pub fn add_received_signal(
     } else {
         None
     };
-    // Block `(start, x)`'s full convolution, sample m, lands at
-    // offset + start + m − delay.
-    let mut add = |start: usize, samples: &mut dyn Iterator<Item = f64>| {
-        let at = offset + start;
-        for (m, y) in samples.enumerate().skip(response.delay.saturating_sub(at)) {
-            match recording.get_mut(at + m - response.delay) {
-                Some(r) => *r += y,
-                None => break,
-            }
-        }
-    };
 
     // The multipath response's spectrum, from a transform it shares
     // with the lone block. Unpacking two spectra cancels the larger
@@ -264,7 +267,8 @@ pub fn add_received_signal(
     }
     if let Some((start, x)) = lone {
         fft.inverse_in_place(&mut z).expect("planned length");
-        add(start, &mut z.iter().take(x.len() + tail).map(|y| y.re));
+        let block = &z[..x.len() + tail];
+        add_aligned(recording, offset + start, response.delay, block, |y| y.re);
     }
 
     for pair in blocks.chunks_exact(2) {
@@ -283,8 +287,27 @@ pub fn add_received_signal(
             *z *= if k <= n / 2 { g[k] } else { g[n - k].conj() };
         }
         fft.inverse_in_place(&mut z).expect("planned length");
-        add(first, &mut z.iter().take(x.len() + tail).map(|y| y.re));
-        add(second, &mut z.iter().take(v.len() + tail).map(|y| y.im));
+        let (block, next) = (&z[..x.len() + tail], &z[..v.len() + tail]);
+        add_aligned(recording, offset + first, response.delay, block, |y| y.re);
+        add_aligned(recording, offset + second, response.delay, next, |y| y.im);
+    }
+}
+
+/// Adds `part` of block samples to `recording`: a block starting at
+/// `at` has its full convolution's sample `m` land at `at + m − delay`.
+/// What falls outside `recording` is dropped.
+fn add_aligned(
+    recording: &mut [f64],
+    at: usize,
+    delay: usize,
+    samples: &[Complex],
+    part: impl Fn(&Complex) -> f64,
+) {
+    let skip = delay.saturating_sub(at);
+    let samples = samples.get(skip..).unwrap_or_default();
+    let recording = recording.get_mut(at + skip - delay..).unwrap_or_default();
+    for (r, y) in recording.iter_mut().zip(samples) {
+        *r += part(y);
     }
 }
 

@@ -17,7 +17,6 @@
 //!   amplitude-shift keying needing *less* SNR per bit than phase-shift
 //!   keying on real devices (Fig. 5), inverting the textbook ordering.
 
-use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::cache::planned;
@@ -29,6 +28,7 @@ use wearlock_dsp::Complex;
 
 use crate::fused::add_received_signal;
 use crate::multipath::ImpulseResponse;
+use crate::noise::for_each_normal;
 
 /// Taps of the speaker's output band-pass.
 pub(crate) const BAND_PASS_TAPS: usize = 101;
@@ -384,23 +384,23 @@ impl MicrophoneModel {
             let alpha = 0.002_f64; // mean-reversion per sample
             let sigma = self.jitter_std * (2.0 * alpha).sqrt();
             let src = out.to_vec();
-            for (n, o) in out.iter_mut().enumerate() {
-                offset += -alpha * offset + sigma * rng.sample(StandardNormal);
+            let mut n = 0;
+            for_each_normal(out, rng, |o, z| {
+                offset += -alpha * offset + sigma * z;
                 *o = sample_at(&src, n as f64 + offset);
-            }
+                n += 1;
+            });
         }
 
         if self.noise_floor.value().is_finite() {
             let amp = self.noise_floor.to_amplitude();
-            for o in out.iter_mut() {
-                *o += amp * rng.sample(StandardNormal);
-            }
+            for_each_normal(out, rng, |o, z| *o += amp * z);
         }
 
         if self.adc_bits > 0 {
             // Full scale sized to the observed peak (AGC-style), then
             // uniform quantization.
-            let peak = out.iter().fold(1e-12f64, |a, &b| a.max(b.abs()));
+            let peak = peak(out);
             let levels = (1u64 << (self.adc_bits - 1)) as f64;
             // `levels` is a power of two, so scaling by it is exact and
             // `x / step` rounds exactly as `x / peak * levels` does.
@@ -410,6 +410,26 @@ impl MicrophoneModel {
             }
         }
     }
+}
+
+/// The largest `|x|` in `samples`, at least 1e−12 (NaNs skipped):
+/// `samples.iter().fold(1e-12, |a, &x| a.max(x.abs()))`, with eight
+/// independent accumulators instead of one serial chain. The maximum of
+/// non-NaN values does not depend on their order, so the result is the
+/// fold's bit for bit.
+fn peak(samples: &[f64]) -> f64 {
+    let mut lanes = [1e-12f64; 8];
+    let mut chunks = samples.chunks_exact(lanes.len());
+    for chunk in &mut chunks {
+        for (a, &x) in lanes.iter_mut().zip(chunk) {
+            *a = a.max(x.abs());
+        }
+    }
+    chunks
+        .remainder()
+        .iter()
+        .chain(&lanes)
+        .fold(1e-12f64, |a, &x| a.max(x.abs()))
 }
 
 /// `x.round()` (half away from zero, the sign of a zero kept), without
@@ -437,7 +457,7 @@ impl Default for MicrophoneModel {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use wearlock_dsp::goertzel::goertzel_power;
     use wearlock_dsp::level::spl;
 
@@ -466,6 +486,37 @@ mod tests {
         );
         mic.capture(&mut out, rng);
         out
+    }
+
+    #[test]
+    fn peak_is_the_serial_folds_bit_for_bit() {
+        let fold = |s: &[f64]| s.iter().fold(1e-12f64, |a, &b| a.max(b.abs()));
+        let mut rng = rng();
+        // Lengths below, at and between multiples of the 8 accumulators.
+        for len in 0..=41 {
+            let random: Vec<f64> = (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let zeros: Vec<f64> = (0..len)
+                .map(|i| if i % 3 == 0 { -0.0 } else { 0.0 })
+                .collect();
+            // The peak in the last sample: in the remainder unless the
+            // length is a multiple of 8.
+            let mut last = random.clone();
+            if let Some(x) = last.last_mut() {
+                *x = -7.5;
+            }
+            let mut nan = random.clone();
+            if let Some(x) = nan.first_mut() {
+                *x = f64::NAN;
+            }
+            let tiny = vec![-1e-13; len];
+            for samples in [random, zeros, last, nan, tiny] {
+                assert_eq!(
+                    peak(&samples).to_bits(),
+                    fold(&samples).to_bits(),
+                    "{samples:?}"
+                );
+            }
+        }
     }
 
     #[test]

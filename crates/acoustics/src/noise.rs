@@ -14,7 +14,6 @@
 use std::f64::consts::{SQRT_2, TAU};
 use std::sync::Arc;
 
-use rand::distributions::StandardNormal;
 use rand::Rng;
 
 use wearlock_dsp::cache::planned;
@@ -22,13 +21,80 @@ use wearlock_dsp::level::rms;
 use wearlock_dsp::units::{Hz, SampleRate, Spl};
 use wearlock_dsp::{Complex, Fft};
 
-use crate::fused::{low_pass, LowPass, MAX_TRANSFORM};
+use crate::fused::{low_pass, Designs, LowPass, MAX_TRANSFORM};
 use crate::hardware::{MicrophoneModel, MIC_TAPS};
 
 /// Generates `len` samples of zero-mean Gaussian noise with standard
 /// deviation `std` — the raw ingredient for controlled Eb/N0 sweeps.
 pub fn gaussian_noise<R: Rng + ?Sized>(len: usize, std: f64, rng: &mut R) -> Vec<f64> {
-    (0..len).map(|_| std * rng.sample(StandardNormal)).collect()
+    let mut out = vec![0.0; len];
+    rng.fill_standard_normal(&mut out);
+    for o in &mut out {
+        *o *= std;
+    }
+    out
+}
+
+/// Standard normals per stack block of the loops that draw one per
+/// sample: large enough to amortise a block's fill, small enough to
+/// stay in L1 next to the samples it feeds.
+pub(crate) const GAUSSIAN_BLOCK: usize = 256;
+
+/// Calls `f(&mut out[i], z)` for every sample in order, with `z` the
+/// standard normals `rng.sample(StandardNormal)` would draw one after
+/// another: filled [`GAUSSIAN_BLOCK`] at a time on the stack, bit for
+/// bit the same values and stream position.
+pub(crate) fn for_each_normal<T, R: Rng + ?Sized>(
+    out: &mut [T],
+    rng: &mut R,
+    mut f: impl FnMut(&mut T, f64),
+) {
+    let mut block = [0.0; GAUSSIAN_BLOCK];
+    for chunk in out.chunks_mut(GAUSSIAN_BLOCK) {
+        let normals = &mut block[..chunk.len()];
+        rng.fill_standard_normal(normals);
+        for (o, &z) in chunk.iter_mut().zip(&*normals) {
+            f(o, z);
+        }
+    }
+}
+
+/// Standard normals handed out one at a time in stream order, drawn
+/// [`GAUSSIAN_BLOCK`] at a time, for a loop whose draws per step vary.
+/// It draws exactly the `remaining` normals it is made for, so the
+/// stream ends where per-draw sampling would leave it.
+struct Normals {
+    block: [f64; GAUSSIAN_BLOCK],
+    /// The next normal in `block[..end]`.
+    next: usize,
+    end: usize,
+    /// Normals not yet drawn.
+    remaining: usize,
+}
+
+impl Normals {
+    fn new(count: usize) -> Self {
+        Normals {
+            block: [0.0; GAUSSIAN_BLOCK],
+            next: 0,
+            end: 0,
+            remaining: count,
+        }
+    }
+
+    #[inline]
+    fn next<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        if self.next == self.end {
+            let take = self.remaining.min(GAUSSIAN_BLOCK);
+            debug_assert!(take > 0, "more normals taken than made for");
+            rng.fill_standard_normal(&mut self.block[..take]);
+            self.remaining -= take;
+            (self.next, self.end) = (0, take);
+        }
+        let z = self.block[self.next];
+        self.next += 1;
+        z
+    }
 }
 
 /// Samples between the direct `sin_cos` re-anchors of
@@ -248,6 +314,53 @@ struct Lane {
     sources: Vec<(f64, Option<(Hz, usize)>)>,
     /// The syllabic phase of a speech lane.
     syllabic: Option<f64>,
+    /// Whether a source's power came from the random stream (machine
+    /// rumble's does, through its hum's phase): the lane's spectral
+    /// density then differs from call to call and is not worth caching.
+    varies: bool,
+}
+
+/// The exact bits of what a lane's power spectral density depends on:
+/// its sources' powers and shapings, and the sample rate.
+#[derive(PartialEq)]
+struct ShapingKey {
+    sources: Vec<(u64, Option<(u64, usize)>)>,
+    sample_rate: u64,
+}
+
+/// `Σ w·|H|²` over sources' weights `w` and shapings `H` at bin `j` of
+/// a [`MAX_TRANSFORM`]-point DFT: a lane's power spectral density
+/// before the microphone. A shorter period reads every second, fourth,
+/// … bin, the same frequencies.
+fn psd(shapes: &[(f64, Arc<Option<LowPass>>)], j: usize) -> f64 {
+    shapes
+        .iter()
+        .map(|(w, lp)| {
+            w * lp
+                .as_ref()
+                .as_ref()
+                .map_or(1.0, |lp| lp.magnitude(j, MAX_TRANSFORM).powi(2))
+        })
+        .sum()
+}
+
+/// A lane's power spectral density ([`psd`]).
+enum Density {
+    /// Tabulated at every bin, for a lane whose powers recur.
+    Table(Arc<Vec<f64>>),
+    /// Summed over the sources per bin, for a lane whose powers differ
+    /// on every call.
+    Sources(Vec<(f64, Arc<Option<LowPass>>)>),
+}
+
+impl Density {
+    /// The density at bin `j` of a [`MAX_TRANSFORM`]-point DFT.
+    fn at(&self, j: usize) -> f64 {
+        match self {
+            Density::Table(table) => table[j],
+            Density::Sources(shapes) => psd(shapes, j),
+        }
+    }
 }
 
 /// The working state of one [`NoiseModel::received`] call.
@@ -324,6 +437,7 @@ impl Synthesis {
             NoiseModel::Speech { spl } => self.speech.push(Lane {
                 sources: vec![(spl.to_amplitude().powi(2), Some(SPEECH_SHAPING))],
                 syllabic: Some(rng.gen::<f64>() * TAU),
+                varies: false,
             }),
             NoiseModel::Machine { spl } => {
                 // Unit white noise through the shaping has the power of
@@ -336,6 +450,7 @@ impl Synthesis {
                 self.plain
                     .sources
                     .push((k * k * shaped, Some(MACHINE_SHAPING)));
+                self.plain.varies = true;
                 let hum = k * HUM_AMPLITUDE * self.gain_at(HUM);
                 for_each_sine(&mut self.out, w, phase, |s, v| *s += hum * v);
             }
@@ -436,6 +551,47 @@ impl Synthesis {
         self.out
     }
 
+    /// `lane`'s power spectral density before the microphone: from a
+    /// process-wide table keyed on the exact bits of its inputs when the
+    /// lane's powers recur from call to call, else from its sources.
+    fn lane_density(&self, lane: &Lane) -> Density {
+        static DENSITIES: Designs<ShapingKey, Vec<f64>> = Designs::new(8);
+        // Each source's weight (its power over that of unit white noise
+        // through its shaping) and shaping.
+        let shapes = || -> Vec<(f64, Arc<Option<LowPass>>)> {
+            lane.sources
+                .iter()
+                .map(|&(power, shaping)| {
+                    let lp = shaping.map_or(Arc::new(None), |s| self.low_pass(s));
+                    let unit = shaping.map_or(1.0, |s| self.shaped_power(s));
+                    (power / unit, lp)
+                })
+                .collect()
+        };
+        if lane.varies {
+            return Density::Sources(shapes());
+        }
+        let bits = |&(power, shaping): &(f64, Option<(Hz, usize)>)| {
+            let shaping = shaping.map(|(cutoff, taps)| (cutoff.value().to_bits(), taps));
+            (power.to_bits(), shaping)
+        };
+        let sample_rate = self.sample_rate.value().to_bits();
+        Density::Table(DENSITIES.get_matching(
+            |k| {
+                k.sample_rate == sample_rate
+                    && k.sources.iter().copied().eq(lane.sources.iter().map(bits))
+            },
+            || ShapingKey {
+                sources: lane.sources.iter().map(bits).collect(),
+                sample_rate,
+            },
+            || {
+                let shapes = shapes();
+                (0..=MAX_TRANSFORM / 2).map(|j| psd(&shapes, j)).collect()
+            },
+        ))
+    }
+
     /// Draws `lanes` (one or two) period by period, calibrates each to
     /// its sources' summed power from its realised spectrum before the
     /// microphone (Parseval), and adds them to the output.
@@ -455,46 +611,16 @@ impl Synthesis {
                 })
             })
             .collect();
+        let densities: Vec<Density> = lanes.iter().map(|l| self.lane_density(l)).collect();
         let limit = self.band_limit();
         let microphone = limit.as_deref().and_then(Option::as_ref);
-        // Each source's weight (its power over that of unit white noise
-        // through its shaping) and shaping.
-        let shapes: Vec<Vec<(f64, Arc<Option<LowPass>>)>> = lanes
-            .iter()
-            .map(|lane| {
-                lane.sources
-                    .iter()
-                    .map(|&(power, shaping)| {
-                        let lp = shaping.map_or(Arc::new(None), |s| self.low_pass(s));
-                        let unit = shaping.map_or(1.0, |s| self.shaped_power(s));
-                        (power / unit, lp)
-                    })
-                    .collect()
-            })
-            .collect();
         // Per bin of an n-point period and per lane: the weight of the
         // bin's squared Gaussian draws in the period's energy before the
         // microphone (for the calibration), and the bin's amplitude
         // through the microphone. Bins of variance n/2 per part make
         // unit-variance samples (white noise before its shaping)
         // whatever the period.
-        let bin_spectrum = |k: usize, n: usize| {
-            let mut bins = [(0.0, 0.0); 2];
-            for (bin, sources) in bins.iter_mut().zip(&shapes) {
-                let psd: f64 = sources
-                    .iter()
-                    .map(|(w, lp)| {
-                        w * lp
-                            .as_ref()
-                            .as_ref()
-                            .map_or(1.0, |lp| lp.magnitude(k, n).powi(2))
-                    })
-                    .sum();
-                let gain = microphone.map_or(1.0, |lp| lp.magnitude(k, n));
-                *bin = (n as f64 * psd, (0.5 * n as f64 * psd).sqrt() * gain);
-            }
-            bins
-        };
+        //
         // Buffers sized once for the longest period; the bins and the
         // plan change only with the period's length.
         let longest = periods.iter().map(|&(_, n)| n).max().unwrap_or(0);
@@ -504,8 +630,17 @@ impl Synthesis {
         let mut packed = Vec::with_capacity(longest);
         for (p, &(start, n)) in periods.iter().enumerate() {
             if spectra.0 != n {
+                let stride = MAX_TRANSFORM / n;
                 spectra.1.clear();
-                spectra.1.extend((0..=n / 2).map(|k| bin_spectrum(k, n)));
+                spectra.1.extend((0..=n / 2).map(|k| {
+                    let gain = microphone.map_or(1.0, |lp| lp.magnitude(k, n));
+                    let mut bins = [(0.0, 0.0); 2];
+                    for (bin, density) in bins.iter_mut().zip(&densities) {
+                        let psd = density.at(k * stride);
+                        *bin = (n as f64 * psd, (0.5 * n as f64 * psd).sqrt() * gain);
+                    }
+                    bins
+                }));
                 spectra.0 = n;
                 plan = Some(planned(n).expect("a power of two"));
             }
@@ -513,6 +648,9 @@ impl Synthesis {
             packed.clear();
             packed.resize(n, Complex::ZERO);
             let mut energy = [0.0; 2];
+            // Each lane draws one normal per real DC and Nyquist bin and
+            // two per complex bin between: n in all.
+            let mut normals = Normals::new(lanes.len() * n);
             for (k, spectrum) in spectra.1.iter().enumerate() {
                 // Real white noise has real DC and Nyquist bins, with
                 // twice the variance of each part of the complex bins
@@ -525,12 +663,12 @@ impl Synthesis {
                     .zip(spectrum)
                     .take(lanes.len())
                 {
-                    let re: f64 = rng.sample(StandardNormal);
+                    let re = normals.next(rng);
                     if edge {
                         *e += power * re * re;
                         *bin = Complex::from_re(SQRT_2 * amplitude * re);
                     } else {
-                        let im: f64 = rng.sample(StandardNormal);
+                        let im = normals.next(rng);
                         *e += power * (re * re + im * im);
                         *bin = Complex::new(amplitude * re, amplitude * im);
                     }
@@ -735,6 +873,24 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    #[test]
+    fn cached_spectral_densities_give_the_designing_calls_bits() {
+        // SPLs no other test uses: the first call computes the speech and
+        // white lanes' spectral densities, the second reads them from the
+        // table.
+        let model = NoiseModel::Mixture(vec![
+            NoiseModel::Speech { spl: Spl(37.25) },
+            NoiseModel::White { spl: Spl(21.5) },
+        ]);
+        let mic = MicrophoneModel::moto360();
+        let draw = || model.received(15_700, SampleRate::CD, &mic, &mut rng());
+        let (first, again) = (draw(), draw());
+        assert!(first
+            .iter()
+            .zip(&again)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

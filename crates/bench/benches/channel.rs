@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::distributions::StandardNormal;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::hint::black_box;
 use wearlock_acoustics::channel::{AcousticLink, PathKind};
 use wearlock_acoustics::fused::add_received_signal;
@@ -96,6 +96,13 @@ fn bench_standard_normal(c: &mut Criterion) {
             for o in out.iter_mut() {
                 *o = rng.sample(StandardNormal);
             }
+            black_box(&out);
+        })
+    });
+    // The same draws through the block fill the channel's loops use.
+    c.bench_function("standard_normal_fill_16k", |b| {
+        b.iter(|| {
+            rng.fill_standard_normal(&mut out);
             black_box(&out);
         })
     });

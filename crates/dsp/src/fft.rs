@@ -44,6 +44,8 @@
 //! `Arc<Fft>` from a process-wide cache so the bit-reversal table and
 //! twiddles for each size are computed exactly once.
 
+use std::sync::Arc;
+
 use crate::complex::Complex;
 use crate::error::DspError;
 
@@ -81,8 +83,35 @@ pub struct Fft {
     /// `N − 1` entries in all. Each entry is entry `k·N/len` of the last
     /// stage's table `e^{-j2πk/N}`, copied bit for bit. The inverse
     /// conjugates them in its butterflies, an exact sign flip, so no
-    /// second table is kept.
-    twiddles: Vec<Complex>,
+    /// second table is kept. The table may be longer: a plan sharing a
+    /// longer plan's table reads its first `N − 1` entries (see
+    /// [`twiddle_table`]).
+    twiddles: Arc<[Complex]>,
+}
+
+/// The twiddle table of a `points`-point plan (see [`Fft`]'s layout).
+///
+/// Stage `len`'s entries do not depend on `points`: entry `k` is
+/// `cis(−2π·m / points)` with `m = k·points/len`, and doubling
+/// `points` doubles `m`. Both doublings are exact in floating point,
+/// so the angle, and with it the entry, comes out the same `f64` bits
+/// for every plan size. A shorter plan's table is therefore exactly a
+/// prefix of a longer one's, and plans can share the longest table.
+pub(crate) fn twiddle_table(points: usize) -> Arc<[Complex]> {
+    let mut twiddles = vec![Complex::ZERO; points - 1];
+    let (earlier, last) = twiddles.split_at_mut(points / 2 - 1);
+    for (k, w) in last.iter_mut().enumerate() {
+        *w = Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / points as f64);
+    }
+    let mut len = 2;
+    while len < points {
+        let stage = &mut earlier[len / 2 - 1..len - 1];
+        for (w, &v) in stage.iter_mut().zip(last.iter().step_by(points / len)) {
+            *w = v;
+        }
+        len <<= 1;
+    }
+    twiddles.into()
 }
 
 /// One pass of the stage schedule over the whole buffer, with the
@@ -103,32 +132,38 @@ impl Fft {
     /// Returns [`DspError::InvalidFftSize`] unless `size` is a power of
     /// two from 2 to 2³¹.
     pub fn new(size: usize) -> Result<Self, DspError> {
-        let points = u32::try_from(size).map_err(|_| DspError::InvalidFftSize(size))?;
-        if size < 2 || !size.is_power_of_two() {
+        Self::check_size(size)?;
+        Ok(Self::with_twiddles(size, twiddle_table(size)))
+    }
+
+    /// Checks that `size` is a power of two from 2 to 2³¹.
+    pub(crate) fn check_size(size: usize) -> Result<(), DspError> {
+        if size < 2 || !size.is_power_of_two() || u32::try_from(size).is_err() {
             return Err(DspError::InvalidFftSize(size));
         }
+        Ok(())
+    }
+
+    /// Plans a valid `size` on `twiddles`, the table of a plan of
+    /// `size` points or more ([`twiddle_table`]).
+    pub(crate) fn with_twiddles(size: usize, twiddles: Arc<[Complex]>) -> Self {
+        assert!(twiddles.len() >= size - 1, "twiddle table too short");
         let bits = size.trailing_zeros();
-        let rev = (0..points)
+        let rev = (0..size as u32)
             .map(|i| i.reverse_bits() >> (u32::BITS - bits))
             .collect();
-        let mut twiddles = vec![Complex::ZERO; size - 1];
-        let (earlier, last) = twiddles.split_at_mut(size / 2 - 1);
-        for (k, w) in last.iter_mut().enumerate() {
-            *w = Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / size as f64);
-        }
-        let mut len = 2;
-        while len < size {
-            let stage = &mut earlier[len / 2 - 1..len - 1];
-            for (w, &v) in stage.iter_mut().zip(last.iter().step_by(size / len)) {
-                *w = v;
-            }
-            len <<= 1;
-        }
-        Ok(Fft {
+        Fft {
             size,
             rev,
             twiddles,
-        })
+        }
+    }
+
+    /// The plan's twiddle table: `size − 1` entries or more, when it
+    /// shares a longer plan's.
+    #[cfg(test)]
+    pub(crate) fn twiddles(&self) -> &Arc<[Complex]> {
+        &self.twiddles
     }
 
     /// The transform size.
@@ -553,6 +588,19 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn twiddle_tables_are_prefixes_of_longer_ones() {
+        let longest = twiddle_table(8_192);
+        for n in sizes() {
+            let table = twiddle_table(n);
+            assert_eq!(table.len(), n - 1);
+            for (a, b) in table.iter().zip(longest.iter()) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "{n}-point table");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "{n}-point table");
+            }
+        }
     }
 
     #[test]

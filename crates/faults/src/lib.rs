@@ -38,9 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::distributions::StandardNormal;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Clamps to `[0, 1]`, mapping NaN to 0 (no faults).
 fn clamp01(v: f64) -> f64 {
@@ -240,8 +239,15 @@ impl AcousticFaults {
             let std = b.level.max(0.0) * rms(samples).max(1e-9);
             let (lo, hi) = window(samples.len(), b.start_frac, b.len_frac);
             let mut rng = StdRng::seed_from_u64(b.seed);
-            for s in &mut samples[lo..hi] {
-                *s += std * rng.sample(StandardNormal);
+            // Drawn in stack blocks: the same normals, in order, as one
+            // `sample(StandardNormal)` per sample.
+            let mut block = [0.0; 256];
+            for chunk in samples[lo..hi].chunks_mut(block.len()) {
+                let normals = &mut block[..chunk.len()];
+                rng.fill_standard_normal(normals);
+                for (s, &z) in chunk.iter_mut().zip(&*normals) {
+                    *s += std * z;
+                }
             }
         }
         if let Some(c) = &self.clip {
