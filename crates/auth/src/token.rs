@@ -187,17 +187,6 @@ impl TokenVerifier {
         }
         VerifyOutcome::Rejected
     }
-
-    /// Verifies raw received bits (repetition-decoded first).
-    pub fn verify_bits(&mut self, bits: &[bool], repetition: usize) -> VerifyOutcome {
-        match repetition_decode(bits, TOKEN_BITS, repetition)
-            .as_deref()
-            .and_then(bits_to_token)
-        {
-            Some(token) => self.verify(token),
-            None => VerifyOutcome::Rejected,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -295,17 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_bits_end_to_end() {
-        let (mut g, mut v) = pair();
-        let coded = g.next_token_bits(DEFAULT_REPETITION);
-        assert_eq!(coded.len(), TOKEN_BITS * DEFAULT_REPETITION);
-        assert!(matches!(
-            v.verify_bits(&coded, DEFAULT_REPETITION),
-            VerifyOutcome::Accepted { .. }
-        ));
-    }
-
-    #[test]
     fn corrupted_beyond_majority_rejected() {
         let (mut g, mut v) = pair();
         let mut coded = g.next_token_bits(5);
@@ -316,6 +294,10 @@ mod tests {
             let pos = (TOKEN_BITS - shift) % TOKEN_BITS;
             coded[c * TOKEN_BITS + pos] = !coded[c * TOKEN_BITS + pos];
         }
-        assert_eq!(v.verify_bits(&coded, 5), VerifyOutcome::Rejected);
+        let token = repetition_decode(&coded, TOKEN_BITS, 5)
+            .as_deref()
+            .and_then(bits_to_token)
+            .expect("full-length input decodes");
+        assert_eq!(v.verify(token), VerifyOutcome::Rejected);
     }
 }

@@ -21,119 +21,43 @@
 //! per-task recorder merge makes the file bitwise identical for every
 //! `--threads` value too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::str::FromStr;
 
-use wearlock_bench::{fleet, perf, report};
+use wearlock_bench::{fleet, report};
 use wearlock_runtime::SweepRunner;
 use wearlock_telemetry::MetricsRecorder;
 
 const SEED: u64 = 20170605; // deterministic everywhere
 
-// Counting global allocator backing the `perf` experiment's
-// allocations-per-stage report. The library crates forbid unsafe code,
-// so the counter lives here in the binary root and reaches the
-// experiment through a plain snapshot function.
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAllocator;
-
-// SAFETY: delegates every operation unchanged to the system allocator;
-// the counters are plain relaxed atomics with no allocator interaction.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn alloc_snapshot() -> (u64, u64) {
-    (
-        ALLOC_COUNT.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    )
+/// Removes `flag` and the value after it from `args` and parses the
+/// value; `None` when the flag is absent. A missing or malformed value
+/// exits with status 2, saying what the flag takes.
+fn take_flag<T: FromStr>(args: &mut Vec<String>, flag: &str, what: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == flag)?;
+    let value = args.get(i + 1).and_then(|v| v.parse().ok());
+    let Some(value) = value else {
+        eprintln!("{flag} takes {what}");
+        std::process::exit(2);
+    };
+    args.drain(i..=i + 1);
+    Some(value)
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = 0usize; // 0 = one worker per CPU
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        if i + 1 >= args.len() {
-            eprintln!("--threads requires a value");
-            std::process::exit(2);
-        }
-        threads = args[i + 1].parse().unwrap_or_else(|_| {
-            eprintln!("--threads takes a non-negative integer (0 = all CPUs)");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-    }
-    let mut metrics_path: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--metrics") {
-        if i + 1 >= args.len() {
-            eprintln!("--metrics requires an output path");
-            std::process::exit(2);
-        }
-        metrics_path = Some(args[i + 1].clone());
-        args.drain(i..=i + 1);
-    }
-    let mut bench_out = String::from("BENCH_pr4.json");
-    if let Some(i) = args.iter().position(|a| a == "--bench-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--bench-out requires an output path");
-            std::process::exit(2);
-        }
-        bench_out = args[i + 1].clone();
-        args.drain(i..=i + 1);
-    }
-    let mut fleet_users = 2_000u64;
-    if let Some(i) = args.iter().position(|a| a == "--users") {
-        if i + 1 >= args.len() {
-            eprintln!("--users requires a value");
-            std::process::exit(2);
-        }
-        fleet_users = args[i + 1].parse().unwrap_or_else(|_| {
-            eprintln!("--users takes a positive integer");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-    }
-    let mut fleet_rate_hz = 1.0 / 60.0;
-    if let Some(i) = args.iter().position(|a| a == "--arrival-rate") {
-        if i + 1 >= args.len() {
-            eprintln!("--arrival-rate requires a value in Hz");
-            std::process::exit(2);
-        }
-        fleet_rate_hz = args[i + 1].parse().unwrap_or_else(|_| {
-            eprintln!("--arrival-rate takes a number of attempts per second");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-    }
-    let mut fleet_out = String::from("BENCH_pr5.json");
-    if let Some(i) = args.iter().position(|a| a == "--fleet-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--fleet-out requires an output path");
-            std::process::exit(2);
-        }
-        fleet_out = args[i + 1].clone();
-        args.drain(i..=i + 1);
-    }
+    // 0 = one worker per CPU.
+    let threads = take_flag(
+        &mut args,
+        "--threads",
+        "a non-negative integer (0 = all CPUs)",
+    )
+    .unwrap_or(0usize);
+    let metrics_path: Option<String> = take_flag(&mut args, "--metrics", "an output path");
+    let fleet_users = take_flag(&mut args, "--users", "a positive integer").unwrap_or(2_000u64);
+    let fleet_rate_hz = take_flag(&mut args, "--arrival-rate", "a rate in attempts per second")
+        .unwrap_or(1.0 / 60.0);
+    let fleet_out: String = take_flag(&mut args, "--fleet-out", "an output path")
+        .unwrap_or_else(|| "BENCH_pr5.json".into());
     let runner = SweepRunner::new(threads);
     let metrics = MetricsRecorder::new();
 
@@ -153,7 +77,6 @@ fn main() {
         "table1",
         "table2",
         "casestudy",
-        "perf",
         "fleet",
     ];
     if let Some(bad) = args.iter().find(|a| !KNOWN.contains(&a.as_str())) {
@@ -256,27 +179,10 @@ fn main() {
             report::resilience(&runner, SEED, 8, &metrics),
         );
     }
-    // `perf` is opt-in only (never part of `all`): wall times are
-    // host-dependent, so they must not contaminate the deterministic
-    // experiment output. The allocation counts it reports are exact.
-    if args.iter().any(|a| a == "perf") {
-        let stages = perf::measure(200, Some(alloc_snapshot));
-        print(
-            "Perf - steady-state wall time and allocations per pipeline stage",
-            perf::rows(&stages),
-        );
-        let json = perf::to_json(&stages);
-        if let Err(e) = std::fs::write(&bench_out, &json) {
-            eprintln!("failed to write {bench_out}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nperf: wrote {bench_out}");
-    }
-    // `fleet` is opt-in like `perf`, but for cost rather than
-    // determinism: its sweep runs tens of thousands of full unlock
-    // attempts, so it should not ride along with every `all`. Its
-    // output is fully deterministic (virtual time only) and is diffed
-    // across `--threads` values in CI.
+    // `fleet` is opt-in (never part of `all`): its sweep runs tens of
+    // thousands of full unlock attempts, so it should not ride along
+    // with every `all`. Its output is fully deterministic (virtual time
+    // only) and is diffed across `--threads` values in CI.
     if args.iter().any(|a| a == "fleet") {
         let cells = fleet::sweep(&runner, SEED, fleet_users, fleet_rate_hz, &metrics);
         print(

@@ -3,10 +3,13 @@
 
 use rand::rngs::StdRng;
 
-use wearlock::config::WearLockConfig;
+use wearlock::config::{WearLockConfig, PROBE_BLOCKS};
 use wearlock::trim;
 use wearlock_acoustics::channel::{DEFAULT_LEAD_PAD, DEFAULT_TAIL_PAD};
 use wearlock_auth::TOKEN_BITS;
+use wearlock_modem::config::{
+    CP_LEN, FFT_SIZE, POST_PREAMBLE_GUARD, PREAMBLE_LEN, SAMPLE_RATE, SYMBOL_LEN,
+};
 use wearlock_modem::{Modulation, OfdmModulator};
 use wearlock_platform::device::{DeviceModel, Workload};
 use wearlock_platform::link::{Transport, WirelessLink};
@@ -32,22 +35,19 @@ pub struct DevicePhases {
 fn phase_workloads() -> (Workload, Workload, Workload) {
     let config = WearLockConfig::default();
     let modem = config.modem();
-    let sr = modem.sample_rate();
     let tx = OfdmModulator::new(modem.clone()).expect("default modem config is valid");
-    let search_len = 2 * trim::search_pad(sr) + modem.preamble_len();
-    let probe_len = modem.preamble_len()
-        + modem.post_preamble_guard()
-        + config.probe_blocks() * modem.symbol_len();
+    let search_len = 2 * trim::search_pad(SAMPLE_RATE) + PREAMBLE_LEN;
+    let probe_len = PREAMBLE_LEN + POST_PREAMBLE_GUARD + PROBE_BLOCKS * SYMBOL_LEN;
     let coded = config.token_coding().coded_len(TOKEN_BITS);
     let token_len = tx.frame_len(coded, Modulation::Qpsk);
 
     let probe = Workload::combined(&[
         Workload::CrossCorrelation {
             signal_len: search_len,
-            template_len: modem.preamble_len(),
+            template_len: PREAMBLE_LEN,
         },
         Workload::Fft {
-            size: modem.fft_size(),
+            size: FFT_SIZE,
             count: 10,
         },
         Workload::LevelMeasure {
@@ -57,7 +57,7 @@ fn phase_workloads() -> (Workload, Workload, Workload) {
     let preprocess = Workload::combined(&[
         Workload::CrossCorrelation {
             signal_len: search_len,
-            template_len: modem.preamble_len(),
+            template_len: PREAMBLE_LEN,
         },
         Workload::LevelMeasure {
             samples: DEFAULT_LEAD_PAD + token_len + DEFAULT_TAIL_PAD,
@@ -65,8 +65,8 @@ fn phase_workloads() -> (Workload, Workload, Workload) {
     ]);
     let demod = Workload::OfdmDemod {
         blocks: tx.blocks_for(coded, Modulation::Qpsk),
-        fft_size: modem.fft_size(),
-        cp_len: modem.cp_len(),
+        fft_size: FFT_SIZE,
+        cp_len: CP_LEN,
     };
     (probe, preprocess, demod)
 }

@@ -5,6 +5,7 @@ use wearlock::config::{ExecutionPlan, WearLockConfig};
 use wearlock::offload::step_cost;
 use wearlock::trim;
 use wearlock_auth::TOKEN_BITS;
+use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN, SAMPLE_RATE};
 use wearlock_modem::{Modulation, OfdmModulator};
 use wearlock_platform::device::{DeviceModel, Workload};
 use wearlock_platform::link::WirelessLink;
@@ -30,11 +31,11 @@ pub struct PlanCost {
 fn round_workload() -> (Workload, usize) {
     let config = WearLockConfig::default();
     let modem = config.modem();
-    let sr = modem.sample_rate();
+    let sr = SAMPLE_RATE;
     let tx = OfdmModulator::new(modem.clone()).expect("default modem config is valid");
     // The trim anchors each clip, so both phases' preamble searches
     // scan the onset→peak span: the ±pad slack plus one template.
-    let search_len = 2 * trim::search_pad(sr) + modem.preamble_len();
+    let search_len = 2 * trim::search_pad(sr) + PREAMBLE_LEN;
     let coded = config.token_coding().coded_len(TOKEN_BITS);
     // QPSK is the mode adaptive modulation settles on at unlock range.
     let blocks = tx.blocks_for(coded, Modulation::Qpsk);
@@ -48,20 +49,20 @@ fn round_workload() -> (Workload, usize) {
         Workload::combined(&[
             Workload::CrossCorrelation {
                 signal_len: search_len,
-                template_len: modem.preamble_len(),
+                template_len: PREAMBLE_LEN,
             },
             Workload::Fft {
-                size: modem.fft_size(),
+                size: FFT_SIZE,
                 count: 10,
             },
             Workload::CrossCorrelation {
                 signal_len: search_len,
-                template_len: modem.preamble_len(),
+                template_len: PREAMBLE_LEN,
             },
             Workload::OfdmDemod {
                 blocks,
-                fft_size: modem.fft_size(),
-                cp_len: modem.cp_len(),
+                fft_size: FFT_SIZE,
+                cp_len: CP_LEN,
             },
         ]),
         samples,

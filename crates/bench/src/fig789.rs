@@ -79,10 +79,7 @@ fn measure_ber<R: Rng + ?Sized>(
 /// Each (mode, distance) point is an independent task with its own
 /// derived RNG, so the result is identical for any worker count.
 pub fn fig7(distances: &[f64], trials: usize, seed: u64, runner: &SweepRunner) -> Vec<DistanceBer> {
-    let cfg = OfdmConfig::builder()
-        .band(FrequencyBand::NearUltrasound)
-        .build()
-        .expect("band config valid");
+    let cfg = OfdmConfig::new(FrequencyBand::NearUltrasound);
     let tx = OfdmModulator::new(cfg.clone()).expect("valid");
     let rx = OfdmDemodulator::new(cfg).expect("valid");
     let volume = Spl(56.0);
@@ -129,10 +126,7 @@ pub fn fig8(
     seed: u64,
     runner: &SweepRunner,
 ) -> Vec<AdaptiveBer> {
-    let cfg = OfdmConfig::builder()
-        .band(FrequencyBand::NearUltrasound)
-        .build()
-        .expect("band config valid");
+    let cfg = OfdmConfig::new(FrequencyBand::NearUltrasound);
     let tx = OfdmModulator::new(cfg.clone()).expect("valid");
     let rx = OfdmDemodulator::new(cfg.clone()).expect("valid");
     let probe = probe_wave(&tx);

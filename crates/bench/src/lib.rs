@@ -9,7 +9,6 @@ pub mod fig6;
 pub mod fig789;
 pub mod fleet;
 pub mod funnel;
-pub mod perf;
 pub mod report;
 pub mod resilience;
 pub mod table2;

@@ -106,11 +106,6 @@ impl ParticipantResult {
     pub fn success_rate(&self) -> f64 {
         self.successes as f64 / self.trials.max(1) as f64
     }
-
-    /// Strict token-verification rate in `[0, 1]`.
-    pub fn token_rate(&self) -> f64 {
-        self.token_unlocks as f64 / self.trials.max(1) as f64
-    }
 }
 
 /// The whole case-study report.

@@ -42,6 +42,15 @@ pub const NLOS_SPREAD_THRESHOLD_S: f64 = 6e-4;
 /// co-location check).
 pub const AMBIENT_SIMILARITY_THRESHOLD: f64 = 0.35;
 
+/// Preamble detection threshold of both acoustic phases: the best
+/// normalized correlation score a recording must reach to count as
+/// carrying a frame. Pure noise reaches ≈0.25 over a seconds-long
+/// recording (DESIGN.md §8.1); the modem's library default is 0.35.
+pub const DETECTION_THRESHOLD: f64 = 0.3;
+
+/// Pilot blocks in the RTS probe.
+pub const PROBE_BLOCKS: usize = 2;
+
 /// Timing window of the interactive protocol, seconds (paper §IV): a
 /// token arriving later than this after its RTS — a replay or a relay
 /// — is discarded before verification.
@@ -116,14 +125,11 @@ pub struct WearLockConfig {
     pub(crate) otp_key: Vec<u8>,
     pub(crate) otp_counter: u64,
     pub(crate) token_coding: TokenCoding,
-    pub(crate) nlos_score_threshold: f64,
     pub(crate) nlos_relax_max_ber: Option<f64>,
     pub(crate) phone: DeviceModel,
     pub(crate) watch: DeviceModel,
     pub(crate) transport: Transport,
     pub(crate) plan: ExecutionPlan,
-    pub(crate) speaker: SpeakerModel,
-    pub(crate) probe_blocks: usize,
 }
 
 impl WearLockConfig {
@@ -167,11 +173,6 @@ impl WearLockConfig {
         self.token_coding
     }
 
-    /// Number of pilot blocks in the RTS probe.
-    pub fn probe_blocks(&self) -> usize {
-        self.probe_blocks
-    }
-
     /// The shared OTP secret.
     pub fn otp_key(&self) -> &[u8] {
         &self.otp_key
@@ -210,7 +211,7 @@ impl WearLockConfig {
         let clamped = req
             .value()
             .max(MIN_VOLUME.value())
-            .min(self.speaker.max_spl().value());
+            .min(SpeakerModel::smartphone().max_spl().value());
         Spl(clamped)
     }
 }
@@ -227,36 +228,24 @@ impl Default for WearLockConfig {
 #[derive(Debug, Clone)]
 pub struct WearLockConfigBuilder {
     band: FrequencyBand,
-    modem: Option<OfdmConfig>,
     max_ber: f64,
     otp_key: Vec<u8>,
     otp_counter: u64,
     token_coding: Option<TokenCoding>,
-    nlos_score_threshold: f64,
     nlos_relax_max_ber: Option<f64>,
-    named: Option<NamedConfig>,
-    transport: Transport,
-    plan: ExecutionPlan,
-    speaker: SpeakerModel,
-    probe_blocks: usize,
+    named: NamedConfig,
 }
 
 impl Default for WearLockConfigBuilder {
     fn default() -> Self {
         WearLockConfigBuilder {
             band: FrequencyBand::Audible,
-            modem: None,
             max_ber: 0.1,
             otp_key: b"wearlock-shared-secret".to_vec(),
             otp_counter: 0,
             token_coding: None,
-            nlos_score_threshold: 0.05,
             nlos_relax_max_ber: None,
-            named: Some(NamedConfig::Config1),
-            transport: Transport::Wifi,
-            plan: ExecutionPlan::OffloadToPhone,
-            speaker: SpeakerModel::smartphone(),
-            probe_blocks: 2,
+            named: NamedConfig::Config1,
         }
     }
 }
@@ -265,12 +254,6 @@ impl WearLockConfigBuilder {
     /// Sets the acoustic band (default audible 1–6 kHz).
     pub fn band(mut self, band: FrequencyBand) -> Self {
         self.band = band;
-        self
-    }
-
-    /// Sets an explicit modem configuration (overrides `band`).
-    pub fn modem(mut self, modem: OfdmConfig) -> Self {
-        self.modem = Some(modem);
         self
     }
 
@@ -301,13 +284,6 @@ impl WearLockConfigBuilder {
         self
     }
 
-    /// Sets the minimum preamble score below which transmission aborts
-    /// (default 0.05, the paper's threshold).
-    pub fn nlos_score_threshold(mut self, score: f64) -> Self {
-        self.nlos_score_threshold = score;
-        self
-    }
-
     /// Instead of aborting on an NLOS flag, relax the BER target to
     /// this value and continue (the case study's corrected protocol).
     pub fn nlos_relax_max_ber(mut self, max_ber: Option<f64>) -> Self {
@@ -315,63 +291,30 @@ impl WearLockConfigBuilder {
         self
     }
 
-    /// Applies one of the paper's named configurations (device,
-    /// transport, plan).
+    /// Applies one of the paper's named configurations (phone,
+    /// transport, plan; default [`NamedConfig::Config1`]).
     pub fn named(mut self, named: NamedConfig) -> Self {
-        self.named = Some(named);
-        self
-    }
-
-    /// Overrides the transport (clears any named config).
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self.named = None;
-        self
-    }
-
-    /// Overrides the execution plan (clears any named config).
-    pub fn plan(mut self, plan: ExecutionPlan) -> Self {
-        self.plan = plan;
-        self.named = None;
-        self
-    }
-
-    /// Sets the phone speaker model.
-    pub fn speaker(mut self, speaker: SpeakerModel) -> Self {
-        self.speaker = speaker;
-        self
-    }
-
-    /// Sets the number of probe pilot blocks (default 2).
-    pub fn probe_blocks(mut self, blocks: usize) -> Self {
-        self.probe_blocks = blocks;
+        self.named = named;
         self
     }
 
     /// Validates and builds the configuration.
     ///
     /// Validation is eager: every field is checked here, up front, so a
-    /// value that would have failed or been silently clamped deep inside
-    /// an unlock attempt (a zero-pilot probe, an unusable NLOS BER
-    /// relaxation) is rejected at build time with a typed
-    /// [`ConfigError`].
+    /// value that would have failed or been silently ignored deep inside
+    /// an unlock attempt (an unusable NLOS BER relaxation) is rejected
+    /// at build time with a typed [`ConfigError`].
     ///
     /// # Errors
     ///
     /// Returns [`WearLockError::Config`] naming the offending field, or
-    /// a sub-component error for invalid modem/policy parameters.
+    /// a sub-component error for invalid policy parameters.
     pub fn build(self) -> Result<WearLockConfig, WearLockError> {
         if self.otp_key.is_empty() {
             return Err(ConfigError::EmptyOtpKey.into());
         }
         if matches!(self.token_coding, Some(TokenCoding::Repetition(0))) {
             return Err(ConfigError::ZeroRepetition.into());
-        }
-        if !(0.0..=1.0).contains(&self.nlos_score_threshold) {
-            return Err(ConfigError::InvalidNlosScoreThreshold {
-                value: self.nlos_score_threshold,
-            }
-            .into());
         }
         if let Some(relaxed) = self.nlos_relax_max_ber {
             // The session applies this through `ModePolicy::new`, which
@@ -381,34 +324,21 @@ impl WearLockConfigBuilder {
                 return Err(ConfigError::InvalidNlosRelaxMaxBer { value: relaxed }.into());
             }
         }
-        if self.probe_blocks == 0 {
-            return Err(ConfigError::ZeroProbeBlocks.into());
-        }
-        let modem = match self.modem {
-            Some(m) => m,
-            None => OfdmConfig::builder().band(self.band).build()?,
-        };
         let policy = ModePolicy::new(self.max_ber)?;
-        let (phone, transport, plan) = match self.named {
-            Some(named) => named.parts(),
-            None => (DeviceModel::nexus6(), self.transport, self.plan),
-        };
+        let (phone, transport, plan) = self.named.parts();
         Ok(WearLockConfig {
-            modem,
+            modem: OfdmConfig::new(self.band),
             policy,
             otp_key: self.otp_key,
             otp_counter: self.otp_counter,
             token_coding: self
                 .token_coding
                 .unwrap_or(TokenCoding::Repetition(DEFAULT_REPETITION)),
-            nlos_score_threshold: self.nlos_score_threshold,
             nlos_relax_max_ber: self.nlos_relax_max_ber,
             phone,
             watch: DeviceModel::moto360(),
             transport,
             plan,
-            speaker: self.speaker,
-            probe_blocks: self.probe_blocks,
         })
     }
 }
@@ -420,7 +350,6 @@ mod tests {
     #[test]
     fn default_config_is_paper_setup() {
         let cfg = WearLockConfig::default();
-        assert_eq!(cfg.modem().fft_size(), 256);
         assert_eq!(cfg.policy().max_ber(), 0.1);
         assert_eq!(cfg.plan(), ExecutionPlan::OffloadToPhone);
         assert_eq!(cfg.transport(), Transport::Wifi);
@@ -464,17 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_nlos_score_threshold_outside_unit_interval() {
-        for bad in [-0.01, 1.01, f64::NAN] {
-            let e = config_err(WearLockConfig::builder().nlos_score_threshold(bad).build());
-            assert!(
-                matches!(e, ConfigError::InvalidNlosScoreThreshold { .. }),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_unusable_nlos_relaxation() {
         // Would be silently ignored mid-attempt before eager validation.
         for bad in [0.0, -0.1, 0.6, f64::NAN] {
@@ -496,19 +414,73 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_probe_blocks() {
-        // Previously clamped to 1 silently; now a typed error.
-        let e = config_err(WearLockConfig::builder().probe_blocks(0).build());
-        assert_eq!(e, ConfigError::ZeroProbeBlocks);
-    }
-
-    #[test]
     fn config_error_display_names_the_field() {
-        let e = config_err(WearLockConfig::builder().probe_blocks(0).build());
-        assert_eq!(e.to_string(), "probe must have at least one pilot block");
+        let e = config_err(
+            WearLockConfig::builder()
+                .nlos_relax_max_ber(Some(0.6))
+                .build(),
+        );
+        assert_eq!(
+            e.to_string(),
+            "NLOS relaxed MaxBER must be in (0, 0.5], got 0.6"
+        );
         let top = WearLockError::from(e);
         assert!(top.to_string().starts_with("invalid configuration:"));
         assert!(std::error::Error::source(&top).is_some());
+    }
+
+    /// The one frame every session runs, per band: the modem's fixed
+    /// geometry, its channel sets, and the session's detection
+    /// threshold and probe length.
+    #[test]
+    fn fixed_frame_is_pinned() {
+        use wearlock_modem::config::{
+            CP_LEN, FFT_SIZE, FINE_SYNC_RANGE, POST_PREAMBLE_GUARD, PREAMBLE_LEN, SAMPLE_RATE,
+            SYMBOL_LEN,
+        };
+        use wearlock_modem::{OfdmModulator, TxScratch};
+
+        assert_eq!(FFT_SIZE, 256);
+        assert_eq!(SAMPLE_RATE.value(), 44_100.0);
+        assert_eq!(CP_LEN, 128);
+        assert_eq!(PREAMBLE_LEN, 256);
+        assert_eq!(POST_PREAMBLE_GUARD, 1_024);
+        assert_eq!(FINE_SYNC_RANGE, 8);
+        assert_eq!(SYMBOL_LEN, 384);
+        assert_eq!(DETECTION_THRESHOLD, 0.3);
+        assert_eq!(PROBE_BLOCKS, 2);
+
+        let bands = [
+            (
+                FrequencyBand::Audible,
+                [7, 11, 15, 19, 23, 27, 31, 35],
+                [16, 17, 18, 20, 21, 22, 24, 25, 26, 28, 29, 30],
+            ),
+            (
+                FrequencyBand::NearUltrasound,
+                [78, 82, 86, 90, 94, 98, 102, 106],
+                [87, 88, 89, 91, 92, 93, 95, 96, 97, 99, 100, 101],
+            ),
+        ];
+        for (band, pilots, data) in bands {
+            let cfg = WearLockConfig::builder().band(band).build().unwrap();
+            let modem = cfg.modem();
+            assert_eq!(modem.pilot_channels(), &pilots, "{band}");
+            assert_eq!(modem.data_channels(), &data, "{band}");
+            // 29 bins from the first pilot to the last, at fs / N each.
+            assert_eq!(modem.occupied_bandwidth().value(), 29.0 * 44_100.0 / 256.0);
+            let rx = crate::protocol::demodulator(modem);
+            assert_eq!(rx.detection_threshold(), DETECTION_THRESHOLD, "{band}");
+            let mut probe = Vec::new();
+            OfdmModulator::new(modem.clone())
+                .unwrap()
+                .probe(PROBE_BLOCKS, &mut TxScratch::new(), &mut probe)
+                .unwrap();
+            assert_eq!(
+                probe.len(),
+                PREAMBLE_LEN + POST_PREAMBLE_GUARD + PROBE_BLOCKS * SYMBOL_LEN
+            );
+        }
     }
 
     #[test]

@@ -148,12 +148,13 @@ mod tests {
     use rand::SeedableRng;
     use wearlock_acoustics::channel::{DEFAULT_LEAD_PAD, DEFAULT_TAIL_PAD};
     use wearlock_auth::TOKEN_BITS;
+    use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN, SAMPLE_RATE};
     use wearlock_modem::{Modulation, OfdmModulator, TxScratch};
     use wearlock_platform::device::Workload;
     use wearlock_platform::link::WirelessLink;
     use wearlock_telemetry::NullSink;
 
-    use crate::config::ExecutionPlan;
+    use crate::config::{ExecutionPlan, PROBE_BLOCKS};
     use crate::offload::median_step_cost;
     use crate::trim;
 
@@ -168,23 +169,23 @@ mod tests {
         let (phone, watch, plan) = (config.phone(), config.watch(), config.plan());
         let link = WirelessLink::new(config.transport());
         let modem = config.modem();
-        let sr = modem.sample_rate();
+        let sr = SAMPLE_RATE;
         let tx = OfdmModulator::new(modem.clone()).unwrap();
         let coded = config.token_coding().coded_len(TOKEN_BITS);
         let mut probe = Vec::new();
-        tx.probe(config.probe_blocks(), &mut TxScratch::new(), &mut probe)
+        tx.probe(PROBE_BLOCKS, &mut TxScratch::new(), &mut probe)
             .unwrap();
         let probe_len = probe.len();
         let token_len = tx.frame_len(coded, Modulation::Qpsk);
         let search = Workload::CrossCorrelation {
-            signal_len: 2 * trim::search_pad(sr) + modem.preamble_len(),
-            template_len: modem.preamble_len(),
+            signal_len: 2 * trim::search_pad(sr) + PREAMBLE_LEN,
+            template_len: PREAMBLE_LEN,
         };
         let recording = |len| Workload::LevelMeasure {
             samples: DEFAULT_LEAD_PAD + len + DEFAULT_TAIL_PAD,
         };
         let fft = Workload::Fft {
-            size: modem.fft_size(),
+            size: FFT_SIZE,
             count: 10,
         };
         let phase1 = median_step_cost(
@@ -205,8 +206,8 @@ mod tests {
         );
         let demod = Workload::OfdmDemod {
             blocks: tx.blocks_for(coded, Modulation::Qpsk),
-            fft_size: modem.fft_size(),
-            cp_len: modem.cp_len(),
+            fft_size: FFT_SIZE,
+            cp_len: CP_LEN,
         };
         let demod = match plan {
             ExecutionPlan::LocalOnWatch => watch.execute(&demod),

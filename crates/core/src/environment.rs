@@ -3,8 +3,10 @@
 use rand::Rng;
 
 use wearlock_acoustics::channel::{AcousticLink, PathKind};
+use wearlock_acoustics::hardware::SpeakerModel;
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
+use wearlock_modem::config::SAMPLE_RATE;
 use wearlock_sensors::activity::{synthesize_different_pair, synthesize_pair};
 use wearlock_sensors::{AccelTrace, Activity};
 
@@ -73,19 +75,19 @@ impl Environment {
         matches!(self.motion, MotionScenario::CoLocated { .. })
     }
 
-    /// The simulated air of this setting: `config`'s speaker, the
-    /// distance, path and ambient noise, and the receiving microphone,
-    /// sampled at the modem's rate.
+    /// The simulated air of this setting: the phone's speaker, the
+    /// distance, path and ambient noise, and `config`'s receiving
+    /// microphone, sampled at the modem's rate.
     pub(crate) fn acoustic_link(
         &self,
         config: &WearLockConfig,
     ) -> Result<AcousticLink, WearLockError> {
         Ok(AcousticLink::builder()
-            .sample_rate(config.modem.sample_rate())
+            .sample_rate(SAMPLE_RATE)
             .distance(self.distance)
             .noise(self.location.noise_model())
             .path(self.path)
-            .speaker(config.speaker.clone())
+            .speaker(SpeakerModel::smartphone())
             .microphone(config.receiver_microphone())
             .build()?)
     }

@@ -20,11 +20,6 @@ pub enum ConfigError {
     EmptyOtpKey,
     /// The token repetition factor is zero.
     ZeroRepetition,
-    /// The NLOS preamble-score threshold is outside `[0, 1]`.
-    InvalidNlosScoreThreshold {
-        /// The rejected value.
-        value: f64,
-    },
     /// The NLOS BER relaxation target is outside `(0, 0.5]` — it could
     /// never satisfy `ModePolicy::new` when an attempt tries to apply
     /// it.
@@ -32,9 +27,6 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// The probe has zero pilot blocks, so phase 1 could never
-    /// estimate the channel.
-    ZeroProbeBlocks,
 }
 
 impl fmt::Display for ConfigError {
@@ -42,13 +34,9 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyOtpKey => f.write_str("otp key is empty"),
             ConfigError::ZeroRepetition => f.write_str("token repetition must be >= 1"),
-            ConfigError::InvalidNlosScoreThreshold { value } => {
-                write!(f, "NLOS score threshold must be in [0, 1], got {value}")
-            }
             ConfigError::InvalidNlosRelaxMaxBer { value } => {
                 write!(f, "NLOS relaxed MaxBER must be in (0, 0.5], got {value}")
             }
-            ConfigError::ZeroProbeBlocks => f.write_str("probe must have at least one pilot block"),
         }
     }
 }

@@ -129,7 +129,7 @@ fn phone_side(
     let ambient = acoustic.record_ambient(4_096, &mut rng);
     let volume = PhoneRole::volume(config, &ambient, AttemptTuning::default());
     let mut waveform = Vec::new();
-    phone.probe(config, &mut waveform);
+    phone.probe(&mut waveform);
     let send = |msg| outbox.send(msg).map_err(failed);
     let recv = || {
         inbox
@@ -178,7 +178,6 @@ fn watch_side(
             } => {
                 let recording = acoustic.transmit(&waveform, volume, &mut rng);
                 let rx = WatchRole::receive(
-                    config,
                     &config.modem,
                     &recording,
                     waveform.len(),
@@ -192,7 +191,6 @@ fn watch_side(
                 let cts = cts.as_ref().ok_or_else(|| failed("token before the CTS"))?;
                 let recording = acoustic.transmit(&waveform, volume, &mut rng);
                 let rx = WatchRole::receive(
-                    config,
                     &cts.data_cfg,
                     &recording,
                     waveform.len(),

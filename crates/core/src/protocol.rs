@@ -12,6 +12,7 @@
 //! and every virtual-clock advance. Diagnostics a step produces go into
 //! the attempt's [`AttemptReport`].
 
+use wearlock_acoustics::hardware::SpeakerModel;
 use wearlock_auth::token::{
     bits_to_token, repetition_decode, repetition_encode, token_to_bits, TokenGenerator,
     TokenVerifier, VerifyOutcome,
@@ -19,6 +20,7 @@ use wearlock_auth::token::{
 use wearlock_auth::{LockoutPolicy, TOKEN_BITS};
 use wearlock_dsp::units::Spl;
 use wearlock_modem::coding::{conv_encode, viterbi_decode, TokenCoding};
+use wearlock_modem::config::{PREAMBLE_LEN, SAMPLE_RATE};
 use wearlock_modem::subchannel::{apply_selection, select_data_channels};
 use wearlock_modem::{
     DemodFrame, DemodScratch, ModePolicy, OfdmConfig, OfdmDemodulator, OfdmModulator,
@@ -29,7 +31,8 @@ use wearlock_sensors::{AccelTrace, FilterDecision, MotionFilter};
 
 use crate::ambient::ambient_similarity;
 use crate::config::{
-    WearLockConfig, AMBIENT_SIMILARITY_THRESHOLD, MAX_FAILURES, NLOS_SPREAD_THRESHOLD_S, OTP_WINDOW,
+    WearLockConfig, AMBIENT_SIMILARITY_THRESHOLD, DETECTION_THRESHOLD, MAX_FAILURES,
+    NLOS_SPREAD_THRESHOLD_S, OTP_WINDOW, PROBE_BLOCKS,
 };
 use crate::session::{AttemptReport, AttemptTuning, DenyReason, Outcome, UnlockPath};
 use crate::trim;
@@ -57,10 +60,10 @@ pub(crate) fn decode_token(coding: TokenCoding, coded: &[bool]) -> Option<u32> {
 /// A demodulator for `cfg` with the session's preamble detection
 /// threshold. Both acoustic phases build through here, so phase 2 can
 /// never silently fall back to the library default.
-pub(crate) fn demodulator(config: &WearLockConfig, cfg: &OfdmConfig) -> OfdmDemodulator {
+pub(crate) fn demodulator(cfg: &OfdmConfig) -> OfdmDemodulator {
     OfdmDemodulator::new(cfg.clone())
-        .expect("validated at build")
-        .with_detection_threshold(config.nlos_score_threshold.max(0.3))
+        .expect("the FFT size is plannable")
+        .with_detection_threshold(DETECTION_THRESHOLD)
 }
 
 /// The CTS reply: the data channels and mode phase 2 uses.
@@ -138,7 +141,7 @@ impl PhoneRole {
         let volume = config.required_volume(wearlock_dsp::level::spl(ambient));
         if tuning.volume_boost_db > 0.0 {
             Spl((volume.value() + tuning.volume_boost_db)
-                .min(config.speaker.max_spl().value())
+                .min(SpeakerModel::smartphone().max_spl().value())
                 .max(tuning.volume_floor))
         } else {
             volume
@@ -146,9 +149,9 @@ impl PhoneRole {
     }
 
     /// Writes the RTS probe waveform into `out`.
-    pub(crate) fn probe(&mut self, config: &WearLockConfig, out: &mut Vec<f64>) {
+    pub(crate) fn probe(&mut self, out: &mut Vec<f64>) {
         self.modulator
-            .probe(config.probe_blocks, &mut self.scratch, out)
+            .probe(PROBE_BLOCKS, &mut self.scratch, out)
             .expect("probe is valid");
     }
 
@@ -228,18 +231,16 @@ impl WatchRole {
     /// nothing above the noise floor the search scans everything, so a
     /// denial carries full diagnostics.
     pub(crate) fn receive<'r>(
-        config: &WearLockConfig,
         cfg: &OfdmConfig,
         recording: &'r [f64],
         sent_len: usize,
         lead_s: f64,
     ) -> Reception<'r> {
-        let sample_rate = config.modem.sample_rate();
-        let window = trim::plan_trim(recording, sample_rate, sent_len, lead_s);
+        let window = trim::plan_trim(recording, SAMPLE_RATE, sent_len, lead_s);
         let samples = window.slice(recording);
-        let mut demod = demodulator(config, cfg);
+        let mut demod = demodulator(cfg);
         if window.detected {
-            let (lo, hi) = window.search_bounds(trim::search_pad(sample_rate), cfg.preamble_len());
+            let (lo, hi) = window.search_bounds(trim::search_pad(SAMPLE_RATE), PREAMBLE_LEN);
             demod = demod.with_search_window(lo, hi);
         }
         // The same clamp `detect` executes, so a driver prices exactly
@@ -277,9 +278,6 @@ impl WatchRole {
         if let Some(relaxed) = relax_max_ber {
             policy = ModePolicy::new(relaxed).unwrap_or(policy);
         }
-        if probe.sync.preamble_score < config.nlos_score_threshold {
-            return Err(DenyReason::ProbeNotDetected);
-        }
         if probe.sync.rms_delay_spread > NLOS_SPREAD_THRESHOLD_S {
             report.nlos_flagged = true;
             let relaxed = config.nlos_relax_max_ber.ok_or(DenyReason::NlosDetected)?;
@@ -289,7 +287,7 @@ impl WatchRole {
         // The trim kept a noise lead-in before the preamble for exactly
         // this comparison.
         let lead_in = &rx.samples[..probe.sync.preamble_offset.min(rx.samples.len())];
-        let sim = ambient_similarity(ambient, lead_in, config.modem.sample_rate());
+        let sim = ambient_similarity(ambient, lead_in, SAMPLE_RATE);
         report.ambient_similarity = Some(sim);
         if sim < AMBIENT_SIMILARITY_THRESHOLD {
             return Err(DenyReason::AmbientMismatch);
@@ -389,12 +387,11 @@ mod tests {
             .unwrap();
         let mut rng = StdRng::seed_from_u64(204);
         let mut probe = Vec::new();
-        PhoneRole::new(&config).unwrap().probe(&config, &mut probe);
+        PhoneRole::new(&config).unwrap().probe(&mut probe);
         let ambient = link.record_ambient(4_096, &mut rng);
         let recording = link.transmit(&probe, Spl(68.0), &mut rng);
 
         let rx = WatchRole::receive(
-            &config,
             &config.modem,
             &recording,
             probe.len(),

@@ -25,10 +25,10 @@
 
 use rand::Rng;
 
-use wearlock_acoustics::channel::PathKind;
 use wearlock_auth::LockoutPolicy;
 use wearlock_dsp::units::{Db, Seconds, Spl};
 use wearlock_faults::{FaultInjector, FaultPlan};
+use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN, SAMPLE_RATE};
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::TransmissionMode;
 use wearlock_platform::device::Workload;
@@ -524,22 +524,20 @@ impl UnlockSession {
         let ambient = acoustic.record_ambient(4_096, rng);
         let volume = PhoneRole::volume(config, &ambient, tuning);
         report.volume = Some(volume);
-        let sample_rate = config.modem.sample_rate();
         let mut probe = Vec::new();
-        self.phone.probe(config, &mut probe);
+        self.phone.probe(&mut probe);
         let mut probe_rec = acoustic.transmit(&probe, volume, rng);
         // Acoustic faults draw from plan-owned seeds, never from `rng`;
         // a null plan leaves the recording untouched.
         faults.phase1.apply(&mut probe_rec);
         ledger.step(
             "audio:phase1",
-            Seconds(probe.len() as f64 / sample_rate.value() + 0.08),
+            Seconds(probe.len() as f64 / SAMPLE_RATE.value() + 0.08),
             0.0,
             0.0,
         );
 
         let rx = WatchRole::receive(
-            config,
             &config.modem,
             &probe_rec,
             probe.len(),
@@ -549,10 +547,10 @@ impl UnlockSession {
         let probe_work = Workload::combined(&[
             Workload::CrossCorrelation {
                 signal_len: rx.searched,
-                template_len: config.modem.preamble_len(),
+                template_len: PREAMBLE_LEN,
             },
             Workload::Fft {
-                size: config.modem.fft_size(),
+                size: FFT_SIZE,
                 count: 10,
             },
             Workload::LevelMeasure {
@@ -598,13 +596,12 @@ impl UnlockSession {
         faults.phase2.apply(&mut token_rec);
         ledger.step(
             "audio:phase2",
-            Seconds(wave.len() as f64 / sample_rate.value() + 0.08),
+            Seconds(wave.len() as f64 / SAMPLE_RATE.value() + 0.08),
             0.0,
             0.0,
         );
 
         let rx2 = WatchRole::receive(
-            config,
             &cts.data_cfg,
             &token_rec,
             wave.len(),
@@ -613,7 +610,7 @@ impl UnlockSession {
         let demod_work = Workload::combined(&[
             Workload::CrossCorrelation {
                 signal_len: rx2.searched,
-                template_len: cts.data_cfg.preamble_len(),
+                template_len: PREAMBLE_LEN,
             },
             Workload::LevelMeasure {
                 samples: token_rec.len(),
@@ -632,8 +629,8 @@ impl UnlockSession {
 
         let demod_only = Workload::OfdmDemod {
             blocks,
-            fft_size: cts.data_cfg.fft_size(),
-            cp_len: cts.data_cfg.cp_len(),
+            fft_size: FFT_SIZE,
+            cp_len: CP_LEN,
         };
         // The audio already crossed the link with the preprocess step;
         // demodulation is pure compute on the chosen device.
@@ -940,26 +937,15 @@ impl AttemptSummary for ResilienceReport {
     }
 }
 
-/// Body-blocked attenuation, dB, at and above which the RMS delay
-/// spread of the simulated multipath reliably exceeds the default NLOS
-/// screen threshold.
-pub const SEVERE_BLOCK_DB: f64 = 15.0;
-
-/// Whether `path` is blocked hard enough ([`SEVERE_BLOCK_DB`] or more
-/// of body attenuation) that the NLOS screen is expected to trip.
-/// Tests and examples use it to pick environments with a predictable
-/// denial.
-pub fn is_severely_blocked(path: PathKind) -> bool {
-    matches!(path, PathKind::BodyBlocked { block_db } if block_db >= SEVERE_BLOCK_DB)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DETECTION_THRESHOLD;
     use crate::environment::{Environment, MotionScenario};
     use crate::protocol::{decode_token, demodulator, encode_token};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wearlock_acoustics::channel::PathKind;
     use wearlock_acoustics::noise::Location;
     use wearlock_auth::token::TokenVerifier;
     use wearlock_auth::TOKEN_BITS;
@@ -1206,23 +1192,15 @@ mod tests {
         // the session's detection threshold, silently falling back to
         // the library default — a weak-but-passing phase-1 preamble
         // could then be rejected in phase 2 under a stricter bar. Both
-        // phases build through `protocol::demodulator`, so the thresholds
-        // agree for any configured value.
-        let strict = WearLockConfig::builder()
-            .nlos_score_threshold(0.45)
-            .build()
-            .unwrap();
-        let rx1 = demodulator(&strict, &strict.modem);
-        let rx2 = demodulator(&strict, &strict.modem);
-        assert_eq!(rx1.detection_threshold(), 0.45);
-        assert_eq!(rx1.detection_threshold(), rx2.detection_threshold());
-        // The default low NLOS score threshold is floored at 0.3 for
-        // preamble detection in both phases.
-        let default = WearLockConfig::default();
-        assert_eq!(
-            demodulator(&default, &default.modem).detection_threshold(),
-            0.3
-        );
+        // phases build through `protocol::demodulator`, so phase 1 (the
+        // configured modem) and phase 2 (the selected data channels)
+        // detect at the same threshold.
+        let config = WearLockConfig::default();
+        let phase2_cfg = config.modem.with_data_channels(vec![17, 18, 20]).unwrap();
+        let rx1 = demodulator(&config.modem);
+        let rx2 = demodulator(&phase2_cfg);
+        assert_eq!(rx1.detection_threshold(), DETECTION_THRESHOLD);
+        assert_eq!(rx2.detection_threshold(), DETECTION_THRESHOLD);
     }
 
     #[test]

@@ -382,69 +382,6 @@ impl Fft {
     }
 }
 
-/// Interpolates a frequency-domain sequence by zero-padding its spectrum
-/// (classic FFT interpolation).
-///
-/// WearLock uses this to expand the channel response sampled at the
-/// equally spaced *pilot* sub-channels onto the full sub-channel grid
-/// (paper §III.6). The input is a sequence of `M` complex samples, the
-/// output has `M * factor` samples passing through the originals'
-/// band-limited interpolant.
-///
-/// # Errors
-///
-/// Returns an error if `samples` is empty, `factor` is zero, or either
-/// length is not a power of two.
-///
-/// # Examples
-///
-/// ```
-/// use wearlock_dsp::{fft_interpolate, Complex};
-///
-/// // A constant sequence interpolates to the same constant.
-/// let flat = vec![Complex::from_re(2.0); 8];
-/// let out = fft_interpolate(&flat, 4)?;
-/// assert_eq!(out.len(), 32);
-/// assert!(out.iter().all(|z| (z.re - 2.0).abs() < 1e-9 && z.im.abs() < 1e-9));
-/// # Ok::<(), wearlock_dsp::DspError>(())
-/// ```
-pub fn fft_interpolate(samples: &[Complex], factor: usize) -> Result<Vec<Complex>, DspError> {
-    if factor == 0 {
-        return Err(DspError::InvalidParameter(
-            "interpolation factor must be >= 1".into(),
-        ));
-    }
-    if factor == 1 {
-        return Ok(samples.to_vec());
-    }
-    let m = samples.len();
-    let out_len = m * factor;
-    let fft_in = crate::cache::planned(m)?;
-    let fft_out = crate::cache::planned(out_len)?;
-    let spectrum = fft_in.forward(samples)?;
-
-    // Zero-pad the spectrum symmetrically: keep the low half at the
-    // start, the high half at the end, split the Nyquist bin.
-    let mut padded = vec![Complex::ZERO; out_len];
-    let half = m / 2;
-    padded[..half].copy_from_slice(&spectrum[..half]);
-    for k in (half + 1)..m {
-        padded[out_len - m + k] = spectrum[k];
-    }
-    // The Nyquist bin of the short transform is shared between positive
-    // and negative frequencies in the long one.
-    let nyq = spectrum[half].scale(0.5);
-    padded[half] = nyq;
-    padded[out_len - half] = nyq;
-
-    let mut out = fft_out.inverse(&padded)?;
-    let scale = factor as f64;
-    for v in &mut out {
-        *v = v.scale(scale);
-    }
-    Ok(out)
-}
-
 /// Direct (O(N²)) DFT, used as a test oracle for the FFT.
 pub fn dft_naive(input: &[Complex]) -> Vec<Complex> {
     let n = input.len();
@@ -803,35 +740,6 @@ mod tests {
         let et: f64 = x.iter().map(|z| z.norm_sq()).sum();
         let ef: f64 = spec.iter().map(|z| z.norm_sq()).sum::<f64>() / n as f64;
         assert!((et - ef).abs() < 1e-9 * et.max(1.0));
-    }
-
-    #[test]
-    fn interpolation_passes_through_original_points() {
-        // A smooth band-limited sequence: low-frequency phasor.
-        let m = 8;
-        let orig: Vec<Complex> = (0..m)
-            .map(|i| Complex::cis(2.0 * std::f64::consts::PI * i as f64 / m as f64))
-            .collect();
-        let out = fft_interpolate(&orig, 4).unwrap();
-        for (i, z) in orig.iter().enumerate() {
-            assert!(
-                (out[i * 4] - *z).abs() < 1e-9,
-                "sample {i}: {} vs {z}",
-                out[i * 4]
-            );
-        }
-    }
-
-    #[test]
-    fn interpolation_factor_one_is_identity() {
-        let orig = vec![Complex::new(1.0, -2.0); 4];
-        assert_eq!(fft_interpolate(&orig, 1).unwrap(), orig);
-    }
-
-    #[test]
-    fn interpolation_rejects_zero_factor() {
-        let orig = vec![Complex::ONE; 4];
-        assert!(fft_interpolate(&orig, 0).is_err());
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   synchronization and delay-profile/NLOS estimation ([`correlate`]),
 //!   with workspace-backed `_into` variants that are allocation-free
 //!   after warmup,
-//! * FFT-based interpolation used by pilot channel estimation
-//!   ([`fft_interpolate`]),
 //! * FIR filters modelling device band-limits ([`filter`]),
 //! * level/SPL measurement and silence detection ([`level`]),
 //! * windows/fades countering speaker rise and ringing ([`window`]),
@@ -69,5 +67,5 @@ pub use cache::FftCache;
 pub use complex::Complex;
 pub use correlate::CorrelationWorkspace;
 pub use error::DspError;
-pub use fft::{dft_naive, fft_interpolate, Fft};
+pub use fft::{dft_naive, Fft};
 pub use units::{Db, Hz, Meters, SampleRate, Seconds, Spl};

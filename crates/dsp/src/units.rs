@@ -161,14 +161,6 @@ impl Spl {
     }
 }
 
-impl Hz {
-    /// Number of samples one cycle spans at `sample_rate`.
-    #[inline]
-    pub fn samples_per_cycle(self, sample_rate: SampleRate) -> f64 {
-        sample_rate.value() / self.0
-    }
-}
-
 impl Seconds {
     /// Number of whole samples this duration spans at `sample_rate`.
     #[inline]

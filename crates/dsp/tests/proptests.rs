@@ -9,7 +9,7 @@ use wearlock_dsp::resample::fractional_delay;
 use wearlock_dsp::stats::{mean, pearson, percentile, variance};
 use wearlock_dsp::units::{Db, Spl};
 use wearlock_dsp::window::{apply_fade, WindowKind};
-use wearlock_dsp::{dft_naive, fft_interpolate, Complex, Fft};
+use wearlock_dsp::{dft_naive, Complex, Fft};
 
 /// Bit-exact equality for float vectors: the `_into` / in-place entry
 /// points must be the *same computation* as the allocating ones, not
@@ -85,20 +85,6 @@ proptest! {
         let et: f64 = x.iter().map(|z| z.norm_sq()).sum();
         let ef: f64 = spec.iter().map(|z| z.norm_sq()).sum::<f64>() / 64.0;
         prop_assert!((et - ef).abs() < 1e-8 * et.max(1.0));
-    }
-
-    #[test]
-    fn interpolation_preserves_original_samples(
-        x in complex_signal(16),
-        factor in prop::sample::select(vec![2usize, 4, 8]),
-    ) {
-        let out = fft_interpolate(&x, factor).unwrap();
-        prop_assert_eq!(out.len(), x.len() * factor);
-        // Band-limited interpolation must pass through every input point.
-        for (i, z) in x.iter().enumerate() {
-            prop_assert!((out[i * factor] - *z).abs() < 1e-8,
-                "sample {} mismatch: {} vs {}", i, out[i * factor], z);
-        }
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl ModePolicy {
         self.max_ber
     }
 
-    /// The selection margin in dB.
-    pub fn margin_db(&self) -> f64 {
-        SELECTION_MARGIN_DB
-    }
-
     /// Selects the highest-order transmission mode whose required Eb/N0
     /// (plus the selection margin) is satisfied, or `None` when no mode
     /// can make the target — the transmitter then aborts (receiver

@@ -1,12 +1,13 @@
 //! OFDM modem configuration.
 //!
-//! Defaults mirror the paper's implementation (§VI): FFT size 256 at
-//! 44.1 kHz (≈172 Hz sub-channel bandwidth), channels indexed 1–256,
-//! data channels {16,17,18,20,21,22,24,25,26,28,29,30}, pilot channels
-//! {7,11,15,19,23,27,31,35}, everything else null. Preamble 256 samples,
-//! post-preamble guard 1 024 samples, cyclic prefix 128 samples. The
-//! assignment is shifted to higher indices for the near-ultrasound
-//! (15–20 kHz) phone–phone band.
+//! The frame is the paper's implementation (§VI), fixed as constants:
+//! FFT size 256 at 44.1 kHz (≈172 Hz sub-channel bandwidth), cyclic
+//! prefix 128 samples, preamble 256 samples, post-preamble guard 1 024
+//! samples. Channels are indexed 1–256: data channels
+//! {16,17,18,20,21,22,24,25,26,28,29,30} by default, pilot channels
+//! {7,11,15,19,23,27,31,35}, everything else null. The assignment is
+//! shifted to higher indices for the near-ultrasound (15–20 kHz)
+//! phone–phone band. Only the band and the data channels vary.
 
 use wearlock_dsp::chirp::Chirp;
 use wearlock_dsp::units::{Hz, SampleRate};
@@ -36,7 +37,7 @@ impl FrequencyBand {
     /// The sub-channel index shift applied to the default (audible)
     /// channel assignment: bin k sits at `k·fs/N` Hz, so +71 moves the
     /// audible assignment (bins 7–35, ≈1.2–6 kHz) up to ≈13.4–18.3 kHz.
-    pub fn index_shift(self) -> usize {
+    pub const fn index_shift(self) -> usize {
         match self {
             FrequencyBand::Audible => 0,
             FrequencyBand::NearUltrasound => 71,
@@ -53,67 +54,55 @@ impl std::fmt::Display for FrequencyBand {
     }
 }
 
-/// Full modem configuration.
-///
-/// # Examples
-///
-/// ```
-/// use wearlock_modem::config::{FrequencyBand, OfdmConfig};
-///
-/// let cfg = OfdmConfig::builder()
-///     .band(FrequencyBand::NearUltrasound)
-///     .build()?;
-/// assert_eq!(cfg.fft_size(), 256);
-/// assert_eq!(cfg.data_channels().len(), 12);
-/// # Ok::<(), wearlock_modem::ModemError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct OfdmConfig {
-    fft_size: usize,
-    sample_rate: SampleRate,
-    cp_len: usize,
-    preamble_len: usize,
-    post_preamble_guard: usize,
-    band: FrequencyBand,
-    data_channels: Vec<usize>,
-    pilot_channels: Vec<usize>,
-    fine_sync_range: usize,
-}
+/// FFT size `N`: 256 points (paper §VI).
+pub const FFT_SIZE: usize = 256;
+/// The modem's sample rate, 44.1 kHz.
+pub const SAMPLE_RATE: SampleRate = SampleRate::CD;
+/// Cyclic prefix length in samples.
+pub const CP_LEN: usize = 128;
+/// Preamble (chirp) length in samples.
+pub const PREAMBLE_LEN: usize = 256;
+/// Zero-guard length after the preamble, in samples.
+pub const POST_PREAMBLE_GUARD: usize = 1_024;
+/// Samples per OFDM symbol including the cyclic prefix.
+pub const SYMBOL_LEN: usize = FFT_SIZE + CP_LEN;
+/// Search half-range `τ` (samples) for CP-based fine sync (eq. 2).
+pub const FINE_SYNC_RANGE: usize = 8;
 
 /// The paper's default audible-band data channels.
 pub const DEFAULT_DATA_CHANNELS: [usize; 12] = [16, 17, 18, 20, 21, 22, 24, 25, 26, 28, 29, 30];
 /// The paper's default audible-band pilot channels (equally spaced).
 pub const DEFAULT_PILOT_CHANNELS: [usize; 8] = [7, 11, 15, 19, 23, 27, 31, 35];
+/// Bins between neighbouring pilots.
+pub(crate) const PILOT_SPACING: usize = DEFAULT_PILOT_CHANNELS[1] - DEFAULT_PILOT_CHANNELS[0];
+
+/// Modem configuration: the operating band and the data channels in
+/// use. Everything else about the frame is fixed (the constants above);
+/// the pilots follow from the band.
+///
+/// # Examples
+///
+/// ```
+/// use wearlock_modem::config::{FrequencyBand, OfdmConfig, SYMBOL_LEN};
+///
+/// let cfg = OfdmConfig::new(FrequencyBand::NearUltrasound);
+/// assert_eq!(cfg.data_channels().len(), 12);
+/// assert_eq!(SYMBOL_LEN, 384);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct OfdmConfig {
+    band: FrequencyBand,
+    data_channels: Vec<usize>,
+}
 
 impl OfdmConfig {
-    /// Starts building a configuration from the paper defaults.
-    pub fn builder() -> OfdmConfigBuilder {
-        OfdmConfigBuilder::default()
-    }
-
-    /// The FFT size `N`.
-    pub fn fft_size(&self) -> usize {
-        self.fft_size
-    }
-
-    /// The sample rate.
-    pub fn sample_rate(&self) -> SampleRate {
-        self.sample_rate
-    }
-
-    /// Cyclic prefix length in samples.
-    pub fn cp_len(&self) -> usize {
-        self.cp_len
-    }
-
-    /// Preamble (chirp) length in samples.
-    pub fn preamble_len(&self) -> usize {
-        self.preamble_len
-    }
-
-    /// Zero-guard length after the preamble, in samples.
-    pub fn post_preamble_guard(&self) -> usize {
-        self.post_preamble_guard
+    /// The paper's channel assignment, shifted into `band`.
+    pub fn new(band: FrequencyBand) -> Self {
+        let shift = band.index_shift();
+        OfdmConfig {
+            band,
+            data_channels: DEFAULT_DATA_CHANNELS.iter().map(|k| k + shift).collect(),
+        }
     }
 
     /// The operating band.
@@ -126,35 +115,45 @@ impl OfdmConfig {
         &self.data_channels
     }
 
-    /// Pilot sub-channel indices (ascending).
-    pub fn pilot_channels(&self) -> &[usize] {
-        &self.pilot_channels
+    /// Pilot sub-channel indices (ascending): the default assignment
+    /// moved into the band by [`FrequencyBand::index_shift`].
+    pub fn pilot_channels(&self) -> &'static [usize] {
+        const NEAR_ULTRASOUND: [usize; 8] = {
+            let mut pilots = DEFAULT_PILOT_CHANNELS;
+            let mut i = 0;
+            while i < pilots.len() {
+                pilots[i] += FrequencyBand::NearUltrasound.index_shift();
+                i += 1;
+            }
+            pilots
+        };
+        match self.band {
+            FrequencyBand::Audible => &DEFAULT_PILOT_CHANNELS,
+            FrequencyBand::NearUltrasound => &NEAR_ULTRASOUND,
+        }
+    }
+
+    /// The lowest and highest active (pilot or data) sub-channel.
+    fn active_span(&self) -> (usize, usize) {
+        let active = || self.pilot_channels().iter().chain(&self.data_channels);
+        let lo = *active().min().expect("pilots are non-empty");
+        let hi = *active().max().expect("pilots are non-empty");
+        (lo, hi)
     }
 
     /// Null sub-channel indices inside the occupied band (between the
     /// lowest and highest active channel) — the set `N` of the
     /// pilot-SNR estimator (paper eq. 3).
     pub fn null_channels_in_band(&self) -> Vec<usize> {
-        let lo = *self
-            .pilot_channels
-            .iter()
-            .chain(&self.data_channels)
-            .min()
-            .expect("validated non-empty");
-        let hi = *self
-            .pilot_channels
-            .iter()
-            .chain(&self.data_channels)
-            .max()
-            .expect("validated non-empty");
+        let (lo, hi) = self.active_span();
         (lo..=hi)
-            .filter(|k| !self.data_channels.contains(k) && !self.pilot_channels.contains(k))
+            .filter(|k| !self.data_channels.contains(k) && !self.pilot_channels().contains(k))
             .collect()
     }
 
-    /// Sub-channel bandwidth `fs / N` (≈172 Hz for the defaults).
+    /// Sub-channel bandwidth `fs / N` (≈172 Hz).
     pub fn subchannel_bandwidth(&self) -> Hz {
-        Hz(self.sample_rate.value() / self.fft_size as f64)
+        Hz(SAMPLE_RATE.value() / FFT_SIZE as f64)
     }
 
     /// Centre frequency of sub-channel `k`.
@@ -162,38 +161,16 @@ impl OfdmConfig {
         Hz(k as f64 * self.subchannel_bandwidth().value())
     }
 
-    /// Samples per OFDM symbol including the cyclic prefix.
-    pub fn symbol_len(&self) -> usize {
-        self.fft_size + self.cp_len
-    }
-
-    /// Search half-range `τ` (samples) for CP-based fine sync (eq. 2).
-    pub fn fine_sync_range(&self) -> usize {
-        self.fine_sync_range
-    }
-
-    /// The preamble chirp for this configuration.
+    /// The preamble chirp for this band.
     pub fn preamble_chirp(&self) -> Chirp {
         let (lo, hi) = self.band.chirp_range();
-        Chirp::new(lo, hi, self.preamble_len, self.sample_rate)
-            .expect("validated preamble parameters")
+        Chirp::new(lo, hi, PREAMBLE_LEN, SAMPLE_RATE).expect("static preamble parameters")
     }
 
     /// Occupied bandwidth `B` spanned by pilot+data channels, used in
     /// the `Eb/N0 = C/N · B/R` conversion.
     pub fn occupied_bandwidth(&self) -> Hz {
-        let lo = *self
-            .pilot_channels
-            .iter()
-            .chain(&self.data_channels)
-            .min()
-            .expect("validated non-empty");
-        let hi = *self
-            .pilot_channels
-            .iter()
-            .chain(&self.data_channels)
-            .max()
-            .expect("validated non-empty");
+        let (lo, hi) = self.active_span();
         Hz((hi - lo + 1) as f64 * self.subchannel_bandwidth().value())
     }
 
@@ -201,7 +178,7 @@ impl OfdmConfig {
     /// modulation of `bits_per_symbol` bits (no channel coding,
     /// `r_c = 1`; paper §III.7).
     pub fn data_rate(&self, bits_per_symbol: usize) -> f64 {
-        let t_symbol = self.symbol_len() as f64 / self.sample_rate.value();
+        let t_symbol = SYMBOL_LEN as f64 / SAMPLE_RATE.value();
         self.data_channels.len() as f64 * bits_per_symbol as f64 / t_symbol
     }
 
@@ -211,208 +188,45 @@ impl OfdmConfig {
     }
 
     /// Returns a copy with different data channels (used by sub-channel
-    /// selection after probing).
+    /// selection after probing). The channels are sorted and
+    /// de-duplicated.
     ///
     /// # Errors
     ///
-    /// Same validation as the builder.
-    pub fn with_data_channels(&self, data_channels: Vec<usize>) -> Result<Self, ModemError> {
-        OfdmConfigBuilder::from(self.clone())
-            .data_channels(data_channels)
-            .build()
+    /// Returns [`ModemError::InvalidConfig`] when the set is empty,
+    /// holds a channel outside `1..FFT_SIZE/2`, or overlaps a pilot.
+    pub fn with_data_channels(&self, mut data_channels: Vec<usize>) -> Result<Self, ModemError> {
+        data_channels.sort_unstable();
+        data_channels.dedup();
+        if data_channels.is_empty() {
+            return Err(ModemError::InvalidConfig(
+                "data channel set must be non-empty".into(),
+            ));
+        }
+        let max_bin = FFT_SIZE / 2 - 1;
+        if let Some(k) = data_channels.iter().find(|&&k| k == 0 || k > max_bin) {
+            return Err(ModemError::InvalidConfig(format!(
+                "channel {k} outside 1..={max_bin}"
+            )));
+        }
+        if data_channels
+            .iter()
+            .any(|k| self.pilot_channels().contains(k))
+        {
+            return Err(ModemError::InvalidConfig(
+                "data and pilot channels overlap".into(),
+            ));
+        }
+        Ok(OfdmConfig {
+            band: self.band,
+            data_channels,
+        })
     }
 }
 
 impl Default for OfdmConfig {
     fn default() -> Self {
-        OfdmConfig::builder()
-            .build()
-            .expect("default config is valid")
-    }
-}
-
-/// Builder for [`OfdmConfig`].
-#[derive(Debug, Clone)]
-pub struct OfdmConfigBuilder {
-    fft_size: usize,
-    sample_rate: SampleRate,
-    cp_len: usize,
-    preamble_len: usize,
-    post_preamble_guard: usize,
-    band: FrequencyBand,
-    data_channels: Option<Vec<usize>>,
-    pilot_channels: Option<Vec<usize>>,
-    fine_sync_range: usize,
-}
-
-impl Default for OfdmConfigBuilder {
-    fn default() -> Self {
-        OfdmConfigBuilder {
-            fft_size: 256,
-            sample_rate: SampleRate::CD,
-            cp_len: 128,
-            preamble_len: 256,
-            post_preamble_guard: 1_024,
-            band: FrequencyBand::Audible,
-            data_channels: None,
-            pilot_channels: None,
-            fine_sync_range: 8,
-        }
-    }
-}
-
-impl From<OfdmConfig> for OfdmConfigBuilder {
-    fn from(cfg: OfdmConfig) -> Self {
-        OfdmConfigBuilder {
-            fft_size: cfg.fft_size,
-            sample_rate: cfg.sample_rate,
-            cp_len: cfg.cp_len,
-            preamble_len: cfg.preamble_len,
-            post_preamble_guard: cfg.post_preamble_guard,
-            band: cfg.band,
-            data_channels: Some(cfg.data_channels),
-            pilot_channels: Some(cfg.pilot_channels),
-            fine_sync_range: cfg.fine_sync_range,
-        }
-    }
-}
-
-impl OfdmConfigBuilder {
-    /// Sets the FFT size (default 256).
-    pub fn fft_size(mut self, fft_size: usize) -> Self {
-        self.fft_size = fft_size;
-        self
-    }
-
-    /// Sets the sample rate (default 44.1 kHz).
-    pub fn sample_rate(mut self, sample_rate: SampleRate) -> Self {
-        self.sample_rate = sample_rate;
-        self
-    }
-
-    /// Sets the cyclic prefix length (default 128).
-    pub fn cp_len(mut self, cp_len: usize) -> Self {
-        self.cp_len = cp_len;
-        self
-    }
-
-    /// Sets the preamble length (default 256).
-    pub fn preamble_len(mut self, preamble_len: usize) -> Self {
-        self.preamble_len = preamble_len;
-        self
-    }
-
-    /// Sets the post-preamble guard (default 1024).
-    pub fn post_preamble_guard(mut self, guard: usize) -> Self {
-        self.post_preamble_guard = guard;
-        self
-    }
-
-    /// Sets the operating band (default audible). When channels are not
-    /// explicitly provided, the default assignment is shifted into the
-    /// band automatically.
-    pub fn band(mut self, band: FrequencyBand) -> Self {
-        self.band = band;
-        self
-    }
-
-    /// Sets explicit data channels.
-    pub fn data_channels(mut self, channels: Vec<usize>) -> Self {
-        self.data_channels = Some(channels);
-        self
-    }
-
-    /// Sets explicit pilot channels.
-    pub fn pilot_channels(mut self, channels: Vec<usize>) -> Self {
-        self.pilot_channels = Some(channels);
-        self
-    }
-
-    /// Sets the fine-sync search half-range `τ` in samples (default 8).
-    pub fn fine_sync_range(mut self, range: usize) -> Self {
-        self.fine_sync_range = range;
-        self
-    }
-
-    /// Validates and builds the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModemError::InvalidConfig`] when the FFT size is not a
-    /// power of two, the CP is not shorter than the FFT, channel sets
-    /// are empty/overlapping/out of range, or the pilot spacing is not
-    /// uniform (required by FFT interpolation).
-    pub fn build(self) -> Result<OfdmConfig, ModemError> {
-        if !self.fft_size.is_power_of_two() || self.fft_size < 16 {
-            return Err(ModemError::InvalidConfig(format!(
-                "fft size {} must be a power of two >= 16",
-                self.fft_size
-            )));
-        }
-        if self.cp_len == 0 || self.cp_len >= self.fft_size {
-            return Err(ModemError::InvalidConfig(format!(
-                "cyclic prefix {} must be in 1..fft_size",
-                self.cp_len
-            )));
-        }
-        if self.preamble_len == 0 {
-            return Err(ModemError::InvalidConfig(
-                "preamble length must be positive".into(),
-            ));
-        }
-        let shift = self.band.index_shift();
-        let mut data: Vec<usize> = self
-            .data_channels
-            .unwrap_or_else(|| DEFAULT_DATA_CHANNELS.iter().map(|k| k + shift).collect());
-        let mut pilots: Vec<usize> = self
-            .pilot_channels
-            .unwrap_or_else(|| DEFAULT_PILOT_CHANNELS.iter().map(|k| k + shift).collect());
-        data.sort_unstable();
-        data.dedup();
-        pilots.sort_unstable();
-        pilots.dedup();
-        if data.is_empty() || pilots.is_empty() {
-            return Err(ModemError::InvalidConfig(
-                "data and pilot channel sets must be non-empty".into(),
-            ));
-        }
-        let max_bin = self.fft_size / 2 - 1;
-        for &k in data.iter().chain(&pilots) {
-            if k == 0 || k > max_bin {
-                return Err(ModemError::InvalidConfig(format!(
-                    "channel {k} outside 1..={max_bin}"
-                )));
-            }
-        }
-        if data.iter().any(|k| pilots.contains(k)) {
-            return Err(ModemError::InvalidConfig(
-                "data and pilot channels overlap".into(),
-            ));
-        }
-        if pilots.len() >= 2 {
-            let spacing = pilots[1] - pilots[0];
-            if spacing == 0 || pilots.windows(2).any(|w| w[1] - w[0] != spacing) {
-                return Err(ModemError::InvalidConfig(
-                    "pilot channels must be equally spaced".into(),
-                ));
-            }
-        }
-        // Preamble chirp must be constructible.
-        let (lo, hi) = self.band.chirp_range();
-        Chirp::new(lo, hi, self.preamble_len, self.sample_rate)
-            .map_err(|e| ModemError::InvalidConfig(format!("preamble: {e}")))?;
-
-        Ok(OfdmConfig {
-            fft_size: self.fft_size,
-            sample_rate: self.sample_rate,
-            cp_len: self.cp_len,
-            preamble_len: self.preamble_len,
-            post_preamble_guard: self.post_preamble_guard,
-            band: self.band,
-            data_channels: data,
-            pilot_channels: pilots,
-            fine_sync_range: self.fine_sync_range,
-        })
+        OfdmConfig::new(FrequencyBand::Audible)
     }
 }
 
@@ -423,10 +237,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let cfg = OfdmConfig::default();
-        assert_eq!(cfg.fft_size(), 256);
-        assert_eq!(cfg.cp_len(), 128);
-        assert_eq!(cfg.preamble_len(), 256);
-        assert_eq!(cfg.post_preamble_guard(), 1_024);
         assert_eq!(cfg.data_channels(), &DEFAULT_DATA_CHANNELS);
         assert_eq!(cfg.pilot_channels(), &DEFAULT_PILOT_CHANNELS);
         // ~172 Hz sub-channel bandwidth.
@@ -435,10 +245,7 @@ mod tests {
 
     #[test]
     fn near_ultrasound_shifts_channels_into_band() {
-        let cfg = OfdmConfig::builder()
-            .band(FrequencyBand::NearUltrasound)
-            .build()
-            .unwrap();
+        let cfg = OfdmConfig::new(FrequencyBand::NearUltrasound);
         let f_lo = cfg.channel_frequency(*cfg.pilot_channels().first().unwrap());
         let f_hi = cfg.channel_frequency(*cfg.pilot_channels().last().unwrap());
         assert!(f_lo.value() > 13_000.0, "{f_lo}");
@@ -468,41 +275,29 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        assert!(OfdmConfig::builder().fft_size(100).build().is_err());
-        assert!(OfdmConfig::builder().cp_len(0).build().is_err());
-        assert!(OfdmConfig::builder().cp_len(256).build().is_err());
-        assert!(OfdmConfig::builder().preamble_len(0).build().is_err());
-        assert!(OfdmConfig::builder().data_channels(vec![]).build().is_err());
-        assert!(OfdmConfig::builder()
-            .data_channels(vec![7])
-            .build()
-            .is_err()); // overlaps pilot 7
-        assert!(OfdmConfig::builder()
-            .data_channels(vec![500])
-            .build()
-            .is_err()); // out of range
-        assert!(OfdmConfig::builder()
-            .pilot_channels(vec![7, 11, 16])
-            .build()
-            .is_err()); // uneven spacing
-        assert!(OfdmConfig::builder()
-            .data_channels(vec![0])
-            .build()
-            .is_err()); // DC bin
+        for band in [FrequencyBand::Audible, FrequencyBand::NearUltrasound] {
+            let cfg = OfdmConfig::new(band);
+            let pilot = cfg.pilot_channels()[0];
+            assert!(cfg.with_data_channels(vec![]).is_err());
+            assert!(cfg.with_data_channels(vec![pilot]).is_err()); // overlaps a pilot
+            assert!(cfg.with_data_channels(vec![500]).is_err()); // out of range
+            assert!(cfg.with_data_channels(vec![128]).is_err()); // Nyquist bin
+            assert!(cfg.with_data_channels(vec![0]).is_err()); // DC bin
+        }
     }
 
     #[test]
     fn with_data_channels_replaces_set() {
         let cfg = OfdmConfig::default();
-        let cfg2 = cfg.with_data_channels(vec![17, 18, 20, 21]).unwrap();
+        let cfg2 = cfg.with_data_channels(vec![21, 17, 18, 20, 17]).unwrap();
         assert_eq!(cfg2.data_channels(), &[17, 18, 20, 21]);
         assert_eq!(cfg2.pilot_channels(), cfg.pilot_channels());
+        assert_eq!(cfg2.band(), cfg.band());
     }
 
     #[test]
     fn symbol_and_bandwidth_accessors() {
         let cfg = OfdmConfig::default();
-        assert_eq!(cfg.symbol_len(), 384);
         assert!((cfg.channel_frequency(16).value() - 2_756.25).abs() < 0.1);
         // Occupied band 7..=35 → 29 bins ≈ 5 kHz.
         assert!((cfg.occupied_bandwidth().value() - 29.0 * 172.27).abs() < 2.0);
@@ -514,6 +309,6 @@ mod tests {
         let chirp = cfg.preamble_chirp();
         assert_eq!(chirp.f_start(), Hz(1_000.0));
         assert_eq!(chirp.f_end(), Hz(6_000.0));
-        assert_eq!(chirp.len(), 256);
+        assert_eq!(chirp.len(), PREAMBLE_LEN);
     }
 }

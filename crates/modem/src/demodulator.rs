@@ -19,9 +19,12 @@ use wearlock_dsp::cache;
 use wearlock_dsp::correlate::{normalized_cross_correlate_fft, profile_rms_delay_spread};
 use wearlock_dsp::level::SilenceDetector;
 use wearlock_dsp::units::{Db, Spl};
-use wearlock_dsp::{fft_interpolate, Complex, Fft};
+use wearlock_dsp::{Complex, Fft};
 
-use crate::config::OfdmConfig;
+use crate::config::{
+    OfdmConfig, CP_LEN, FFT_SIZE, FINE_SYNC_RANGE, PILOT_SPACING, POST_PREAMBLE_GUARD,
+    PREAMBLE_LEN, SAMPLE_RATE, SYMBOL_LEN,
+};
 use crate::constellation::Modulation;
 use crate::error::ModemError;
 use crate::scratch::{ChannelScratch, DemodScratch};
@@ -79,7 +82,7 @@ pub struct ProbeReport {
     /// Pilot-based SNR (paper eq. 3), as a dB figure.
     pub psnr: Db,
     /// Per-bin noise power, estimated from the ambient samples recorded
-    /// before the preamble. Length `fft_size`: sub-channel `k` sits at
+    /// before the preamble. Length [`FFT_SIZE`]: sub-channel `k` sits at
     /// index `k`, and the upper half mirrors the lower for real input.
     pub noise_spectrum: Vec<f64>,
     /// Estimated complex channel gain on each active sub-channel
@@ -110,23 +113,6 @@ pub fn ebn0_from_psnr(psnr: Db, config: &OfdmConfig, modulation: Modulation) -> 
     Db(psnr.value() + 10.0 * (b / r).log10())
 }
 
-/// Channel-estimation interpolation strategy between pilot bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ChannelEstimator {
-    /// Interpolate pilot magnitude and (unwrapped) phase separately —
-    /// magnitude stays exact for unit pilots, so amplitude keying is
-    /// immune to the audio chain's phase ripple. Default.
-    #[default]
-    MagnitudePhase,
-    /// FFT interpolation of the complex pilot sequence (the paper's
-    /// described scheme; ablation shows it couples phase ripple into
-    /// amplitude error between pilots).
-    FftComplex,
-    /// No interpolation: each bin copies its nearest pilot (ablation
-    /// baseline).
-    NearestPilot,
-}
-
 /// The OFDM receiver.
 ///
 /// # Examples
@@ -155,7 +141,6 @@ pub struct OfdmDemodulator {
     fft: Arc<Fft>,
     preamble: Vec<f64>,
     detection_threshold: f64,
-    estimator: ChannelEstimator,
     search_window: Option<(usize, usize)>,
 }
 
@@ -166,14 +151,13 @@ impl OfdmDemodulator {
     ///
     /// Returns [`ModemError::Dsp`] if the FFT cannot be planned.
     pub fn new(config: OfdmConfig) -> Result<Self, ModemError> {
-        let fft = cache::planned(config.fft_size())?;
+        let fft = cache::planned(FFT_SIZE)?;
         let preamble = config.preamble_chirp().generate();
         Ok(OfdmDemodulator {
             config,
             fft,
             preamble,
             detection_threshold: DEFAULT_DETECTION_THRESHOLD,
-            estimator: ChannelEstimator::default(),
             search_window: None,
         })
     }
@@ -181,7 +165,7 @@ impl OfdmDemodulator {
     /// Computes the spectrum of one real block body into `out`.
     fn block_spectrum_into(&self, body: &[f64], out: &mut Vec<Complex>) -> Result<(), ModemError> {
         out.clear();
-        out.resize(self.config.fft_size(), Complex::ZERO);
+        out.resize(FFT_SIZE, Complex::ZERO);
         self.fft.forward_real_into(body, out)?;
         Ok(())
     }
@@ -225,12 +209,6 @@ impl OfdmDemodulator {
                 (from, to)
             }
         }
-    }
-
-    /// Overrides the channel-estimation interpolation strategy.
-    pub fn with_estimator(mut self, estimator: ChannelEstimator) -> Self {
-        self.estimator = estimator;
-        self
     }
 
     /// The configuration in use.
@@ -311,7 +289,7 @@ impl OfdmDemodulator {
         // window after the peak, thresholded at 25% of the peak so the
         // chirp's own autocorrelation sidelobes don't masquerade as
         // multipath.
-        let window = self.config.preamble_len();
+        let window = PREAMBLE_LEN;
         let end = (rel_offset + window).min(scores.len());
         let floor = 0.25 * score;
         scratch.taps.clear();
@@ -325,7 +303,7 @@ impl OfdmDemodulator {
         Ok(FrameSync {
             preamble_offset: search_from + rel_offset,
             preamble_score: score,
-            rms_delay_spread: profile_rms_delay_spread(&scratch.taps, self.config.sample_rate()),
+            rms_delay_spread: profile_rms_delay_spread(&scratch.taps, SAMPLE_RATE),
         })
     }
 
@@ -333,9 +311,8 @@ impl OfdmDemodulator {
     /// nominal block start, find the shift maximizing the normalized
     /// correlation between the cyclic prefix and the symbol tail.
     fn fine_sync(&self, recording: &[f64], nominal_start: usize) -> isize {
-        let n = self.config.fft_size();
-        let cp = self.config.cp_len();
-        let tau = self.config.fine_sync_range() as isize;
+        let (n, cp) = (FFT_SIZE, CP_LEN);
+        let tau = FINE_SYNC_RANGE as isize;
         let mut best = (0isize, f64::MIN);
         for tf in -tau..=tau {
             let start = nominal_start as isize + tf;
@@ -361,11 +338,13 @@ impl OfdmDemodulator {
     }
 
     /// Estimates the complex channel gain on every sub-channel covered
-    /// by the pilot span using FFT interpolation of the pilot responses
-    /// (paper §III.6), filling a per-bin `table`. All working memory
-    /// comes from `ch`, so repeated calls allocate nothing (the
-    /// `FftComplex` ablation estimator still allocates inside
-    /// `fft_interpolate`; the default estimator does not).
+    /// by the pilot span, filling a per-bin `table` (paper §III.6). Pilot
+    /// magnitude and unwrapped phase are interpolated separately
+    /// (linear): the magnitude of unit pilots stays exact even when the
+    /// device's phase response wiggles faster than the pilot spacing can
+    /// track, so amplitude keying is immune to the audio chain's phase
+    /// ripple. All working memory comes from `ch`, so repeated calls
+    /// allocate nothing.
     fn estimate_channel_into(
         &self,
         spectrum: &[Complex],
@@ -373,69 +352,36 @@ impl OfdmDemodulator {
         table: &mut Vec<Option<Complex>>,
     ) {
         let pilots = self.config.pilot_channels();
+        let spacing = PILOT_SPACING;
         table.clear();
-        table.resize(self.config.fft_size(), None);
+        table.resize(FFT_SIZE, None);
         ch.z.clear();
         ch.z.extend(pilots.iter().map(|&p| spectrum[p]));
-        if pilots.len() == 1 {
-            table[pilots[0]] = Some(ch.z[0]);
-            return;
-        }
-        let spacing = pilots[1] - pilots[0];
         let z = &ch.z;
+        ch.mags.clear();
+        ch.mags.extend(z.iter().map(|c| c.abs()));
+        ch.phases.clear();
+        ch.phases.extend(z.iter().map(|c| c.arg()));
+        for i in 1..ch.phases.len() {
+            let mut d = ch.phases[i] - ch.phases[i - 1];
+            while d > std::f64::consts::PI {
+                d -= std::f64::consts::TAU;
+            }
+            while d < -std::f64::consts::PI {
+                d += std::f64::consts::TAU;
+            }
+            ch.phases[i] = ch.phases[i - 1] + d;
+        }
         ch.interp.clear();
-        match self.estimator {
-            ChannelEstimator::FftComplex
-                if z.len().is_power_of_two() && spacing.is_power_of_two() =>
-            {
-                match fft_interpolate(z, spacing) {
-                    Ok(v) => ch.interp.extend_from_slice(&v),
-                    Err(_) => ch.interp.extend_from_slice(z),
-                }
-            }
-            ChannelEstimator::NearestPilot => {
-                ch.interp.reserve(z.len() * spacing);
-                for i in 0..z.len() {
-                    for j in 0..spacing {
-                        let idx = if j <= spacing / 2 {
-                            i
-                        } else {
-                            (i + 1).min(z.len() - 1)
-                        };
-                        ch.interp.push(z[idx]);
-                    }
-                }
-            }
-            _ => {
-                // Magnitude and unwrapped phase interpolated separately
-                // (linear). Magnitude of unit pilots stays accurate even
-                // when the device phase response wiggles faster than the
-                // pilot spacing can track.
-                ch.mags.clear();
-                ch.mags.extend(z.iter().map(|c| c.abs()));
-                ch.phases.clear();
-                ch.phases.extend(z.iter().map(|c| c.arg()));
-                for i in 1..ch.phases.len() {
-                    let mut d = ch.phases[i] - ch.phases[i - 1];
-                    while d > std::f64::consts::PI {
-                        d -= std::f64::consts::TAU;
-                    }
-                    while d < -std::f64::consts::PI {
-                        d += std::f64::consts::TAU;
-                    }
-                    ch.phases[i] = ch.phases[i - 1] + d;
-                }
-                ch.interp.reserve(z.len() * spacing);
-                let (mags, phases) = (&ch.mags, &ch.phases);
-                for i in 0..z.len() {
-                    let ni = (i + 1).min(z.len() - 1);
-                    for j in 0..spacing {
-                        let t = j as f64 / spacing as f64;
-                        let m = mags[i] * (1.0 - t) + mags[ni] * t;
-                        let p = phases[i] * (1.0 - t) + phases[ni] * t;
-                        ch.interp.push(Complex::from_polar(m, p));
-                    }
-                }
+        ch.interp.reserve(z.len() * spacing);
+        let (mags, phases) = (&ch.mags, &ch.phases);
+        for i in 0..z.len() {
+            let ni = (i + 1).min(z.len() - 1);
+            for j in 0..spacing {
+                let t = j as f64 / spacing as f64;
+                let m = mags[i] * (1.0 - t) + mags[ni] * t;
+                let p = phases[i] * (1.0 - t) + phases[ni] * t;
+                ch.interp.push(Complex::from_polar(m, p));
             }
         }
         let base = pilots[0];
@@ -448,7 +394,7 @@ impl OfdmDemodulator {
         // Channels beyond the last pilot extend the final estimate.
         let last_pilot = *pilots.last().expect("non-empty");
         let last_h = table[last_pilot];
-        for k in (last_pilot + 1)..table.len().min(self.config.fft_size() / 2) {
+        for k in (last_pilot + 1)..table.len().min(FFT_SIZE / 2) {
             if table[k].is_none() {
                 table[k] = last_h;
             }
@@ -463,8 +409,7 @@ impl OfdmDemodulator {
         start: usize,
         spectrum: &mut Vec<Complex>,
     ) -> Result<(), ModemError> {
-        let n = self.config.fft_size();
-        let cp = self.config.cp_len();
+        let (n, cp) = (FFT_SIZE, CP_LEN);
         if start + cp + n > recording.len() {
             return Err(ModemError::InvalidInput("block out of range".into()));
         }
@@ -524,8 +469,7 @@ impl OfdmDemodulator {
     /// into `frame`, reusing both the scratch and the frame's bit
     /// buffer: after one warmup call, decoding a frame performs no heap
     /// allocation at all (gated by the counting-allocator harness in
-    /// `wearlock-tests`). Ablation benches call it directly to compare
-    /// sync strategies.
+    /// `wearlock-tests`).
     ///
     /// # Errors
     ///
@@ -546,13 +490,12 @@ impl OfdmDemodulator {
         }
         let per_block = self.config.bits_per_block(modulation.bits_per_symbol());
         let blocks_expected = n_bits.div_ceil(per_block);
-        let frame_start =
-            sync.preamble_offset + self.config.preamble_len() + self.config.post_preamble_guard();
+        let frame_start = sync.preamble_offset + PREAMBLE_LEN + POST_PREAMBLE_GUARD;
 
         frame.bits.clear();
         let mut evm_sum = 0.0;
         for b in 0..blocks_expected {
-            let start = frame_start + b * self.config.symbol_len();
+            let start = frame_start + b * SYMBOL_LEN;
             self.decode_block(recording, start, scratch).map_err(|_| {
                 ModemError::TruncatedSignal {
                     blocks_decoded: b,
@@ -594,7 +537,7 @@ impl OfdmDemodulator {
         scratch: &mut DemodScratch,
     ) -> Result<ProbeReport, ModemError> {
         let sync = self.detect(recording, scratch)?;
-        let n = self.config.fft_size();
+        let n = FFT_SIZE;
 
         // Ambient noise spectrum from windows before the preamble.
         // Per-bin *median* across windows: robust against keyboard
@@ -625,8 +568,7 @@ impl OfdmDemodulator {
         }
 
         // Pilot block.
-        let start =
-            sync.preamble_offset + self.config.preamble_len() + self.config.post_preamble_guard();
+        let start = sync.preamble_offset + PREAMBLE_LEN + POST_PREAMBLE_GUARD;
         self.synced_block_spectrum(recording, start, &mut scratch.spectrum)
             .map_err(|_| ModemError::TruncatedSignal {
                 blocks_decoded: 0,
@@ -795,9 +737,7 @@ mod tests {
         rec.extend_from_slice(&wave);
         let full = rx.detect(&rec, &mut DemodScratch::new()).unwrap();
         // A window around the true offset: same sync, bounded scan.
-        let windowed = rx
-            .clone()
-            .with_search_window(2_800, 3_200 + rx.config().preamble_len());
+        let windowed = rx.clone().with_search_window(2_800, 3_200 + PREAMBLE_LEN);
         let (from, to) = windowed.search_span(rec.len());
         assert!(to - from < rec.len() / 2, "window did not bound the scan");
         let sync = windowed.detect(&rec, &mut DemodScratch::new()).unwrap();
@@ -813,7 +753,7 @@ mod tests {
     #[test]
     fn search_span_clamps_to_recording_and_preamble() {
         let (_tx, rx) = pair();
-        let p = rx.config().preamble_len();
+        let p = PREAMBLE_LEN;
         // No window: the whole recording.
         assert_eq!(rx.search_span(10_000), (0, 10_000));
         let rx = rx.with_search_window(4_000, 20_000);
@@ -909,7 +849,7 @@ mod tests {
         rec.extend_from_slice(&probe);
         let report = rx.analyze_probe(&rec, &mut DemodScratch::new()).unwrap();
         assert!(report.psnr.value() > 30.0, "psnr {}", report.psnr);
-        assert_eq!(report.noise_spectrum.len(), rx.config().fft_size());
+        assert_eq!(report.noise_spectrum.len(), FFT_SIZE);
         for &k in rx.config().data_channels() {
             assert!(report.channel_gain[k].is_some());
         }
@@ -977,7 +917,7 @@ mod tests {
         };
         let mut rec = vec![0.0; 5];
         rec.extend_from_slice(&wave);
-        let nominal = rx.config().preamble_len() + rx.config().post_preamble_guard();
+        let nominal = PREAMBLE_LEN + POST_PREAMBLE_GUARD;
         assert_eq!(rx.fine_sync(&rec, nominal), 5);
         let mut frame = DemodFrame::new();
         rx.demodulate_synced(

@@ -11,16 +11,17 @@
 //!   pilot tone insertion → IFFT → cyclic prefix → chirp preamble.
 //! * **RX** ([`demodulator`]): energy-based silence detection → preamble
 //!   detection & coarse sync by normalized cross-correlation → CP-based
-//!   fine sync (eq. 2) → FFT → pilot channel estimation with FFT
-//!   interpolation & equalization (§III.6) → minimum-distance de-mapping.
+//!   fine sync (eq. 2) → FFT → pilot channel estimation (magnitude and
+//!   phase interpolated between pilots) & equalization (§III.6) →
+//!   minimum-distance de-mapping.
 //! * **Link adaptation**: pilot-based SNR (eq. 3) → `Eb/N0 = C/N·B/R` →
 //!   BER-constrained mode selection ([`adaptive`]); per-bin noise
 //!   ranking → sub-channel selection ([`subchannel`]).
 //!
-//! Defaults follow the paper: FFT 256 @ 44.1 kHz, CP 128, preamble 256,
-//! post-preamble guard 1024, data channels
-//! {16,17,18,20,21,22,24,25,26,28,29,30}, pilots {7,11,…,35}
-//! ([`config`]).
+//! The frame is the paper's, fixed: FFT 256 @ 44.1 kHz, CP 128,
+//! preamble 256, post-preamble guard 1024, pilots {7,11,…,35}; only the
+//! band and the data channels (default
+//! {16,17,18,20,21,22,24,25,26,28,29,30}) vary ([`config`]).
 //!
 //! ## Example
 //!
@@ -61,9 +62,7 @@ pub use adaptive::{ModePolicy, TransmissionMode};
 pub use coding::{conv_encode, viterbi_decode, TokenCoding};
 pub use config::{FrequencyBand, OfdmConfig};
 pub use constellation::Modulation;
-pub use demodulator::{
-    bit_error_rate, ChannelEstimator, DemodFrame, FrameSync, OfdmDemodulator, ProbeReport,
-};
+pub use demodulator::{bit_error_rate, DemodFrame, FrameSync, OfdmDemodulator, ProbeReport};
 pub use error::ModemError;
 pub use modulator::OfdmModulator;
 pub use scratch::{DemodScratch, TxScratch};

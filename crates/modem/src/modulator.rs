@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use wearlock_dsp::{cache, Complex, Fft};
 
-use crate::config::OfdmConfig;
+use crate::config::{OfdmConfig, CP_LEN, FFT_SIZE, POST_PREAMBLE_GUARD, PREAMBLE_LEN, SYMBOL_LEN};
 use crate::constellation::{map_bits_into, Modulation};
 use crate::error::ModemError;
 use crate::scratch::TxScratch;
@@ -44,7 +44,7 @@ impl OfdmModulator {
     /// Returns [`ModemError::Dsp`] if the FFT cannot be planned (the
     /// config validation normally prevents this).
     pub fn new(config: OfdmConfig) -> Result<Self, ModemError> {
-        let fft = cache::planned(config.fft_size())?;
+        let fft = cache::planned(FFT_SIZE)?;
         let preamble = config.preamble_chirp().generate();
         Ok(OfdmModulator {
             config,
@@ -79,7 +79,7 @@ impl OfdmModulator {
         scratch: &mut TxScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), ModemError> {
-        let n = self.config.fft_size();
+        let n = FFT_SIZE;
         scratch.spectrum.clear();
         scratch.spectrum.resize(n, Complex::ZERO);
         let spectrum = &mut scratch.spectrum;
@@ -114,7 +114,7 @@ impl OfdmModulator {
             }
         }
 
-        let cp = self.config.cp_len();
+        let cp = CP_LEN;
         out.reserve(cp + n);
         out.extend_from_slice(&body[n - cp..]);
         out.extend_from_slice(body);
@@ -148,7 +148,7 @@ impl OfdmModulator {
         out.clear();
         out.reserve(self.frame_len(bits.len(), modulation));
         out.extend_from_slice(&self.preamble);
-        out.extend(std::iter::repeat_n(0.0, self.config.post_preamble_guard()));
+        out.extend(std::iter::repeat_n(0.0, POST_PREAMBLE_GUARD));
         let mut result = Ok(());
         for chunk in symbols.chunks(per_block) {
             if let Err(e) = self.build_block_into(chunk, scratch, out) {
@@ -186,7 +186,7 @@ impl OfdmModulator {
         symbols.resize(n_data, Complex::ONE);
         out.clear();
         out.extend_from_slice(&self.preamble);
-        out.extend(std::iter::repeat_n(0.0, self.config.post_preamble_guard()));
+        out.extend(std::iter::repeat_n(0.0, POST_PREAMBLE_GUARD));
         let mut result = Ok(());
         for _ in 0..pilot_blocks {
             if let Err(e) = self.build_block_into(&symbols, scratch, out) {
@@ -202,9 +202,7 @@ impl OfdmModulator {
 
     /// Length in samples of a frame carrying `n_bits` at `modulation`.
     pub fn frame_len(&self, n_bits: usize, modulation: Modulation) -> usize {
-        self.config.preamble_len()
-            + self.config.post_preamble_guard()
-            + self.blocks_for(n_bits, modulation) * self.config.symbol_len()
+        PREAMBLE_LEN + POST_PREAMBLE_GUARD + self.blocks_for(n_bits, modulation) * SYMBOL_LEN
     }
 }
 

@@ -7,7 +7,7 @@
 //! such as a periodically restarting air conditioner or a deliberate
 //! tone jammer (Fig. 9).
 
-use crate::config::OfdmConfig;
+use crate::config::{OfdmConfig, FFT_SIZE};
 use crate::error::ModemError;
 
 /// The outcome of sub-channel selection.
@@ -50,7 +50,7 @@ pub fn select_data_channels(
         .max()
         .expect("validated");
     // Allow growing past the default span to escape wide-band jammers.
-    let hi = (hi_default + count).min(config.fft_size() / 2 - 1);
+    let hi = (hi_default + count).min(FFT_SIZE / 2 - 1);
     if noise_spectrum.len() <= hi {
         return Err(ModemError::InvalidInput(format!(
             "noise spectrum has {} bins, need at least {}",

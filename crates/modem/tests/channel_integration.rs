@@ -9,7 +9,7 @@ use wearlock_acoustics::channel::{AcousticLink, AwgnChannel, PathKind};
 use wearlock_acoustics::hardware::{MicrophoneModel, SpeakerModel};
 use wearlock_acoustics::noise::{Location, NoiseModel};
 use wearlock_dsp::units::{Db, Meters, Spl};
-use wearlock_modem::config::OfdmConfig;
+use wearlock_modem::config::{OfdmConfig, SAMPLE_RATE};
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::{
@@ -155,7 +155,7 @@ fn phase_ripple_floors_psk_but_not_ask() {
         for _ in 0..trials {
             let bits: Vec<bool> = (0..432).map(|_| rng.gen()).collect();
             let wave = modulate(&tx, &bits, m).unwrap();
-            let emitted = speaker.emit(&wave, Spl(60.0), tx.config().sample_rate());
+            let emitted = speaker.emit(&wave, Spl(60.0), SAMPLE_RATE);
             let rec = ch.transmit(&emitted, &mut rng);
             let ber = demodulate(&rx, &rec, m, bits.len())
                 .map(|r| bit_error_rate(&bits, &r.bits))
@@ -222,10 +222,7 @@ fn body_blocking_wrecks_the_link_or_flags_nlos() {
 fn moto360_lowpass_kills_near_ultrasound_but_not_audible() {
     use wearlock_modem::config::FrequencyBand;
     let audible_cfg = OfdmConfig::default();
-    let ultra_cfg = OfdmConfig::builder()
-        .band(FrequencyBand::NearUltrasound)
-        .build()
-        .unwrap();
+    let ultra_cfg = OfdmConfig::new(FrequencyBand::NearUltrasound);
     let mut rng = StdRng::seed_from_u64(104);
     let bits = payload(96);
 

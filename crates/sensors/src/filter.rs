@@ -92,11 +92,6 @@ impl MotionFilter {
         self.d_l
     }
 
-    /// The abort threshold `d_h`.
-    pub fn high_threshold(&self) -> f64 {
-        self.d_h
-    }
-
     /// Runs Algorithm 1 on the two recorded traces.
     pub fn evaluate(&self, phone: &AccelTrace, watch: &AccelTrace) -> FilterDecision {
         self.evaluate_magnitudes(&phone.magnitude(), &watch.magnitude())

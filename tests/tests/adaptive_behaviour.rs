@@ -98,9 +98,10 @@ fn all_named_configs_unlock() {
 fn local_plan_charges_watch_offload_charges_phone() {
     let mut r = rng(203);
     let local_cfg = WearLockConfig::builder()
-        .plan(ExecutionPlan::LocalOnWatch)
+        .named(NamedConfig::Config3)
         .build()
         .unwrap();
+    assert_eq!(local_cfg.plan(), ExecutionPlan::LocalOnWatch);
     let mut session = UnlockSession::new(local_cfg).unwrap();
     let series = session.run(&Environment::default(), &AttemptOptions::new(), &mut r);
     let rep = series.final_attempt();
@@ -114,9 +115,10 @@ fn local_plan_charges_watch_offload_charges_phone() {
     }
 
     let off_cfg = WearLockConfig::builder()
-        .plan(ExecutionPlan::OffloadToPhone)
+        .named(NamedConfig::Config1)
         .build()
         .unwrap();
+    assert_eq!(off_cfg.plan(), ExecutionPlan::OffloadToPhone);
     let mut session = UnlockSession::new(off_cfg).unwrap();
     let series = session.run(&Environment::default(), &AttemptOptions::new(), &mut r);
     let rep = series.final_attempt();
