@@ -18,7 +18,7 @@ use crate::error::AcousticsError;
 use crate::hardware::{MicrophoneModel, SpeakerModel};
 use crate::multipath::ImpulseResponse;
 use crate::noise::NoiseModel;
-use crate::propagation::Propagation;
+use crate::propagation;
 
 #[cfg(test)]
 mod reference;
@@ -74,8 +74,6 @@ pub enum PathKind {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AcousticLink {
-    sample_rate: SampleRate,
-    propagation: Propagation,
     distance: Meters,
     speaker: SpeakerModel,
     microphone: MicrophoneModel,
@@ -101,16 +99,6 @@ impl AcousticLink {
         &self.noise
     }
 
-    /// The propagation model in use.
-    pub fn propagation(&self) -> Propagation {
-        self.propagation
-    }
-
-    /// The sample rate of the link.
-    pub fn sample_rate(&self) -> SampleRate {
-        self.sample_rate
-    }
-
     /// The path geometry.
     pub fn path(&self) -> PathKind {
         self.path
@@ -119,7 +107,7 @@ impl AcousticLink {
     /// Predicted SPL at the receiver for a given transmit volume
     /// (spreading loss only; multipath/blocking excluded).
     pub fn predicted_rx_spl(&self, volume: Spl) -> Spl {
-        self.propagation.received_spl(volume, self.distance)
+        propagation::received_spl(volume, self.distance)
     }
 
     /// Predicted receiver SNR for a given transmit volume against the
@@ -142,7 +130,7 @@ impl AcousticLink {
     pub fn transmit<R: Rng + ?Sized>(&self, signal: &[f64], volume: Spl, rng: &mut R) -> Vec<f64> {
         // 1. Speaker: volume calibration, rise, ringing. 2. Propagation:
         // spreading loss + fractional delay.
-        let travelled = self.propagate(&self.speaker.drive(signal, volume, self.sample_rate));
+        let travelled = self.propagate(&self.speaker.drive(signal, volume));
 
         // 3. Multipath.
         let ir = self.impulse_response(rng);
@@ -150,16 +138,13 @@ impl AcousticLink {
         // 4. Ambient padding + noise across the whole recording, through
         // the microphone's band limit.
         let total = self.lead_pad + travelled.len() + ir.len() - 1 + self.tail_pad;
-        let mut recording = self
-            .noise
-            .received(total, self.sample_rate, &self.microphone, rng);
+        let mut recording = self.noise.received(total, &self.microphone, rng);
 
         // 5. The signal through the speaker's band limit and ripple, the
         // multipath and the microphone's band limit.
         crate::fused::add_received_signal(
             &self.speaker,
             &self.microphone,
-            self.sample_rate,
             &travelled,
             &ir,
             &mut recording,
@@ -175,9 +160,7 @@ impl AcousticLink {
     /// what each device hears before the preamble, used for noise-level
     /// estimation and the ambient-similarity co-location filter.
     pub fn record_ambient<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Vec<f64> {
-        let mut ambient = self
-            .noise
-            .received(len, self.sample_rate, &self.microphone, rng);
+        let mut ambient = self.noise.received(len, &self.microphone, rng);
         self.microphone.capture(&mut ambient, rng);
         ambient
     }
@@ -185,8 +168,8 @@ impl AcousticLink {
     /// Spreading loss and propagation delay applied to the speaker's
     /// output.
     fn propagate(&self, emitted: &[f64]) -> Vec<f64> {
-        let gain = self.propagation.amplitude_gain(self.distance);
-        let delay_samples = self.distance.value() / SPEED_OF_SOUND * self.sample_rate.value();
+        let gain = propagation::amplitude_gain(self.distance);
+        let delay_samples = self.distance.value() / SPEED_OF_SOUND * SampleRate::CD.value();
         let mut travelled = fractional_delay(emitted, delay_samples)
             .expect("build() checked the distance is finite");
         for s in travelled.iter_mut() {
@@ -199,16 +182,13 @@ impl AcousticLink {
     fn impulse_response<R: Rng + ?Sized>(&self, rng: &mut R) -> ImpulseResponse {
         match self.path {
             PathKind::LineOfSight => {
-                ImpulseResponse::line_of_sight(Seconds(0.004), 60.0, 0.25, self.sample_rate, rng)
+                ImpulseResponse::line_of_sight(Seconds(0.004), 60.0, 0.25, rng)
             }
-            PathKind::BodyBlocked { block_db } => ImpulseResponse::body_blocked(
-                // Diffuse tail within the modem's 128-sample cyclic
-                // prefix (2.9 ms at 44.1 kHz).
-                Seconds(0.0025),
-                block_db,
-                self.sample_rate,
-                rng,
-            ),
+            // Diffuse tail within the modem's 128-sample cyclic prefix
+            // (2.9 ms at 44.1 kHz).
+            PathKind::BodyBlocked { block_db } => {
+                ImpulseResponse::body_blocked(Seconds(0.0025), block_db, rng)
+            }
         }
         .expect("static multipath parameters are valid")
     }
@@ -217,8 +197,6 @@ impl AcousticLink {
 /// Builder for [`AcousticLink`].
 #[derive(Debug, Clone)]
 pub struct AcousticLinkBuilder {
-    sample_rate: SampleRate,
-    propagation: Option<Propagation>,
     distance: Meters,
     speaker: SpeakerModel,
     microphone: MicrophoneModel,
@@ -231,8 +209,6 @@ pub struct AcousticLinkBuilder {
 impl Default for AcousticLinkBuilder {
     fn default() -> Self {
         AcousticLinkBuilder {
-            sample_rate: SampleRate::CD,
-            propagation: None,
             distance: Meters(0.5),
             speaker: SpeakerModel::smartphone(),
             microphone: MicrophoneModel::moto360(),
@@ -249,18 +225,6 @@ impl Default for AcousticLinkBuilder {
 }
 
 impl AcousticLinkBuilder {
-    /// Sets the sample rate (default 44.1 kHz).
-    pub fn sample_rate(mut self, sample_rate: SampleRate) -> Self {
-        self.sample_rate = sample_rate;
-        self
-    }
-
-    /// Sets the propagation model (default spherical, `d0 = 5 cm`).
-    pub fn propagation(mut self, propagation: Propagation) -> Self {
-        self.propagation = Some(propagation);
-        self
-    }
-
     /// Sets the transmitter–receiver distance (default 0.5 m).
     pub fn distance(mut self, distance: Meters) -> Self {
         self.distance = distance;
@@ -318,13 +282,7 @@ impl AcousticLinkBuilder {
                 )));
             }
         }
-        let propagation = match self.propagation {
-            Some(p) => p,
-            None => Propagation::spherical(Meters(0.05))?,
-        };
         Ok(AcousticLink {
-            sample_rate: self.sample_rate,
-            propagation,
             distance: self.distance,
             speaker: self.speaker,
             microphone: self.microphone,

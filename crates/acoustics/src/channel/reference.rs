@@ -31,13 +31,10 @@ pub(super) fn transmit<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<f64> {
     // 1. Speaker: volume calibration, rise, ringing, band limit, ripple.
-    let mut emitted = link.speaker.drive(signal, volume, link.sample_rate);
-    for fir in [
-        link.speaker.band_pass(link.sample_rate),
-        link.speaker.ripple(),
-    ]
-    .iter()
-    .flatten()
+    let mut emitted = link.speaker.drive(signal, volume);
+    for fir in [link.speaker.band_pass(), link.speaker.ripple()]
+        .iter()
+        .flatten()
     {
         emitted = fir.apply(&emitted);
     }
@@ -50,7 +47,7 @@ pub(super) fn transmit<R: Rng + ?Sized>(
 
     // 4. Ambient padding + noise across the whole recording.
     let total = link.lead_pad + faded.len() + link.tail_pad;
-    let mut recording = generate(&link.noise, total, link.sample_rate, rng);
+    let mut recording = generate(&link.noise, total, rng);
     for (i, &v) in faded.iter().enumerate() {
         recording[link.lead_pad + i] += v;
     }
@@ -65,14 +62,14 @@ pub(super) fn record_ambient<R: Rng + ?Sized>(
     len: usize,
     rng: &mut R,
 ) -> Vec<f64> {
-    let ambient = generate(&link.noise, len, link.sample_rate, rng);
+    let ambient = generate(&link.noise, len, rng);
     record(link, ambient, rng)
 }
 
 /// The microphone in the sample domain: its band limit, then jitter,
 /// self-noise and quantization.
 fn record<R: Rng + ?Sized>(link: &AcousticLink, signal: Vec<f64>, rng: &mut R) -> Vec<f64> {
-    let mut out = match link.microphone.band_limit(link.sample_rate) {
+    let mut out = match link.microphone.band_limit() {
         Some(lpf) => lpf.apply(&signal),
         None => signal,
     };
@@ -93,12 +90,8 @@ fn calibrate_spl(signal: &mut [f64], target: Spl) {
 }
 
 /// `noise` synthesized in the sample domain through an unlimited band.
-fn generate<R: Rng + ?Sized>(
-    noise: &NoiseModel,
-    len: usize,
-    sample_rate: SampleRate,
-    rng: &mut R,
-) -> Vec<f64> {
+fn generate<R: Rng + ?Sized>(noise: &NoiseModel, len: usize, rng: &mut R) -> Vec<f64> {
+    let sample_rate = SampleRate::CD;
     match noise {
         NoiseModel::White { spl } => {
             let mut out = gaussian_noise(len, 1.0, rng);
@@ -165,7 +158,7 @@ fn generate<R: Rng + ?Sized>(
         NoiseModel::Mixture(parts) => {
             let mut out = vec![0.0; len];
             for part in parts {
-                for (o, v) in out.iter_mut().zip(generate(part, len, sample_rate, rng)) {
+                for (o, v) in out.iter_mut().zip(generate(part, len, rng)) {
                     *o += v;
                 }
             }

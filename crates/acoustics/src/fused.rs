@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 
 use wearlock_dsp::cache::planned;
 use wearlock_dsp::filter::Fir;
-use wearlock_dsp::units::{Hz, SampleRate};
+use wearlock_dsp::units::Hz;
 use wearlock_dsp::{Complex, Fft};
 
 use crate::hardware::{MicrophoneModel, SpeakerModel, BAND_PASS_TAPS, MIC_TAPS, RIPPLE_TAPS};
@@ -112,20 +112,18 @@ struct SignalResponse {
 fn signal_response(
     speaker: &SpeakerModel,
     microphone: &MicrophoneModel,
-    sample_rate: SampleRate,
     fft: &Fft,
 ) -> Arc<SignalResponse> {
-    type Key = ([u64; 4], Option<u64>, u64, usize);
+    type Key = ([u64; 4], Option<u64>, usize);
     static RESPONSES: Designs<Key, SignalResponse> = Designs::new(8);
     let key = (
         speaker.response_key(),
         microphone.cutoff().map(|c| c.value().to_bits()),
-        sample_rate.value().to_bits(),
         fft.size(),
     );
     RESPONSES.get(key, || {
-        let band_pass = speaker.band_pass(sample_rate);
-        let low_pass = microphone.band_limit(sample_rate);
+        let band_pass = speaker.band_pass();
+        let low_pass = microphone.band_limit();
         let mut half_spectrum = vec![Complex::ONE; fft.size() / 2 + 1];
         let mut delay = 0;
         for fir in [band_pass, speaker.ripple(), low_pass].iter().flatten() {
@@ -183,14 +181,12 @@ fn transform_size(signal: usize, tail: usize) -> usize {
 /// ```
 /// use wearlock_acoustics::fused::add_received_signal;
 /// use wearlock_acoustics::{ImpulseResponse, MicrophoneModel, SpeakerModel};
-/// use wearlock_dsp::units::SampleRate;
 ///
 /// let impulse = [1.0];
 /// let mut recording = vec![0.0; 4_000];
 /// add_received_signal(
 ///     &SpeakerModel::ideal(),
 ///     &MicrophoneModel::ideal(),
-///     SampleRate::CD,
 ///     &impulse,
 ///     &ImpulseResponse::identity(),
 ///     &mut recording,
@@ -201,7 +197,6 @@ fn transform_size(signal: usize, tail: usize) -> usize {
 pub fn add_received_signal(
     speaker: &SpeakerModel,
     microphone: &MicrophoneModel,
-    sample_rate: SampleRate,
     travelled: &[f64],
     ir: &ImpulseResponse,
     recording: &mut [f64],
@@ -214,7 +209,7 @@ pub fn add_received_signal(
     let tail = ir.len() - 1 + MAX_RESPONSE_LEN - 1;
     let fft = planned(transform_size(travelled.len(), tail)).expect("a power of two");
     let n = fft.size();
-    let response = signal_response(speaker, microphone, sample_rate, &fft);
+    let response = signal_response(speaker, microphone, &fft);
     let block = n - tail;
     let mut blocks: Vec<(usize, &[f64])> = travelled
         .chunks(block)
@@ -323,25 +318,21 @@ pub(crate) struct LowPass {
 impl LowPass {
     /// `|H|` at bin `k` of an `n`-point DFT, for `n` a power of two up
     /// to [`MAX_TRANSFORM`]: every `MAX_TRANSFORM / n`-th bin of the
-    /// design, the same frequency.
+    /// design, the same frequency. Both sizes are powers of two, so the
+    /// stride is a shift.
     pub(crate) fn magnitude(&self, k: usize, n: usize) -> f64 {
-        self.magnitude[k * (MAX_TRANSFORM / n)]
+        debug_assert!(n.is_power_of_two() && n <= MAX_TRANSFORM);
+        self.magnitude[k << (MAX_TRANSFORM.trailing_zeros() - n.trailing_zeros())]
     }
 }
 
 /// The `taps`-tap low-pass at `cutoff` with its magnitude response, or
 /// `None` where the cutoff does not limit the band
 /// ([`crate::hardware::band_limit`]'s rule), designed once per process.
-pub(crate) fn low_pass(cutoff: Hz, taps: usize, sample_rate: SampleRate) -> Arc<Option<LowPass>> {
-    type Key = (u64, usize, u64);
-    static LOW_PASSES: Designs<Key, Option<LowPass>> = Designs::new(8);
-    let key = (
-        cutoff.value().to_bits(),
-        taps,
-        sample_rate.value().to_bits(),
-    );
-    LOW_PASSES.get(key, || {
-        let fir = crate::hardware::band_limit(cutoff, taps, sample_rate)?;
+pub(crate) fn low_pass(cutoff: Hz, taps: usize) -> Arc<Option<LowPass>> {
+    static LOW_PASSES: Designs<(u64, usize), Option<LowPass>> = Designs::new(8);
+    LOW_PASSES.get((cutoff.value().to_bits(), taps), || {
+        let fir = crate::hardware::band_limit(cutoff, taps)?;
         let fft = planned(MAX_TRANSFORM).expect("a power of two");
         let magnitude = spectrum(&fft, fir.taps())
             .iter()
@@ -371,15 +362,14 @@ mod tests {
 
     #[test]
     fn fused_signal_is_the_full_convolution_placed_at_the_delay() {
-        let sr = SampleRate::CD;
         let speaker = SpeakerModel::smartphone();
         let mic = MicrophoneModel::moto360();
         let mut rng = StdRng::seed_from_u64(8);
         let ir = ImpulseResponse::from_taps(vec![1.0, 0.0, -0.3, 0.2]).unwrap();
         let composite = [
-            speaker.band_pass(sr).unwrap(),
+            speaker.band_pass().unwrap(),
             speaker.ripple().unwrap(),
-            mic.band_limit(sr).unwrap(),
+            mic.band_limit().unwrap(),
         ]
         .iter()
         .fold(ir.taps().to_vec(), |h, fir| convolve(&h, fir.taps()));
@@ -398,7 +388,7 @@ mod tests {
             let full = convolve(&x, &composite);
             let len = short.unwrap_or(full.len() + 100);
             let mut got = vec![0.0; len];
-            add_received_signal(&speaker, &mic, sr, &x, &ir, &mut got, offset);
+            add_received_signal(&speaker, &mic, &x, &ir, &mut got, offset);
             let mut want = vec![0.0; len];
             for (m, &y) in full.iter().enumerate() {
                 if let Some(w) = (offset + m)
@@ -431,10 +421,17 @@ mod tests {
 
     #[test]
     fn low_pass_magnitude_matches_the_fir_gain() {
-        let sr = SampleRate::CD;
-        let lp = low_pass(Hz(4_000.0), 61, sr);
+        let sr = wearlock_dsp::units::SampleRate::CD;
+        let lp = low_pass(Hz(4_000.0), 61);
         let lp = lp.as_ref().as_ref().unwrap();
-        for (k, n) in [(0, 512), (10, 512), (47, 512), (256, 512), (1_000, 4_096)] {
+        for (k, n) in [
+            (1, 2),
+            (0, 512),
+            (10, 512),
+            (47, 512),
+            (256, 512),
+            (1_000, 4_096),
+        ] {
             let f = Hz(k as f64 * sr.value() / n as f64);
             let got = lp.magnitude(k, n);
             assert!(
@@ -442,7 +439,5 @@ mod tests {
                 "bin {k} of {n}"
             );
         }
-        // A cutoff the rate cannot realise means no filter.
-        assert!(low_pass(Hz(4_000.0), 61, SampleRate::new(8_000.0)).is_none());
     }
 }

@@ -95,13 +95,13 @@ fn phase_ripple_fir(amplitude: f64, phase_offset: f64) -> Fir {
 }
 
 /// The `taps`-tap low-pass at `cutoff`, or `None` where it would not
-/// limit the band: a cutoff at or above 99 % of Nyquist leaves the
-/// band unlimited. A non-positive or non-finite cutoff has no design
-/// and also gives `None` (`AcousticLink`'s builder rejects those for
-/// the microphone).
-pub(crate) fn band_limit(cutoff: Hz, taps: usize, sample_rate: SampleRate) -> Option<Fir> {
-    if cutoff.value() < sample_rate.nyquist().value() * 0.99 {
-        Fir::low_pass(cutoff, taps, sample_rate).ok()
+/// limit the band: a cutoff at or above 99 % of Nyquist (a microphone
+/// set to pass everything) leaves the band unlimited. A non-positive or
+/// non-finite cutoff has no design and also gives `None`
+/// (`AcousticLink`'s builder rejects those for the microphone).
+pub(crate) fn band_limit(cutoff: Hz, taps: usize) -> Option<Fir> {
+    if cutoff.value() < SampleRate::CD.nyquist().value() * 0.99 {
+        Fir::low_pass(cutoff, taps, SampleRate::CD).ok()
     } else {
         None
     }
@@ -182,13 +182,12 @@ impl SpeakerModel {
     /// ([`add_received_signal`] through an ideal microphone and the
     /// identity response), so their tails are cut once, at the ends of
     /// the output.
-    pub fn emit(&self, signal: &[f64], volume: Spl, sample_rate: SampleRate) -> Vec<f64> {
-        let drive = self.drive(signal, volume, sample_rate);
+    pub fn emit(&self, signal: &[f64], volume: Spl) -> Vec<f64> {
+        let drive = self.drive(signal, volume);
         let mut out = vec![0.0; drive.len()];
         add_received_signal(
             self,
             &MicrophoneModel::ideal(),
-            sample_rate,
             &drive,
             &ImpulseResponse::identity(),
             &mut out,
@@ -201,7 +200,7 @@ impl SpeakerModel {
     /// response: `signal` scaled to `volume` (clamped to the ceiling),
     /// shaped by the rise envelope and followed by the ring-out tail.
     /// `signal.len() + ringing` samples; empty for an empty signal.
-    pub(crate) fn drive(&self, signal: &[f64], volume: Spl, sample_rate: SampleRate) -> Vec<f64> {
+    pub(crate) fn drive(&self, signal: &[f64], volume: Spl) -> Vec<f64> {
         if signal.is_empty() {
             return Vec::new();
         }
@@ -213,8 +212,8 @@ impl SpeakerModel {
             0.0
         };
 
-        let rise_n = self.rise.to_samples(sample_rate);
-        let ring_n = self.ringing.to_samples(sample_rate);
+        let rise_n = self.rise.to_samples(SampleRate::CD);
+        let ring_n = self.ringing.to_samples(SampleRate::CD);
         let mut out = vec![0.0; signal.len() + ring_n];
 
         // First-order attack envelope (rise effect). Once the decaying
@@ -246,14 +245,10 @@ impl SpeakerModel {
         out
     }
 
-    /// The output band-pass at `sample_rate` (upper edge held below
-    /// Nyquist), or `None` without a band limit or where the rate
-    /// cannot realise one.
-    pub(crate) fn band_pass(&self, sample_rate: SampleRate) -> Option<Fir> {
+    /// The output band-pass, or `None` without a band limit.
+    pub(crate) fn band_pass(&self) -> Option<Fir> {
         let (lo, hi) = self.band?;
-        let nyq = sample_rate.nyquist().value();
-        let hi = Hz(hi.value().min(nyq * 0.98));
-        Fir::band_pass(lo, hi, BAND_PASS_TAPS, sample_rate).ok()
+        Some(Fir::band_pass(lo, hi, BAND_PASS_TAPS, SampleRate::CD).expect("static band edges"))
     }
 
     /// The phase-ripple allpass, if this speaker has ripple, designed
@@ -363,11 +358,11 @@ impl MicrophoneModel {
         self.cutoff
     }
 
-    /// The low-pass realising this microphone's band limit at
-    /// `sample_rate`, or `None` when it does not limit the band there
-    /// (no cutoff, or one at or above 99 % of Nyquist).
-    pub(crate) fn band_limit(&self, sample_rate: SampleRate) -> Option<Fir> {
-        band_limit(self.cutoff?, MIC_TAPS, sample_rate)
+    /// The low-pass realising this microphone's band limit, or `None`
+    /// when it does not limit the band (no cutoff, or one at or above
+    /// 99 % of Nyquist).
+    pub(crate) fn band_limit(&self) -> Option<Fir> {
+        band_limit(self.cutoff?, MIC_TAPS)
     }
 
     /// The microphone stages after its band limit, in place: clock
@@ -478,7 +473,6 @@ mod tests {
         add_received_signal(
             &SpeakerModel::ideal(),
             mic,
-            SampleRate::CD,
             signal,
             &ImpulseResponse::identity(),
             &mut out,
@@ -522,7 +516,7 @@ mod tests {
     #[test]
     fn speaker_calibrates_output_spl() {
         let spk = SpeakerModel::smartphone();
-        let out = spk.emit(&tone(3_000.0, 44_100), Spl(70.0), SampleRate::CD);
+        let out = spk.emit(&tone(3_000.0, 44_100), Spl(70.0));
         // Rise envelope and band filter shave a little; within 1 dB.
         assert!((spl(&out).value() - 70.0).abs() < 1.0, "{}", spl(&out));
     }
@@ -530,7 +524,7 @@ mod tests {
     #[test]
     fn speaker_clamps_to_max_spl() {
         let spk = SpeakerModel::smartphone().with_max_spl(Spl(60.0));
-        let out = spk.emit(&tone(3_000.0, 44_100), Spl(90.0), SampleRate::CD);
+        let out = spk.emit(&tone(3_000.0, 44_100), Spl(90.0));
         assert!(spl(&out).value() < 61.0);
     }
 
@@ -550,7 +544,7 @@ mod tests {
             .with_rise(Seconds(0.005))
             .with_ringing(Seconds(0.0));
         let sig = tone(3_000.0, 2_000);
-        let out = spk.emit(&sig, Spl(60.0), SampleRate::CD);
+        let out = spk.emit(&sig, Spl(60.0));
         let early = out[..30].iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         let late = out[500..600].iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         assert!(early < 0.6 * late, "early {early} late {late}");
@@ -559,7 +553,7 @@ mod tests {
     #[test]
     fn ringing_extends_output() {
         let spk = SpeakerModel::ideal().with_ringing(Seconds(0.002));
-        let out = spk.emit(&tone(2_000.0, 1_000), Spl(60.0), SampleRate::CD);
+        let out = spk.emit(&tone(2_000.0, 1_000), Spl(60.0));
         assert_eq!(out.len(), 1_000 + (0.002f64 * 44_100.0).round() as usize);
     }
 
@@ -567,7 +561,7 @@ mod tests {
     fn ideal_speaker_preserves_shape() {
         let spk = SpeakerModel::ideal();
         let sig = tone(5_000.0, 512);
-        let out = spk.emit(&sig, Spl(40.0), SampleRate::CD);
+        let out = spk.emit(&sig, Spl(40.0));
         // Same shape scaled: correlation ~1.
         let corr = wearlock_dsp::stats::pearson(&sig, &out[..512]);
         assert!(corr > 0.999, "corr {corr}");
@@ -667,7 +661,7 @@ mod tests {
         let unlimited = record(&MicrophoneModel::ideal(), &sig, &mut rng());
         for cutoff in [0.0, -5.0, f64::NAN] {
             let mic = MicrophoneModel::ideal().with_cutoff(Some(Hz(cutoff)));
-            assert!(mic.band_limit(SampleRate::CD).is_none());
+            assert!(mic.band_limit().is_none());
             assert_eq!(record(&mic, &sig, &mut rng()), unlimited);
         }
     }
@@ -676,13 +670,13 @@ mod tests {
     fn emit_matches_the_direct_form_chain_away_from_the_edges() {
         let spk = SpeakerModel::smartphone();
         let sig = tone(3_000.0, 6_000);
-        let out = spk.emit(&sig, Spl(65.0), SampleRate::CD);
-        let drive = spk.drive(&sig, Spl(65.0), SampleRate::CD);
+        let out = spk.emit(&sig, Spl(65.0));
+        let drive = spk.drive(&sig, Spl(65.0));
         assert_eq!(out.len(), drive.len());
         // The direct-form chain cuts each filter's tails at the ends; the
         // fused operator cuts the composite's once. They agree beyond one
         // composite filter length of either end.
-        let bpf = spk.band_pass(SampleRate::CD).unwrap();
+        let bpf = spk.band_pass().unwrap();
         let want = spk.ripple().unwrap().apply(&bpf.apply(&drive));
         let composite = BAND_PASS_TAPS + RIPPLE_TAPS - 1;
         let (mut err, mut energy) = (0.0, 0.0);
@@ -711,9 +705,7 @@ mod tests {
 
     #[test]
     fn empty_signal_yields_empty() {
-        assert!(SpeakerModel::default()
-            .emit(&[], Spl(60.0), SampleRate::CD)
-            .is_empty());
+        assert!(SpeakerModel::default().emit(&[], Spl(60.0)).is_empty());
         assert!(record(&MicrophoneModel::default(), &[], &mut rng()).is_empty());
         MicrophoneModel::default().capture(&mut [], &mut rng());
     }

@@ -20,6 +20,9 @@
 //!   ([`channel`]), whose linear filters run fused in the frequency
 //!   domain ([`fused`]).
 //!
+//! Every stage runs at one sample rate, the modem's 44.1 kHz
+//! ([`SampleRate::CD`](wearlock_dsp::units::SampleRate::CD)).
+//!
 //! ## Example
 //!
 //! ```
@@ -53,4 +56,3 @@ pub use error::AcousticsError;
 pub use hardware::{MicrophoneModel, SpeakerModel};
 pub use multipath::ImpulseResponse;
 pub use noise::{Location, NoiseModel};
-pub use propagation::Propagation;

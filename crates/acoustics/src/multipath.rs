@@ -56,7 +56,6 @@ impl ImpulseResponse {
         tail: Seconds,
         decay_db: f64,
         density: f64,
-        sample_rate: SampleRate,
         rng: &mut R,
     ) -> Result<Self, AcousticsError> {
         if decay_db <= 0.0 {
@@ -69,7 +68,7 @@ impl ImpulseResponse {
                 "reflection density must be in [0, 1]".into(),
             ));
         }
-        let tail_len = tail.to_samples(sample_rate);
+        let tail_len = tail.to_samples(SampleRate::CD);
         let mut taps = vec![0.0; tail_len + 1];
         taps[0] = 1.0;
         for (i, t) in taps.iter_mut().enumerate().skip(1) {
@@ -100,7 +99,6 @@ impl ImpulseResponse {
     pub fn body_blocked<R: Rng + ?Sized>(
         tail: Seconds,
         block_db: f64,
-        sample_rate: SampleRate,
         rng: &mut R,
     ) -> Result<Self, AcousticsError> {
         if block_db <= 0.0 {
@@ -108,7 +106,7 @@ impl ImpulseResponse {
                 "blocking attenuation must be positive dB".into(),
             ));
         }
-        let tail_len = tail.to_samples(sample_rate).max(8);
+        let tail_len = tail.to_samples(SampleRate::CD).max(8);
         let mut taps = vec![0.0; tail_len + 1];
         // The grip/body attenuates the direct path by block_db; a fixed
         // amount of energy (~ -17 dB re the unblocked direct path)
@@ -216,9 +214,7 @@ mod tests {
 
     #[test]
     fn los_response_is_direct_dominated() {
-        let ir =
-            ImpulseResponse::line_of_sight(Seconds(0.005), 60.0, 0.3, SampleRate::CD, &mut rng())
-                .unwrap();
+        let ir = ImpulseResponse::line_of_sight(Seconds(0.005), 60.0, 0.3, &mut rng()).unwrap();
         assert!(
             ir.direct_energy_ratio() > 0.5,
             "{}",
@@ -228,19 +224,15 @@ mod tests {
 
     #[test]
     fn nlos_response_is_diffuse() {
-        let los =
-            ImpulseResponse::line_of_sight(Seconds(0.005), 60.0, 0.3, SampleRate::CD, &mut rng())
-                .unwrap();
-        let nlos = ImpulseResponse::body_blocked(Seconds(0.005), 30.0, SampleRate::CD, &mut rng())
-            .unwrap();
+        let los = ImpulseResponse::line_of_sight(Seconds(0.005), 60.0, 0.3, &mut rng()).unwrap();
+        let nlos = ImpulseResponse::body_blocked(Seconds(0.005), 30.0, &mut rng()).unwrap();
         assert!(nlos.direct_energy_ratio() < 0.2 * los.direct_energy_ratio());
     }
 
     #[test]
     fn nlos_attenuates_total_energy() {
         let s = vec![1.0; 256];
-        let nlos = ImpulseResponse::body_blocked(Seconds(0.003), 25.0, SampleRate::CD, &mut rng())
-            .unwrap();
+        let nlos = ImpulseResponse::body_blocked(Seconds(0.003), 25.0, &mut rng()).unwrap();
         let out = nlos.apply(&s);
         let e_in: f64 = s.iter().map(|x| x * x).sum();
         let e_out: f64 = out.iter().map(|x| x * x).sum();
@@ -249,9 +241,8 @@ mod tests {
 
     #[test]
     fn parameter_validation() {
-        let sr = SampleRate::CD;
-        assert!(ImpulseResponse::line_of_sight(Seconds(0.01), 0.0, 0.5, sr, &mut rng()).is_err());
-        assert!(ImpulseResponse::line_of_sight(Seconds(0.01), 60.0, 1.5, sr, &mut rng()).is_err());
-        assert!(ImpulseResponse::body_blocked(Seconds(0.01), -1.0, sr, &mut rng()).is_err());
+        assert!(ImpulseResponse::line_of_sight(Seconds(0.01), 0.0, 0.5, &mut rng()).is_err());
+        assert!(ImpulseResponse::line_of_sight(Seconds(0.01), 60.0, 1.5, &mut rng()).is_err());
+        assert!(ImpulseResponse::body_blocked(Seconds(0.01), -1.0, &mut rng()).is_err());
     }
 }

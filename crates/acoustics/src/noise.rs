@@ -149,6 +149,17 @@ pub(crate) const SYLLABIC_RATE: Hz = Hz(4.0);
 /// Mean and modulation depth of the speech babble's syllabic envelope.
 const SYLLABIC_DEPTH: (f64, f64) = (0.6, 0.4);
 
+/// The power of unit white noise through the shaping low-pass
+/// `(cutoff, taps)`: the sum of its squared taps.
+fn shaped_power((cutoff, taps): (Hz, usize)) -> f64 {
+    let lp = low_pass(cutoff, taps);
+    let lp = lp
+        .as_ref()
+        .as_ref()
+        .expect("shaping cutoffs lie below Nyquist");
+    lp.fir.taps().iter().map(|t| t * t).sum()
+}
+
 /// The syllabic envelope of speech babble at modulation value `v`.
 pub(crate) fn syllabic_envelope(v: f64) -> f64 {
     SYLLABIC_DEPTH.0 + SYLLABIC_DEPTH.1 * v
@@ -224,18 +235,13 @@ impl NoiseModel {
         }
     }
 
-    /// Generates `len` samples of this noise at `sample_rate`.
+    /// Generates `len` samples of this noise at 44.1 kHz.
     ///
     /// Each concrete source is calibrated to its configured SPL, so
     /// the modem's SNR accounting lines up with the paper's dB figures.
     /// This is [`NoiseModel::received`] through an unlimited band.
-    pub fn generate<R: Rng + ?Sized>(
-        &self,
-        len: usize,
-        sample_rate: SampleRate,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        self.received(len, sample_rate, &MicrophoneModel::ideal(), rng)
+    pub fn generate<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Vec<f64> {
+        self.received(len, &MicrophoneModel::ideal(), rng)
     }
 
     /// Generates `len` samples of this noise as `microphone`'s band
@@ -247,8 +253,8 @@ impl NoiseModel {
     /// sound-level meter in the room would read it. Gaussian sources are
     /// drawn in the frequency domain: Hermitian spectra of independent
     /// Gaussian bins, shaped by the sources' low-pass magnitude
-    /// responses (speech 4 kHz, machine 400 Hz; none where the cutoff is
-    /// at or above 99 % of Nyquist) and by the microphone low-pass's.
+    /// responses (speech 4 kHz, machine 400 Hz) and by the microphone
+    /// low-pass's.
     /// Independent Gaussians sum to a Gaussian with the summed spectrum,
     /// so white noise and machine rumble share one draw; each speech
     /// source has its own, which its 4 Hz syllabic envelope multiplies
@@ -264,11 +270,10 @@ impl NoiseModel {
     pub fn received<R: Rng + ?Sized>(
         &self,
         len: usize,
-        sample_rate: SampleRate,
         microphone: &MicrophoneModel,
         rng: &mut R,
     ) -> Vec<f64> {
-        let mut synthesis = Synthesis::new(len, sample_rate, microphone);
+        let mut synthesis = Synthesis::new(len, microphone);
         synthesis.add(self, rng);
         synthesis.finish(rng)
     }
@@ -310,7 +315,7 @@ fn periods(len: usize) -> Vec<(usize, usize)> {
 #[derive(Default)]
 struct Lane {
     /// Each source's mean power per sample before the microphone, with
-    /// its shaping low-pass (cutoff, taps).
+    /// its shaping low-pass (cutoff, taps), if it has one.
     sources: Vec<(f64, Option<(Hz, usize)>)>,
     /// The syllabic phase of a speech lane.
     syllabic: Option<f64>,
@@ -321,12 +326,8 @@ struct Lane {
 }
 
 /// The exact bits of what a lane's power spectral density depends on:
-/// its sources' powers and shapings, and the sample rate.
-#[derive(PartialEq)]
-struct ShapingKey {
-    sources: Vec<(u64, Option<(u64, usize)>)>,
-    sample_rate: u64,
-}
+/// its sources' powers and shapings.
+type ShapingKey = Vec<(u64, Option<(u64, usize)>)>;
 
 /// `Σ w·|H|²` over sources' weights `w` and shapings `H` at bin `j` of
 /// a [`MAX_TRANSFORM`]-point DFT: a lane's power spectral density
@@ -379,7 +380,6 @@ impl Density {
 /// spectrum.
 struct Synthesis {
     out: Vec<f64>,
-    sample_rate: SampleRate,
     /// The microphone's cutoff, if it has one.
     cutoff: Option<Hz>,
     plain: Lane,
@@ -387,32 +387,18 @@ struct Synthesis {
 }
 
 impl Synthesis {
-    fn new(len: usize, sample_rate: SampleRate, microphone: &MicrophoneModel) -> Self {
+    fn new(len: usize, microphone: &MicrophoneModel) -> Self {
         Synthesis {
             out: vec![0.0; len],
-            sample_rate,
             cutoff: microphone.cutoff(),
             plain: Lane::default(),
             speech: Vec::new(),
         }
     }
 
-    /// The low-pass `(cutoff, taps)`, if it limits the band.
-    fn low_pass(&self, (cutoff, taps): (Hz, usize)) -> Arc<Option<LowPass>> {
-        low_pass(cutoff, taps, self.sample_rate)
-    }
-
     /// The microphone's band limit, if any.
     fn band_limit(&self) -> Option<Arc<Option<LowPass>>> {
-        self.cutoff.map(|c| self.low_pass((c, MIC_TAPS)))
-    }
-
-    /// The power of unit white noise through the low-pass `shaping`.
-    fn shaped_power(&self, shaping: (Hz, usize)) -> f64 {
-        self.low_pass(shaping)
-            .as_ref()
-            .as_ref()
-            .map_or(1.0, |lp| lp.fir.taps().iter().map(|t| t * t).sum())
+        self.cutoff.map(|c| low_pass(c, MIC_TAPS))
     }
 
     /// The microphone's amplitude gain at `f`.
@@ -421,7 +407,7 @@ impl Synthesis {
         limit
             .as_deref()
             .and_then(Option::as_ref)
-            .map_or(1.0, |lp| lp.fir.gain_at(f, self.sample_rate))
+            .map_or(1.0, |lp| lp.fir.gain_at(f, SampleRate::CD))
     }
 
     fn add<R: Rng + ?Sized>(&mut self, model: &NoiseModel, rng: &mut R) {
@@ -429,7 +415,7 @@ impl Synthesis {
         if len == 0 {
             return;
         }
-        let sr = self.sample_rate.value();
+        let sr = SampleRate::CD.value();
         match model {
             NoiseModel::White { spl } => {
                 self.plain.sources.push((spl.to_amplitude().powi(2), None));
@@ -442,7 +428,7 @@ impl Synthesis {
             NoiseModel::Machine { spl } => {
                 // Unit white noise through the shaping has the power of
                 // its taps; the hum adds its own.
-                let shaped = self.shaped_power(MACHINE_SHAPING);
+                let shaped = shaped_power(MACHINE_SHAPING);
                 let w = TAU * HUM.value() / sr;
                 let phase = rng.gen::<f64>() * TAU;
                 let hum_power = HUM_AMPLITUDE * HUM_AMPLITUDE * sine_means(w, phase, len).1;
@@ -562,8 +548,8 @@ impl Synthesis {
             lane.sources
                 .iter()
                 .map(|&(power, shaping)| {
-                    let lp = shaping.map_or(Arc::new(None), |s| self.low_pass(s));
-                    let unit = shaping.map_or(1.0, |s| self.shaped_power(s));
+                    let lp = shaping.map_or(Arc::new(None), |(c, taps)| low_pass(c, taps));
+                    let unit = shaping.map_or(1.0, shaped_power);
                     (power / unit, lp)
                 })
                 .collect()
@@ -575,16 +561,9 @@ impl Synthesis {
             let shaping = shaping.map(|(cutoff, taps)| (cutoff.value().to_bits(), taps));
             (power.to_bits(), shaping)
         };
-        let sample_rate = self.sample_rate.value().to_bits();
         Density::Table(DENSITIES.get_matching(
-            |k| {
-                k.sample_rate == sample_rate
-                    && k.sources.iter().copied().eq(lane.sources.iter().map(bits))
-            },
-            || ShapingKey {
-                sources: lane.sources.iter().map(bits).collect(),
-                sample_rate,
-            },
+            |k| k.iter().copied().eq(lane.sources.iter().map(bits)),
+            || lane.sources.iter().map(bits).collect(),
             || {
                 let shapes = shapes();
                 (0..=MAX_TRANSFORM / 2).map(|j| psd(&shapes, j)).collect()
@@ -600,7 +579,7 @@ impl Synthesis {
         let periods = periods(len);
         // The envelope's mean square over the recording completes the
         // speech calibration.
-        let w = TAU * SYLLABIC_RATE.value() / self.sample_rate.value();
+        let w = TAU * SYLLABIC_RATE.value() / SampleRate::CD.value();
         let envelopes: Vec<f64> = lanes
             .iter()
             .map(|lane| {
@@ -885,7 +864,7 @@ mod tests {
             NoiseModel::White { spl: Spl(21.5) },
         ]);
         let mic = MicrophoneModel::moto360();
-        let draw = || model.received(15_700, SampleRate::CD, &mic, &mut rng());
+        let draw = || model.received(15_700, &mic, &mut rng());
         let (first, again) = (draw(), draw());
         assert!(first
             .iter()
@@ -896,7 +875,7 @@ mod tests {
     #[test]
     fn white_noise_hits_target_spl() {
         let m = NoiseModel::White { spl: Spl(30.0) };
-        let s = m.generate(44_100, SampleRate::CD, &mut rng());
+        let s = m.generate(44_100, &mut rng());
         assert!((spl(&s).value() - 30.0).abs() < 0.5);
     }
 
@@ -926,7 +905,7 @@ mod tests {
     #[test]
     fn speech_energy_below_4khz() {
         let m = NoiseModel::Speech { spl: Spl(40.0) };
-        let s = m.generate(44_100, SampleRate::CD, &mut rng());
+        let s = m.generate(44_100, &mut rng());
         let low = goertzel_power(&s, Hz(1_000.0), SampleRate::CD).unwrap()
             + goertzel_power(&s, Hz(2_500.0), SampleRate::CD).unwrap();
         let high = goertzel_power(&s, Hz(12_000.0), SampleRate::CD).unwrap()
@@ -940,7 +919,7 @@ mod tests {
             freqs: vec![Hz(2_756.25), Hz(4_134.375)], // bin-centred at N=256
             spl: Spl(45.0),
         };
-        let s = m.generate(44_100, SampleRate::CD, &mut rng());
+        let s = m.generate(44_100, &mut rng());
         let on = goertzel_power(&s, Hz(2_756.25), SampleRate::CD).unwrap();
         let off = goertzel_power(&s, Hz(9_000.0), SampleRate::CD).unwrap();
         assert!(on > 1_000.0 * off.max(1e-12));
@@ -955,13 +934,13 @@ mod tests {
         ]);
         // Two equal incoherent sources: +3 dB.
         assert!((m.spl().value() - 43.0103).abs() < 1e-3);
-        let s = m.generate(44_100, SampleRate::CD, &mut rng());
+        let s = m.generate(44_100, &mut rng());
         assert!((spl(&s).value() - 43.0).abs() < 1.0);
     }
 
     #[test]
     fn silence_generates_zeros() {
-        let s = NoiseModel::silence().generate(100, SampleRate::CD, &mut rng());
+        let s = NoiseModel::silence().generate(100, &mut rng());
         assert!(s.iter().all(|&v| v == 0.0));
         assert_eq!(NoiseModel::silence().spl().value(), f64::NEG_INFINITY);
     }
@@ -972,7 +951,7 @@ mod tests {
             spl: Spl(35.0),
             rate_hz: 4.0,
         };
-        let s = m.generate(44_100, SampleRate::CD, &mut rng());
+        let s = m.generate(44_100, &mut rng());
         let peak = s.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
         let r = wearlock_dsp::level::rms(&s);
         // Crest factor far above Gaussian (~4x rms): impulsive.
@@ -998,9 +977,7 @@ mod tests {
     #[test]
     fn location_models_generate_near_nominal_spl() {
         for loc in Location::FIELD_TEST {
-            let s = loc
-                .noise_model()
-                .generate(44_100, SampleRate::CD, &mut rng());
+            let s = loc.noise_model().generate(44_100, &mut rng());
             let measured = spl(&s).value();
             let nominal = loc.ambient_spl().value();
             assert!(
@@ -1094,7 +1071,7 @@ mod tests {
         let (mut fades, mut steady) = ([vec![0.0; 3], vec![0.0; 3]], vec![0.0; 3]);
         let mut r = rng();
         for _ in 0..60 {
-            let s = m.received(16_814, SampleRate::CD, &mic, &mut r);
+            let s = m.received(16_814, &mic, &mut r);
             let [first, second] = &mut fades;
             for (acc, p) in [
                 (first, band_powers(&s[1_303..2_327], &bands)),
@@ -1115,31 +1092,10 @@ mod tests {
     }
 
     #[test]
-    fn shaping_at_or_above_nyquist_is_left_out() {
-        // Speech shaping (4 kHz) meets Nyquist at 8 kHz, machine shaping
-        // (400 Hz) at 800 Hz: the noise stays white at its level.
-        for (model, rate) in [
-            (NoiseModel::Speech { spl: Spl(40.0) }, 8_000.0),
-            (NoiseModel::Machine { spl: Spl(40.0) }, 8_000.0),
-            (NoiseModel::Machine { spl: Spl(40.0) }, 800.0),
-            (Location::Cafe.noise_model(), 8_000.0),
-        ] {
-            let sr = SampleRate::new(rate);
-            let s = model.generate(8_000, sr, &mut rng());
-            assert!(s.iter().all(|v| v.is_finite()));
-            let level = spl(&s).value();
-            assert!(
-                (level - model.spl().value()).abs() < 1.5,
-                "{model:?} at {rate} Hz: {level}"
-            );
-        }
-    }
-
-    #[test]
     fn received_noise_is_band_limited_by_the_microphone() {
         let m = NoiseModel::White { spl: Spl(40.0) };
         let mic = MicrophoneModel::moto360();
-        let s = m.received(16_384, SampleRate::CD, &mic, &mut rng());
+        let s = m.received(16_384, &mic, &mut rng());
         let pass = goertzel_power(&s, Hz(3_000.0), SampleRate::CD).unwrap();
         let stop = goertzel_power(&s, Hz(15_000.0), SampleRate::CD).unwrap();
         assert!(pass > 1e4 * stop, "pass {pass} stop {stop}");
@@ -1155,8 +1111,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let m = Location::Cafe.noise_model();
-        let a = m.generate(1_000, SampleRate::CD, &mut rng());
-        let b = m.generate(1_000, SampleRate::CD, &mut rng());
+        let a = m.generate(1_000, &mut rng());
+        let b = m.generate(1_000, &mut rng());
         assert_eq!(a, b);
     }
 }

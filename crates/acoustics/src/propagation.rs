@@ -1,113 +1,62 @@
 //! Open-air sound propagation: spreading loss and SPL accounting.
 //!
 //! Paper §III.2: with transmitter level `SPL_tx` and receiver level
-//! `SPL_rx` at distance `d`, open-air attenuation follows
-//! `SPL_tx − SPL_rx = 20·g·log10(d/d0)` with `g = 1` for spherical
-//! propagation from a point source and `d0` the reference distance
-//! (speaker→own-microphone distance). Figure 4 confirms ≈6 dB loss per
-//! distance doubling on real devices; WearLock exploits this law to
-//! bound the secure range around 1 m by controlling speaker volume.
+//! `SPL_rx` at distance `d`, open-air attenuation follows spherical
+//! spreading from a point source, `SPL_tx − SPL_rx = 20·log10(d/d0)`,
+//! with `d0` the reference distance (speaker→own-microphone distance,
+//! [`REFERENCE_DISTANCE`]). Figure 4 confirms ≈6 dB loss per distance
+//! doubling on real devices; WearLock exploits this law to bound the
+//! secure range around 1 m by controlling speaker volume.
+//!
+//! # Examples
+//!
+//! ```
+//! use wearlock_acoustics::propagation::received_spl;
+//! use wearlock_dsp::units::{Meters, Spl};
+//!
+//! let tx = Spl(70.0);
+//! let rx_1m = received_spl(tx, Meters(1.0));
+//! let rx_2m = received_spl(tx, Meters(2.0));
+//! // ~6 dB loss per distance doubling.
+//! assert!((rx_1m.value() - rx_2m.value() - 6.0206).abs() < 1e-3);
+//! ```
 
 use wearlock_dsp::units::{Db, Meters, Spl};
 
-use crate::error::AcousticsError;
+/// The reference distance `d0` of the spreading law, 5 cm.
+pub const REFERENCE_DISTANCE: Meters = Meters(0.05);
 
-/// Spherical/geometric propagation model.
+/// Attenuation `SPL_tx − SPL_rx` in dB at distance `d`.
 ///
-/// # Examples
-///
-/// ```
-/// use wearlock_acoustics::propagation::Propagation;
-/// use wearlock_dsp::units::{Meters, Spl};
-///
-/// let p = Propagation::spherical(Meters(0.1))?;
-/// let tx = Spl(70.0);
-/// let rx_1m = p.received_spl(tx, Meters(1.0));
-/// let rx_2m = p.received_spl(tx, Meters(2.0));
-/// // ~6 dB loss per distance doubling.
-/// assert!((rx_1m.value() - rx_2m.value() - 6.0206).abs() < 1e-3);
-/// # Ok::<(), wearlock_acoustics::AcousticsError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Propagation {
-    g: f64,
-    d0: Meters,
+/// Distances at or below `d0` attenuate by 0 dB (the law does not
+/// amplify inside the reference distance).
+pub fn attenuation(d: Meters) -> Db {
+    let ratio = (d.value() / REFERENCE_DISTANCE.value()).max(1.0);
+    Db(20.0 * ratio.log10())
 }
 
-impl Propagation {
-    /// Spherical propagation (`g = 1`) with reference distance `d0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcousticsError::InvalidParameter`] if `d0` is not
-    /// strictly positive.
-    pub fn spherical(d0: Meters) -> Result<Self, AcousticsError> {
-        Self::new(1.0, d0)
-    }
+/// SPL observed at distance `d` for a source emitting at `tx`.
+pub fn received_spl(tx: Spl, d: Meters) -> Spl {
+    Spl(tx.value() - attenuation(d).value())
+}
 
-    /// General model with geometric constant `g` (e.g. `0.5` for
-    /// cylindrical spreading).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AcousticsError::InvalidParameter`] if `g <= 0` or
-    /// `d0 <= 0`.
-    pub fn new(g: f64, d0: Meters) -> Result<Self, AcousticsError> {
-        if g <= 0.0 || g.is_nan() {
-            return Err(AcousticsError::InvalidParameter(
-                "geometric constant g must be positive".into(),
-            ));
-        }
-        if d0.value() <= 0.0 || d0.value().is_nan() {
-            return Err(AcousticsError::InvalidParameter(
-                "reference distance d0 must be positive".into(),
-            ));
-        }
-        Ok(Propagation { g, d0 })
-    }
+/// Linear amplitude gain applied to a waveform travelling distance `d`
+/// (always in `(0, 1]`).
+pub fn amplitude_gain(d: Meters) -> f64 {
+    10f64.powf(-attenuation(d).value() / 20.0)
+}
 
-    /// The geometric constant `g`.
-    pub fn g(&self) -> f64 {
-        self.g
-    }
+/// SNR at the receiver given transmitter SPL, distance and noise floor:
+/// `SNR_rx = SPL_rx − SPL_noise` (paper §III.2).
+pub fn received_snr(tx: Spl, d: Meters, noise: Spl) -> Db {
+    received_spl(tx, d).snr_against(noise)
+}
 
-    /// The reference distance `d0`.
-    pub fn d0(&self) -> Meters {
-        self.d0
-    }
-
-    /// Attenuation `SPL_tx − SPL_rx` in dB at distance `d`.
-    ///
-    /// Distances at or below `d0` attenuate by 0 dB (the model does not
-    /// amplify inside the reference distance).
-    pub fn attenuation(&self, d: Meters) -> Db {
-        let ratio = (d.value() / self.d0.value()).max(1.0);
-        Db(20.0 * self.g * ratio.log10())
-    }
-
-    /// SPL observed at distance `d` for a source emitting at `tx`.
-    pub fn received_spl(&self, tx: Spl, d: Meters) -> Spl {
-        Spl(tx.value() - self.attenuation(d).value())
-    }
-
-    /// Linear amplitude gain applied to a waveform travelling distance
-    /// `d` (always in `(0, 1]`).
-    pub fn amplitude_gain(&self, d: Meters) -> f64 {
-        10f64.powf(-self.attenuation(d).value() / 20.0)
-    }
-
-    /// SNR at the receiver given transmitter SPL, distance and noise
-    /// floor: `SNR_rx = SPL_rx − SPL_noise` (paper §III.2).
-    pub fn received_snr(&self, tx: Spl, d: Meters, noise: Spl) -> Db {
-        self.received_spl(tx, d).snr_against(noise)
-    }
-
-    /// The transmit SPL needed so a receiver at `range` sees at least
-    /// `min_snr` above the `noise` floor — the paper's volume-control
-    /// rule `SPL_tx − 20·log10(range/d0) − SPL_noise > SNR_min`.
-    pub fn required_tx_spl(&self, range: Meters, noise: Spl, min_snr: Db) -> Spl {
-        Spl(noise.value() + min_snr.value() + self.attenuation(range).value())
-    }
+/// The transmit SPL needed so a receiver at `range` sees at least
+/// `min_snr` above the `noise` floor — the paper's volume-control rule
+/// `SPL_tx − 20·log10(range/d0) − SPL_noise > SNR_min`.
+pub fn required_tx_spl(range: Meters, noise: Spl, min_snr: Db) -> Spl {
+    Spl(noise.value() + min_snr.value() + attenuation(range).value())
 }
 
 #[cfg(test)]
@@ -115,59 +64,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rejects_bad_parameters() {
-        assert!(Propagation::new(0.0, Meters(0.1)).is_err());
-        assert!(Propagation::new(-1.0, Meters(0.1)).is_err());
-        assert!(Propagation::spherical(Meters(0.0)).is_err());
-        assert!(Propagation::spherical(Meters(-1.0)).is_err());
-    }
-
-    #[test]
     fn six_db_per_doubling() {
-        let p = Propagation::spherical(Meters(0.05)).unwrap();
         for d in [0.25, 0.5, 1.0, 2.0] {
-            let a1 = p.attenuation(Meters(d));
-            let a2 = p.attenuation(Meters(2.0 * d));
+            let a1 = attenuation(Meters(d));
+            let a2 = attenuation(Meters(2.0 * d));
             assert!((a2.value() - a1.value() - 6.0206).abs() < 1e-3);
         }
     }
 
     #[test]
     fn no_gain_inside_reference_distance() {
-        let p = Propagation::spherical(Meters(0.1)).unwrap();
-        assert_eq!(p.attenuation(Meters(0.05)), Db(0.0));
-        assert_eq!(p.attenuation(Meters(0.1)), Db(0.0));
+        assert_eq!(attenuation(Meters(0.02)), Db(0.0));
+        assert_eq!(attenuation(REFERENCE_DISTANCE), Db(0.0));
     }
 
     #[test]
     fn amplitude_gain_matches_db() {
-        let p = Propagation::spherical(Meters(0.1)).unwrap();
         let d = Meters(1.0);
-        let g = p.amplitude_gain(d);
-        assert!((20.0 * g.log10() + p.attenuation(d).value()).abs() < 1e-9);
+        let g = amplitude_gain(d);
+        assert!((20.0 * g.log10() + attenuation(d).value()).abs() < 1e-9);
         assert!(g > 0.0 && g <= 1.0);
     }
 
     #[test]
     fn snr_accounting() {
-        let p = Propagation::spherical(Meters(0.1)).unwrap();
-        let snr = p.received_snr(Spl(70.0), Meters(1.0), Spl(20.0));
-        // 70 - 20·log10(10) = 50 at rx; minus 20 noise = 30 dB.
+        let snr = received_snr(Spl(70.0), Meters(0.5), Spl(20.0));
+        // 70 - 20·log10(0.5/0.05) = 50 at rx; minus 20 noise = 30 dB.
         assert!((snr.value() - 30.0).abs() < 1e-9);
     }
 
     #[test]
     fn required_tx_spl_inverts_received_snr() {
-        let p = Propagation::spherical(Meters(0.1)).unwrap();
-        let tx = p.required_tx_spl(Meters(1.0), Spl(35.0), Db(25.0));
-        let got = p.received_snr(tx, Meters(1.0), Spl(35.0));
+        let tx = required_tx_spl(Meters(1.0), Spl(35.0), Db(25.0));
+        let got = received_snr(tx, Meters(1.0), Spl(35.0));
         assert!((got.value() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cylindrical_spreads_less() {
-        let sph = Propagation::new(1.0, Meters(0.1)).unwrap();
-        let cyl = Propagation::new(0.5, Meters(0.1)).unwrap();
-        assert!(cyl.attenuation(Meters(2.0)) < sph.attenuation(Meters(2.0)));
     }
 }

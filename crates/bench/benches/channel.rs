@@ -18,7 +18,7 @@ use wearlock_acoustics::multipath::ImpulseResponse;
 use wearlock_acoustics::noise::{Location, NoiseModel};
 use wearlock_acoustics::SPEED_OF_SOUND;
 use wearlock_dsp::resample::fractional_delay;
-use wearlock_dsp::units::{Hz, Meters, SampleRate, Seconds, Spl};
+use wearlock_dsp::units::{Hz, Meters, Seconds, Spl};
 
 /// Samples in a benchmarked recording: about one phase-1 capture.
 const RECORDING: usize = 16_384;
@@ -43,7 +43,6 @@ fn bench_fractional_delay(c: &mut Criterion) {
 }
 
 fn bench_fused_signal(c: &mut Criterion) {
-    let sr = SampleRate::CD;
     let mut rng = StdRng::seed_from_u64(7);
     // A phase-1 probe's drive waveform after propagation (2 048 samples,
     // 4 ms ring-out, 0.5 m delay) through a line-of-sight response, into
@@ -51,7 +50,7 @@ fn bench_fused_signal(c: &mut Criterion) {
     // samples) takes two.
     let probe: Vec<f64> = recording()[..2_048 + 176 + 65].to_vec();
     let token: Vec<f64> = recording()[..3_200 + 176 + 65].to_vec();
-    let ir = ImpulseResponse::line_of_sight(Seconds(0.004), 60.0, 0.25, sr, &mut rng).unwrap();
+    let ir = ImpulseResponse::line_of_sight(Seconds(0.004), 60.0, 0.25, &mut rng).unwrap();
     let speaker = SpeakerModel::smartphone();
     for (name, travelled, mic) in [
         (
@@ -73,15 +72,7 @@ fn bench_fused_signal(c: &mut Criterion) {
         let mut out = vec![0.0; RECORDING];
         c.bench_function(name, |b| {
             b.iter(|| {
-                add_received_signal(
-                    &speaker,
-                    &mic,
-                    sr,
-                    black_box(travelled),
-                    &ir,
-                    &mut out,
-                    12_288,
-                );
+                add_received_signal(&speaker, &mic, black_box(travelled), &ir, &mut out, 12_288);
                 black_box(&out);
             })
         });
@@ -109,7 +100,6 @@ fn bench_standard_normal(c: &mut Criterion) {
 }
 
 fn bench_noise(c: &mut Criterion) {
-    let sr = SampleRate::CD;
     let mut models: Vec<(String, NoiseModel)> = [
         Location::QuietRoom,
         Location::Office,
@@ -133,7 +123,7 @@ fn bench_noise(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     for (name, model) in &models {
         c.bench_function(name, |b| {
-            b.iter(|| model.generate(black_box(RECORDING), sr, &mut rng))
+            b.iter(|| model.generate(black_box(RECORDING), &mut rng))
         });
     }
     // What `AcousticLink` synthesizes: each location's noise through the
@@ -141,7 +131,7 @@ fn bench_noise(c: &mut Criterion) {
     let mic = MicrophoneModel::moto360();
     for (name, model) in &models {
         c.bench_function(&format!("received_{name}_moto360"), |b| {
-            b.iter(|| model.received(black_box(RECORDING), sr, &mic, &mut rng))
+            b.iter(|| model.received(black_box(RECORDING), &mic, &mut rng))
         });
     }
 }

@@ -7,9 +7,7 @@ use wearlock::config::{WearLockConfig, PROBE_BLOCKS};
 use wearlock::trim;
 use wearlock_acoustics::channel::{DEFAULT_LEAD_PAD, DEFAULT_TAIL_PAD};
 use wearlock_auth::TOKEN_BITS;
-use wearlock_modem::config::{
-    CP_LEN, FFT_SIZE, POST_PREAMBLE_GUARD, PREAMBLE_LEN, SAMPLE_RATE, SYMBOL_LEN,
-};
+use wearlock_modem::config::{CP_LEN, FFT_SIZE, POST_PREAMBLE_GUARD, PREAMBLE_LEN, SYMBOL_LEN};
 use wearlock_modem::{Modulation, OfdmModulator};
 use wearlock_platform::device::{DeviceModel, Workload};
 use wearlock_platform::link::{Transport, WirelessLink};
@@ -36,7 +34,7 @@ fn phase_workloads() -> (Workload, Workload, Workload) {
     let config = WearLockConfig::default();
     let modem = config.modem();
     let tx = OfdmModulator::new(modem.clone()).expect("default modem config is valid");
-    let search_len = 2 * trim::search_pad(SAMPLE_RATE) + PREAMBLE_LEN;
+    let search_len = trim::NOMINAL_SEARCH_LEN;
     let probe_len = PREAMBLE_LEN + POST_PREAMBLE_GUARD + PROBE_BLOCKS * SYMBOL_LEN;
     let coded = config.token_coding().coded_len(TOKEN_BITS);
     let token_len = tx.frame_len(coded, Modulation::Qpsk);

@@ -17,7 +17,7 @@ use rand::Rng;
 use wearlock_acoustics::hardware::{MicrophoneModel, SpeakerModel};
 use wearlock_acoustics::noise::gaussian_noise;
 use wearlock_dsp::units::{Db, Spl};
-use wearlock_modem::config::{OfdmConfig, POST_PREAMBLE_GUARD, PREAMBLE_LEN, SAMPLE_RATE};
+use wearlock_modem::config::{OfdmConfig, POST_PREAMBLE_GUARD, PREAMBLE_LEN};
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::{DemodFrame, DemodScratch, OfdmDemodulator, OfdmModulator, TxScratch};
@@ -51,12 +51,11 @@ pub fn ber_at_ebn0(
 ) -> f64 {
     let speaker = SpeakerModel::smartphone().with_ringing(wearlock_dsp::units::Seconds(0.0));
     let mic = MicrophoneModel::ideal().with_jitter(0.05);
-    let sr = SAMPLE_RATE;
 
     let mut wave = Vec::new();
     tx.modulate(payload, modulation, &mut TxScratch::new(), &mut wave)
         .expect("valid payload");
-    let emitted = speaker.emit(&wave, Spl(60.0), sr);
+    let emitted = speaker.emit(&wave, Spl(60.0));
 
     // Energy of the data section (skip preamble + guard).
     let data_start = PREAMBLE_LEN + POST_PREAMBLE_GUARD;

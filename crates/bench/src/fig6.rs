@@ -5,7 +5,7 @@ use wearlock::config::{ExecutionPlan, WearLockConfig};
 use wearlock::offload::step_cost;
 use wearlock::trim;
 use wearlock_auth::TOKEN_BITS;
-use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN, SAMPLE_RATE};
+use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN};
 use wearlock_modem::{Modulation, OfdmModulator};
 use wearlock_platform::device::{DeviceModel, Workload};
 use wearlock_platform::link::WirelessLink;
@@ -31,17 +31,15 @@ pub struct PlanCost {
 fn round_workload() -> (Workload, usize) {
     let config = WearLockConfig::default();
     let modem = config.modem();
-    let sr = SAMPLE_RATE;
     let tx = OfdmModulator::new(modem.clone()).expect("default modem config is valid");
     // The trim anchors each clip, so both phases' preamble searches
     // scan the onset→peak span: the ±pad slack plus one template.
-    let search_len = 2 * trim::search_pad(sr) + PREAMBLE_LEN;
+    let search_len = trim::NOMINAL_SEARCH_LEN;
     let coded = config.token_coding().coded_len(TOKEN_BITS);
     // QPSK is the mode adaptive modulation settles on at unlock range.
     let blocks = tx.blocks_for(coded, Modulation::Qpsk);
     // The clip shipped to the phone: the trimmed token recording.
     let samples = trim::planned_len(
-        sr,
         tx.frame_len(coded, Modulation::Qpsk),
         trim::TOKEN_NOISE_LEAD_S,
     );

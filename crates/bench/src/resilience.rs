@@ -4,10 +4,10 @@
 //! Sweeps the fault-injection intensity from zero (the benign baseline
 //! — byte-identical to the unfaulted pipeline) to full, running a batch
 //! of budgeted retry series ([`UnlockSession::run`] with a retry policy
-//! and a fault injector) at each level. Each (intensity, trial) pair is an independent task with
-//! its own session, derived RNG and [`FaultInjector`] seed, so both the
-//! degradation curve and the merged metrics are bitwise identical for
-//! any worker count.
+//! and a [`FaultConfig`]) at each level. Each (intensity, trial) pair is
+//! an independent task with its own session, derived RNG and fault
+//! seed, so both the degradation curve and the merged metrics are
+//! bitwise identical for any worker count.
 //!
 //! This is the `repro resilience` experiment; with `--metrics` the
 //! merged telemetry additionally carries per-intensity unlock-rate
@@ -22,7 +22,7 @@ use wearlock::environment::Environment;
 use wearlock::session::{
     AttemptOptions, AttemptSummary, ResilientOutcome, RetryPolicy, UnlockSession,
 };
-use wearlock_faults::{FaultConfig, FaultInjector, FaultIntensity};
+use wearlock_faults::{FaultConfig, FaultIntensity};
 use wearlock_runtime::SweepRunner;
 use wearlock_telemetry::MetricsRecorder;
 
@@ -90,14 +90,11 @@ pub fn run(
             let intensity = INTENSITIES[i / trials];
             let mut session =
                 UnlockSession::new(WearLockConfig::default()).expect("default config is valid");
-            // The injector seed comes from the task's derived RNG, so
+            // The fault seed comes from the task's derived RNG, so
             // the fault sequence is a pure function of (seed, task).
-            let injector = FaultInjector::new(FaultConfig::new(
-                rng.gen::<u64>(),
-                FaultIntensity::uniform(intensity),
-            ));
+            let faults = FaultConfig::new(rng.gen::<u64>(), FaultIntensity::uniform(intensity));
             let options = AttemptOptions::new()
-                .fault_injector(injector)
+                .fault_config(faults)
                 .retry_policy(policy)
                 .sink(sink);
             let rep = session.run(&Environment::default(), &options, rng);

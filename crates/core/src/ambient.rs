@@ -7,7 +7,6 @@
 use wearlock_dsp::level::power;
 use wearlock_dsp::stats::pearson;
 use wearlock_dsp::stft::Spectrogram;
-use wearlock_dsp::units::SampleRate;
 use wearlock_dsp::window::WindowKind;
 
 /// Number of frequency bands in the fingerprint.
@@ -17,9 +16,8 @@ const BANDS: usize = 16;
 /// log-power in `BANDS` bands up to Nyquist, via a Hann STFT.
 ///
 /// Returns `None` when the recording is shorter than one FFT window.
-pub fn ambient_fingerprint(recording: &[f64], sample_rate: SampleRate) -> Option<Vec<f64>> {
+pub fn ambient_fingerprint(recording: &[f64]) -> Option<Vec<f64>> {
     const N: usize = 512;
-    let _ = sample_rate; // bands are relative; rate only names them
     let spec = Spectrogram::compute(recording, N, N, WindowKind::Hann).ok()?;
     Some(spec.band_log_power(BANDS))
 }
@@ -29,11 +27,8 @@ pub fn ambient_fingerprint(recording: &[f64], sample_rate: SampleRate) -> Option
 ///
 /// Recordings that are too short to fingerprint score `-1.0` (treated
 /// as dissimilar — fail safe).
-pub fn ambient_similarity(a: &[f64], b: &[f64], sample_rate: SampleRate) -> f64 {
-    match (
-        ambient_fingerprint(a, sample_rate),
-        ambient_fingerprint(b, sample_rate),
-    ) {
+pub fn ambient_similarity(a: &[f64], b: &[f64]) -> f64 {
+    match (ambient_fingerprint(a), ambient_fingerprint(b)) {
         (Some(fa), Some(fb)) => pearson(&fa, &fb),
         _ => -1.0,
     }
@@ -64,27 +59,21 @@ mod tests {
         // Two devices in the same cafe hear the same noise realization
         // plus small independent mic noise.
         let mut r = rng(1);
-        let scene = Location::Cafe
-            .noise_model()
-            .generate(8_192, SampleRate::CD, &mut r);
-        let mic_a = NoiseModel::White { spl: Spl(5.0) }.generate(8_192, SampleRate::CD, &mut r);
-        let mic_b = NoiseModel::White { spl: Spl(5.0) }.generate(8_192, SampleRate::CD, &mut r);
+        let scene = Location::Cafe.noise_model().generate(8_192, &mut r);
+        let mic_a = NoiseModel::White { spl: Spl(5.0) }.generate(8_192, &mut r);
+        let mic_b = NoiseModel::White { spl: Spl(5.0) }.generate(8_192, &mut r);
         let a: Vec<f64> = scene.iter().zip(&mic_a).map(|(s, n)| s + n).collect();
         let b: Vec<f64> = scene.iter().zip(&mic_b).map(|(s, n)| s + n).collect();
-        let sim = ambient_similarity(&a, &b, SampleRate::CD);
+        let sim = ambient_similarity(&a, &b);
         assert!(sim > 0.8, "sim {sim}");
     }
 
     #[test]
     fn different_scenes_decorrelate() {
         let mut r = rng(2);
-        let a = Location::Cafe
-            .noise_model()
-            .generate(8_192, SampleRate::CD, &mut r);
-        let b = Location::QuietRoom
-            .noise_model()
-            .generate(8_192, SampleRate::CD, &mut r);
-        let sim = ambient_similarity(&a, &b, SampleRate::CD);
+        let a = Location::Cafe.noise_model().generate(8_192, &mut r);
+        let b = Location::QuietRoom.noise_model().generate(8_192, &mut r);
+        let sim = ambient_similarity(&a, &b);
         // Different spectral shapes and levels.
         assert!(sim < 0.75, "sim {sim}");
         assert!(!levels_match(&a, &b, 6.0));
@@ -92,20 +81,15 @@ mod tests {
 
     #[test]
     fn short_recordings_fail_safe() {
-        assert_eq!(
-            ambient_similarity(&[0.0; 10], &[0.0; 10], SampleRate::CD),
-            -1.0
-        );
-        assert!(ambient_fingerprint(&[0.0; 100], SampleRate::CD).is_none());
+        assert_eq!(ambient_similarity(&[0.0; 10], &[0.0; 10]), -1.0);
+        assert!(ambient_fingerprint(&[0.0; 100]).is_none());
     }
 
     #[test]
     fn fingerprint_has_expected_shape() {
         let mut r = rng(3);
-        let a = Location::Office
-            .noise_model()
-            .generate(4_096, SampleRate::CD, &mut r);
-        let f = ambient_fingerprint(&a, SampleRate::CD).unwrap();
+        let a = Location::Office.noise_model().generate(4_096, &mut r);
+        let f = ambient_fingerprint(&a).unwrap();
         assert_eq!(f.len(), BANDS);
         assert!(f.iter().all(|v| v.is_finite()));
     }

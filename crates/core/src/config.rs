@@ -42,12 +42,6 @@ pub const NLOS_SPREAD_THRESHOLD_S: f64 = 6e-4;
 /// co-location check).
 pub const AMBIENT_SIMILARITY_THRESHOLD: f64 = 0.35;
 
-/// Preamble detection threshold of both acoustic phases: the best
-/// normalized correlation score a recording must reach to count as
-/// carrying a frame. Pure noise reaches ≈0.25 over a seconds-long
-/// recording (DESIGN.md §8.1); the modem's library default is 0.35.
-pub const DETECTION_THRESHOLD: f64 = 0.3;
-
 /// Pilot blocks in the RTS probe.
 pub const PROBE_BLOCKS: usize = 2;
 
@@ -205,9 +199,7 @@ impl WearLockConfig {
         let b = self.modem.occupied_bandwidth().value();
         let r = self.modem.data_rate(mode.bits_per_symbol());
         let min_snr = Db(min_ebn0.value() - 10.0 * (b / r).log10() - CALIBRATION_DB);
-        let prop = wearlock_acoustics::Propagation::spherical(Meters(0.05))
-            .expect("static reference distance");
-        let req = prop.required_tx_spl(SECURE_RANGE, noise, min_snr);
+        let req = wearlock_acoustics::propagation::required_tx_spl(SECURE_RANGE, noise, min_snr);
         let clamped = req
             .value()
             .max(MIN_VOLUME.value())
@@ -430,17 +422,20 @@ mod tests {
     }
 
     /// The one frame every session runs, per band: the modem's fixed
-    /// geometry, its channel sets, and the session's detection
-    /// threshold and probe length.
+    /// geometry and detection threshold, its channel sets, and the
+    /// session's probe length.
     #[test]
     fn fixed_frame_is_pinned() {
+        use wearlock_dsp::units::SampleRate;
         use wearlock_modem::config::{
             CP_LEN, FFT_SIZE, FINE_SYNC_RANGE, POST_PREAMBLE_GUARD, PREAMBLE_LEN, SAMPLE_RATE,
             SYMBOL_LEN,
         };
+        use wearlock_modem::demodulator::DETECTION_THRESHOLD;
         use wearlock_modem::{OfdmModulator, TxScratch};
 
         assert_eq!(FFT_SIZE, 256);
+        assert_eq!(SAMPLE_RATE, SampleRate::CD);
         assert_eq!(SAMPLE_RATE.value(), 44_100.0);
         assert_eq!(CP_LEN, 128);
         assert_eq!(PREAMBLE_LEN, 256);
@@ -469,8 +464,6 @@ mod tests {
             assert_eq!(modem.data_channels(), &data, "{band}");
             // 29 bins from the first pilot to the last, at fs / N each.
             assert_eq!(modem.occupied_bandwidth().value(), 29.0 * 44_100.0 / 256.0);
-            let rx = crate::protocol::demodulator(modem);
-            assert_eq!(rx.detection_threshold(), DETECTION_THRESHOLD, "{band}");
             let mut probe = Vec::new();
             OfdmModulator::new(modem.clone())
                 .unwrap()

@@ -148,7 +148,7 @@ mod tests {
     use rand::SeedableRng;
     use wearlock_acoustics::channel::{DEFAULT_LEAD_PAD, DEFAULT_TAIL_PAD};
     use wearlock_auth::TOKEN_BITS;
-    use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN, SAMPLE_RATE};
+    use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN};
     use wearlock_modem::{Modulation, OfdmModulator, TxScratch};
     use wearlock_platform::device::Workload;
     use wearlock_platform::link::WirelessLink;
@@ -169,7 +169,6 @@ mod tests {
         let (phone, watch, plan) = (config.phone(), config.watch(), config.plan());
         let link = WirelessLink::new(config.transport());
         let modem = config.modem();
-        let sr = SAMPLE_RATE;
         let tx = OfdmModulator::new(modem.clone()).unwrap();
         let coded = config.token_coding().coded_len(TOKEN_BITS);
         let mut probe = Vec::new();
@@ -178,7 +177,7 @@ mod tests {
         let probe_len = probe.len();
         let token_len = tx.frame_len(coded, Modulation::Qpsk);
         let search = Workload::CrossCorrelation {
-            signal_len: 2 * trim::search_pad(sr) + PREAMBLE_LEN,
+            signal_len: trim::NOMINAL_SEARCH_LEN,
             template_len: PREAMBLE_LEN,
         };
         let recording = |len| Workload::LevelMeasure {
@@ -191,7 +190,7 @@ mod tests {
         let phase1 = median_step_cost(
             plan,
             &Workload::combined(&[search, fft, recording(probe_len)]),
-            trim::planned_len(sr, probe_len, trim::PROBE_NOISE_LEAD_S),
+            trim::planned_len(probe_len, trim::PROBE_NOISE_LEAD_S),
             phone,
             watch,
             &link,
@@ -199,7 +198,7 @@ mod tests {
         let phase2 = median_step_cost(
             plan,
             &Workload::combined(&[search, recording(token_len)]),
-            trim::planned_len(sr, token_len, trim::TOKEN_NOISE_LEAD_S),
+            trim::planned_len(token_len, trim::TOKEN_NOISE_LEAD_S),
             phone,
             watch,
             &link,

@@ -6,7 +6,6 @@ use wearlock_acoustics::channel::{AcousticLink, PathKind};
 use wearlock_acoustics::hardware::SpeakerModel;
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
-use wearlock_modem::config::SAMPLE_RATE;
 use wearlock_sensors::activity::{synthesize_different_pair, synthesize_pair};
 use wearlock_sensors::{AccelTrace, Activity};
 
@@ -77,13 +76,12 @@ impl Environment {
 
     /// The simulated air of this setting: the phone's speaker, the
     /// distance, path and ambient noise, and `config`'s receiving
-    /// microphone, sampled at the modem's rate.
+    /// microphone.
     pub(crate) fn acoustic_link(
         &self,
         config: &WearLockConfig,
     ) -> Result<AcousticLink, WearLockError> {
         Ok(AcousticLink::builder()
-            .sample_rate(SAMPLE_RATE)
             .distance(self.distance)
             .noise(self.location.noise_model())
             .path(self.path)

@@ -20,7 +20,7 @@ use wearlock_auth::token::{
 use wearlock_auth::{LockoutPolicy, TOKEN_BITS};
 use wearlock_dsp::units::Spl;
 use wearlock_modem::coding::{conv_encode, viterbi_decode, TokenCoding};
-use wearlock_modem::config::{PREAMBLE_LEN, SAMPLE_RATE};
+use wearlock_modem::config::PREAMBLE_LEN;
 use wearlock_modem::subchannel::{apply_selection, select_data_channels};
 use wearlock_modem::{
     DemodFrame, DemodScratch, ModePolicy, OfdmConfig, OfdmDemodulator, OfdmModulator,
@@ -31,8 +31,8 @@ use wearlock_sensors::{AccelTrace, FilterDecision, MotionFilter};
 
 use crate::ambient::ambient_similarity;
 use crate::config::{
-    WearLockConfig, AMBIENT_SIMILARITY_THRESHOLD, DETECTION_THRESHOLD, MAX_FAILURES,
-    NLOS_SPREAD_THRESHOLD_S, OTP_WINDOW, PROBE_BLOCKS,
+    WearLockConfig, AMBIENT_SIMILARITY_THRESHOLD, MAX_FAILURES, NLOS_SPREAD_THRESHOLD_S,
+    OTP_WINDOW, PROBE_BLOCKS,
 };
 use crate::session::{AttemptReport, AttemptTuning, DenyReason, Outcome, UnlockPath};
 use crate::trim;
@@ -55,15 +55,6 @@ pub(crate) fn decode_token(coding: TokenCoding, coded: &[bool]) -> Option<u32> {
         TokenCoding::Convolutional => viterbi_decode(coded, TOKEN_BITS).ok(),
     };
     bits.as_deref().and_then(bits_to_token)
-}
-
-/// A demodulator for `cfg` with the session's preamble detection
-/// threshold. Both acoustic phases build through here, so phase 2 can
-/// never silently fall back to the library default.
-pub(crate) fn demodulator(cfg: &OfdmConfig) -> OfdmDemodulator {
-    OfdmDemodulator::new(cfg.clone())
-        .expect("the FFT size is plannable")
-        .with_detection_threshold(DETECTION_THRESHOLD)
 }
 
 /// The CTS reply: the data channels and mode phase 2 uses.
@@ -236,11 +227,11 @@ impl WatchRole {
         sent_len: usize,
         lead_s: f64,
     ) -> Reception<'r> {
-        let window = trim::plan_trim(recording, SAMPLE_RATE, sent_len, lead_s);
+        let window = trim::plan_trim(recording, sent_len, lead_s);
         let samples = window.slice(recording);
-        let mut demod = demodulator(cfg);
+        let mut demod = OfdmDemodulator::new(cfg.clone()).expect("the FFT size is plannable");
         if window.detected {
-            let (lo, hi) = window.search_bounds(trim::search_pad(SAMPLE_RATE), PREAMBLE_LEN);
+            let (lo, hi) = window.search_bounds(trim::SEARCH_PAD, PREAMBLE_LEN);
             demod = demod.with_search_window(lo, hi);
         }
         // The same clamp `detect` executes, so a driver prices exactly
@@ -287,7 +278,7 @@ impl WatchRole {
         // The trim kept a noise lead-in before the preamble for exactly
         // this comparison.
         let lead_in = &rx.samples[..probe.sync.preamble_offset.min(rx.samples.len())];
-        let sim = ambient_similarity(ambient, lead_in, SAMPLE_RATE);
+        let sim = ambient_similarity(ambient, lead_in);
         report.ambient_similarity = Some(sim);
         if sim < AMBIENT_SIMILARITY_THRESHOLD {
             return Err(DenyReason::AmbientMismatch);

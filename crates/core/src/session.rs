@@ -27,7 +27,7 @@ use rand::Rng;
 
 use wearlock_auth::LockoutPolicy;
 use wearlock_dsp::units::{Db, Seconds, Spl};
-use wearlock_faults::{FaultInjector, FaultPlan};
+use wearlock_faults::{FaultConfig, FaultPlan};
 use wearlock_modem::config::{CP_LEN, FFT_SIZE, PREAMBLE_LEN, SAMPLE_RATE};
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::TransmissionMode;
@@ -336,7 +336,7 @@ impl UnlockSession {
         let (outcome, pin_delay) = loop {
             let faults = match options.faults {
                 FaultSource::Plan(plan) => plan,
-                FaultSource::Injector(injector) => injector.plan(attempts.len() as u64),
+                FaultSource::Config(config) => FaultPlan::derive(&config, attempts.len() as u64),
             };
             let report = self.run_attempt(env, &faults, tuning, sink, rng);
             Self::emit_attempt(&report, sink);
@@ -664,8 +664,8 @@ impl UnlockSession {
 }
 
 /// Where [`UnlockSession::run`] gets the fault plan for each attempt of
-/// a series: one fixed plan for every attempt, or an injector deriving
-/// a fresh plan per attempt index. Both are `Copy`, so the options
+/// a series: one fixed plan for every attempt, or a config deriving a
+/// fresh plan per attempt index. Both are `Copy`, so the options
 /// stay a plain value with a single sink lifetime. The size imbalance
 /// between the variants is deliberate: boxing the plan would cost
 /// `Copy` and a heap allocation per options value, and options only
@@ -674,7 +674,7 @@ impl UnlockSession {
 #[derive(Debug, Clone, Copy)]
 enum FaultSource {
     Plan(FaultPlan),
-    Injector(FaultInjector),
+    Config(FaultConfig),
 }
 
 /// Builder-style options for [`UnlockSession::run`], the single unlock
@@ -741,16 +741,17 @@ impl<'a> AttemptOptions<'a> {
 
     /// Applies one fixed [`FaultPlan`] to every attempt of the series
     /// (default: [`FaultPlan::none()`], a strict no-op). Replaces any
-    /// injector set earlier.
+    /// fault config set earlier.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = FaultSource::Plan(plan);
         self
     }
 
-    /// Derives a fresh [`FaultPlan`] from `injector` for each attempt
-    /// index of the series. Replaces any fixed plan set earlier.
-    pub fn fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.faults = FaultSource::Injector(injector);
+    /// Derives a fresh [`FaultPlan`] from `config` for each attempt
+    /// index of the series ([`FaultPlan::derive`]). Replaces any fixed
+    /// plan set earlier.
+    pub fn fault_config(mut self, config: FaultConfig) -> Self {
+        self.faults = FaultSource::Config(config);
         self
     }
 
@@ -940,9 +941,8 @@ impl AttemptSummary for ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DETECTION_THRESHOLD;
     use crate::environment::{Environment, MotionScenario};
-    use crate::protocol::{decode_token, demodulator, encode_token};
+    use crate::protocol::{decode_token, encode_token};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use wearlock_acoustics::channel::PathKind;
@@ -1188,19 +1188,10 @@ mod tests {
 
     #[test]
     fn phase2_demodulator_threshold_matches_phase1() {
-        // Regression: phase 2 used to construct its demodulator without
-        // the session's detection threshold, silently falling back to
-        // the library default — a weak-but-passing phase-1 preamble
-        // could then be rejected in phase 2 under a stricter bar. Both
-        // phases build through `protocol::demodulator`, so phase 1 (the
-        // configured modem) and phase 2 (the selected data channels)
-        // detect at the same threshold.
-        let config = WearLockConfig::default();
-        let phase2_cfg = config.modem.with_data_channels(vec![17, 18, 20]).unwrap();
-        let rx1 = demodulator(&config.modem);
-        let rx2 = demodulator(&phase2_cfg);
-        assert_eq!(rx1.detection_threshold(), DETECTION_THRESHOLD);
-        assert_eq!(rx2.detection_threshold(), DETECTION_THRESHOLD);
+        // Both phases must detect at the same bar, or a weak-but-passing
+        // phase-1 preamble could be rejected in phase 2: the receiver has
+        // one threshold, a constant, for every channel set.
+        assert_eq!(wearlock_modem::demodulator::DETECTION_THRESHOLD, 0.3);
     }
 
     #[test]
@@ -1277,7 +1268,7 @@ mod tests {
         let rep = s.run(
             &env,
             &AttemptOptions::new()
-                .fault_injector(FaultInjector::disabled())
+                .fault_config(FaultConfig::none())
                 .retry_policy(RetryPolicy::default()),
             &mut rng(23),
         );
@@ -1305,11 +1296,11 @@ mod tests {
         let mut surrendered = 0;
         for seed in 0..8u64 {
             let mut s = session();
-            let injector = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::uniform(1.0)));
+            let faults = FaultConfig::new(seed, FaultIntensity::uniform(1.0));
             let rep = s.run(
                 &env,
                 &AttemptOptions::new()
-                    .fault_injector(injector)
+                    .fault_config(faults)
                     .retry_policy(RetryPolicy::default()),
                 &mut rng(100 + seed),
             );
@@ -1339,12 +1330,11 @@ mod tests {
         let mut saw_escalation = false;
         for seed in 0..10u64 {
             let mut s = session();
-            let injector =
-                FaultInjector::new(FaultConfig::new(seed, FaultIntensity::new(1.0, 0.0, 0.0)));
+            let faults = FaultConfig::new(seed, FaultIntensity::new(1.0, 0.0, 0.0));
             let rep = s.run(
                 &Environment::default(),
                 &AttemptOptions::new()
-                    .fault_injector(injector)
+                    .fault_config(faults)
                     .retry_policy(RetryPolicy::default()),
                 &mut rng(200 + seed),
             );
@@ -1383,11 +1373,11 @@ mod tests {
         let mut events = Vec::new();
         for seed in 0..6u64 {
             let mut s = session();
-            let injector = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::uniform(0.8)));
+            let faults = FaultConfig::new(seed, FaultIntensity::uniform(0.8));
             s.run(
                 &Environment::default(),
                 &AttemptOptions::new()
-                    .fault_injector(injector)
+                    .fault_config(faults)
                     .retry_policy(policy)
                     .sink(&log),
                 &mut rng(seed),

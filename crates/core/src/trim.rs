@@ -25,11 +25,10 @@
 //! it; precise localisation stays the correlator's job, bounded to the
 //! onset→peak span plus [`SEARCH_PAD_S`] of slack on each side.
 //!
-//! All margins derive from the configured sample rate — nothing here
-//! assumes 44.1 kHz.
+//! Margins are set in seconds and converted at the modem's sample rate.
 
 use wearlock_dsp::level::spl;
-use wearlock_dsp::units::SampleRate;
+use wearlock_modem::config::{PREAMBLE_LEN, SAMPLE_RATE};
 
 /// Noise lead-in kept before the phase-1 probe, seconds. Long enough
 /// for ~30 FFT windows of ambient-noise spectrum estimation and the
@@ -45,9 +44,19 @@ pub const TOKEN_NOISE_LEAD_S: f64 = 0.1;
 /// signal can arrive, so ±50 ms is generous.
 pub const SEARCH_PAD_S: f64 = 0.05;
 
-/// Tail kept after the expected signal end, seconds — covers multipath
-/// spread and the demodulator's fine-sync range.
-const TAIL_PAD_S: f64 = 0.05;
+/// [`SEARCH_PAD_S`] in samples: the session passes this to
+/// [`TrimWindow::search_bounds`].
+pub const SEARCH_PAD: usize = samples(SEARCH_PAD_S);
+
+/// Nominal length of a trim-bounded preamble search: the onset→peak
+/// span of a clean anchor (zero) widened by [`SEARCH_PAD`] on each side,
+/// plus one preamble template. Workload models (the delay model, the
+/// bench harnesses) price each phase's correlation with it.
+pub const NOMINAL_SEARCH_LEN: usize = 2 * SEARCH_PAD + PREAMBLE_LEN;
+
+/// Tail kept after the expected signal end, samples (50 ms) — covers
+/// multipath spread and the demodulator's fine-sync range.
+const TAIL_PAD: usize = samples(0.05);
 
 /// Samples over which the trim estimates its noise floor.
 const NOISE_FLOOR_HEAD: usize = 2_048;
@@ -117,21 +126,20 @@ impl TrimWindow {
     }
 }
 
+/// `seconds` in whole samples at the modem's rate, rounded to the
+/// nearest (`+ 0.5` then truncation: `f64::round` is not `const`).
+const fn samples(seconds: f64) -> usize {
+    (seconds * SAMPLE_RATE.value() + 0.5) as usize
+}
+
 /// Plans the keep-window for a recording expected to contain
 /// `expected_signal_len` samples of signal: `noise_lead_s` seconds of
 /// ambient before the estimated onset, the signal, and a small tail
 /// pad after the latest place it can end. Falls back to keeping
 /// everything when no window rises above the noise floor (downstream
 /// detection then reports the failure with full context).
-pub fn plan_trim(
-    recording: &[f64],
-    sample_rate: SampleRate,
-    expected_signal_len: usize,
-    noise_lead_s: f64,
-) -> TrimWindow {
-    let sr = sample_rate.value();
-    let noise_lead = (noise_lead_s * sr).round() as usize;
-    let tail_pad = (TAIL_PAD_S * sr).round() as usize;
+pub fn plan_trim(recording: &[f64], expected_signal_len: usize, noise_lead_s: f64) -> TrimWindow {
+    let noise_lead = samples(noise_lead_s);
 
     let keep_all = TrimWindow {
         start: 0,
@@ -185,7 +193,7 @@ pub fn plan_trim(
         .unwrap_or(peak);
 
     let start = onset.saturating_sub(noise_lead);
-    let end = (peak + expected_signal_len + tail_pad).min(recording.len());
+    let end = (peak + expected_signal_len + TAIL_PAD).min(recording.len());
     TrimWindow {
         start,
         end: end.max(start),
@@ -195,13 +203,6 @@ pub fn plan_trim(
     }
 }
 
-/// The search-slack half-width in samples at `sample_rate`
-/// ([`SEARCH_PAD_S`] converted): the session passes this to
-/// [`TrimWindow::search_bounds`].
-pub fn search_pad(sample_rate: SampleRate) -> usize {
-    (SEARCH_PAD_S * sample_rate.value()).round() as usize
-}
-
 /// Nominal length in samples of the keep-window [`plan_trim`] produces
 /// when the detector anchors cleanly on the signal: the noise lead-in,
 /// the expected signal, and the tail pad. The actual window can run
@@ -209,20 +210,13 @@ pub fn search_pad(sample_rate: SampleRate) -> usize {
 /// sit at the signal onset). Workload models (the bench harnesses) size
 /// their transfer and correlation costs with this so they track the
 /// trim constants instead of hardcoding sample counts.
-pub fn planned_len(
-    sample_rate: SampleRate,
-    expected_signal_len: usize,
-    noise_lead_s: f64,
-) -> usize {
-    let sr = sample_rate.value();
-    (noise_lead_s * sr).round() as usize + expected_signal_len + (TAIL_PAD_S * sr).round() as usize
+pub fn planned_len(expected_signal_len: usize, noise_lead_s: f64) -> usize {
+    samples(noise_lead_s) + expected_signal_len + TAIL_PAD
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const SR: SampleRate = SampleRate::CD;
 
     fn recording(lead: usize, signal: usize, tail: usize) -> Vec<f64> {
         let mut rec = Vec::with_capacity(lead + signal + tail);
@@ -241,7 +235,7 @@ mod tests {
     fn trim_keeps_lead_signal_and_tail() {
         let (lead, signal) = (12_288, 2_000);
         let rec = recording(lead, signal, 6_000);
-        let w = plan_trim(&rec, SR, signal, PROBE_NOISE_LEAD_S);
+        let w = plan_trim(&rec, signal, PROBE_NOISE_LEAD_S);
         assert!(w.detected, "{w:?}");
         // The onset estimate lands near `lead` (within one detector
         // window) and the kept range brackets the signal.
@@ -252,14 +246,14 @@ mod tests {
         assert!(w.len() < rec.len(), "trim kept everything");
         assert_eq!(w.slice(&rec).len(), w.len());
         // The search bounds cover the signal start with slack.
-        let (lo, hi) = w.search_bounds(search_pad(SR), 256);
+        let (lo, hi) = w.search_bounds(SEARCH_PAD, 256);
         assert!(w.start + lo <= lead && lead < w.start + hi, "{w:?}");
     }
 
     #[test]
     fn trim_near_start_clamps_lead() {
         let rec = recording(100, 1_000, 500);
-        let w = plan_trim(&rec, SR, 1_000, PROBE_NOISE_LEAD_S);
+        let w = plan_trim(&rec, 1_000, PROBE_NOISE_LEAD_S);
         assert_eq!(w.start, 0, "{w:?}");
         assert!(w.onset_offset <= 100 + DETECTOR_WINDOW);
     }
@@ -267,7 +261,7 @@ mod tests {
     #[test]
     fn all_silence_keeps_everything() {
         let rec = vec![0.0; 5_000];
-        let w = plan_trim(&rec, SR, 1_000, PROBE_NOISE_LEAD_S);
+        let w = plan_trim(&rec, 1_000, PROBE_NOISE_LEAD_S);
         assert_eq!((w.start, w.end), (0, 5_000));
         assert_eq!(w.onset_offset, 0);
         assert!(!w.detected);
@@ -275,7 +269,7 @@ mod tests {
 
     #[test]
     fn empty_recording_is_empty_window() {
-        let w = plan_trim(&[], SR, 1_000, PROBE_NOISE_LEAD_S);
+        let w = plan_trim(&[], 1_000, PROBE_NOISE_LEAD_S);
         assert!(w.is_empty());
         assert!(!w.detected);
         assert_eq!(w.slice(&[]).len(), 0);
@@ -293,7 +287,7 @@ mod tests {
         for r in rec.iter_mut().skip(2_000).take(300) {
             *r += 0.02; // ~46 dB above ambient, ~28 dB below the signal.
         }
-        let w = plan_trim(&rec, SR, signal, PROBE_NOISE_LEAD_S);
+        let w = plan_trim(&rec, signal, PROBE_NOISE_LEAD_S);
         assert!(w.detected);
         let onset_abs = w.start + w.onset_offset;
         assert!(
@@ -312,20 +306,28 @@ mod tests {
         // onset→peak distance — the peak can sit anywhere in-signal.
         let (lead, signal) = (12_288, 2_000);
         let rec = recording(lead, signal, 6_000);
-        let w = plan_trim(&rec, SR, signal, PROBE_NOISE_LEAD_S);
-        let planned = planned_len(SR, signal, PROBE_NOISE_LEAD_S);
+        let w = plan_trim(&rec, signal, PROBE_NOISE_LEAD_S);
+        let planned = planned_len(signal, PROBE_NOISE_LEAD_S);
         assert!(w.len() + DETECTOR_WINDOW >= planned, "{w:?} vs {planned}");
         assert!(w.len() <= planned + signal, "{w:?} vs {planned}");
     }
 
     #[test]
-    fn margins_scale_with_sample_rate() {
-        assert_eq!(search_pad(SR), 2_205);
-        assert_eq!(search_pad(SampleRate::new(22_050.0)), 1_103);
-        // A doubled rate doubles the kept lead-in.
-        let rec = recording(30_000, 2_000, 2_000);
-        let cd = plan_trim(&rec, SR, 2_000, PROBE_NOISE_LEAD_S);
-        let hi = plan_trim(&rec, SampleRate::new(88_200.0), 2_000, PROBE_NOISE_LEAD_S);
-        assert!(cd.start > hi.start, "cd {cd:?} hi {hi:?}");
+    fn margins_are_fixed_in_samples() {
+        // The constant conversion rounds as `f64::round` does.
+        for seconds in [PROBE_NOISE_LEAD_S, TOKEN_NOISE_LEAD_S, SEARCH_PAD_S, 0.05] {
+            let rounded = (seconds * SAMPLE_RATE.value()).round() as usize;
+            assert_eq!(samples(seconds), rounded, "{seconds} s");
+        }
+        assert_eq!(
+            [samples(PROBE_NOISE_LEAD_S), samples(TOKEN_NOISE_LEAD_S)],
+            [8_820, 4_410]
+        );
+        assert_eq!([SEARCH_PAD, TAIL_PAD], [2_205, 2_205]);
+        assert_eq!(NOMINAL_SEARCH_LEN, 4_666);
+        assert_eq!(
+            planned_len(1_000, TOKEN_NOISE_LEAD_S),
+            4_410 + 1_000 + 2_205
+        );
     }
 }

@@ -413,41 +413,6 @@ fn derive_acoustic(rng: &mut StdRng, a: f64) -> AcousticFaults {
     f
 }
 
-/// The session-facing handle: owns a [`FaultConfig`] and hands out one
-/// [`FaultPlan`] per attempt index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultInjector {
-    config: FaultConfig,
-}
-
-impl FaultInjector {
-    /// An injector for `config`.
-    pub fn new(config: FaultConfig) -> Self {
-        FaultInjector { config }
-    }
-
-    /// The disabled injector: every plan it hands out is null.
-    pub fn disabled() -> Self {
-        FaultInjector::new(FaultConfig::none())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Whether every derived plan is guaranteed null.
-    pub fn is_disabled(&self) -> bool {
-        self.config.intensity.is_zero()
-    }
-
-    /// The plan for attempt `attempt_index` (pure — see
-    /// [`FaultPlan::derive`]).
-    pub fn plan(&self, attempt_index: u64) -> FaultPlan {
-        FaultPlan::derive(&self.config, attempt_index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,8 +447,7 @@ mod tests {
                 assert!(FaultPlan::derive(&cfg, index).is_null());
             }
         }
-        assert!(FaultInjector::disabled().plan(9).is_null());
-        assert!(FaultInjector::disabled().is_disabled());
+        assert!(FaultPlan::derive(&FaultConfig::none(), 9).is_null());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use wearlock_acoustics::channel::{AcousticLink, AwgnChannel, PathKind};
 use wearlock_acoustics::hardware::{MicrophoneModel, SpeakerModel};
 use wearlock_acoustics::noise::{Location, NoiseModel};
 use wearlock_dsp::units::{Db, Meters, Spl};
-use wearlock_modem::config::{OfdmConfig, SAMPLE_RATE};
+use wearlock_modem::config::OfdmConfig;
 use wearlock_modem::constellation::Modulation;
 use wearlock_modem::demodulator::bit_error_rate;
 use wearlock_modem::{
@@ -155,7 +155,7 @@ fn phase_ripple_floors_psk_but_not_ask() {
         for _ in 0..trials {
             let bits: Vec<bool> = (0..432).map(|_| rng.gen()).collect();
             let wave = modulate(&tx, &bits, m).unwrap();
-            let emitted = speaker.emit(&wave, Spl(60.0), SAMPLE_RATE);
+            let emitted = speaker.emit(&wave, Spl(60.0));
             let rec = ch.transmit(&emitted, &mut rng);
             let ber = demodulate(&rx, &rec, m, bits.len())
                 .map(|r| bit_error_rate(&bits, &r.bits))

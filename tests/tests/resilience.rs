@@ -19,7 +19,7 @@ use wearlock::session::{
 };
 use wearlock_acoustics::noise::Location;
 use wearlock_dsp::units::Meters;
-use wearlock_faults::{FaultConfig, FaultInjector, FaultIntensity, FaultPlan};
+use wearlock_faults::{FaultConfig, FaultIntensity, FaultPlan};
 use wearlock_runtime::SweepRunner;
 use wearlock_telemetry::MetricsRecorder;
 use wearlock_tests::{default_session, rng};
@@ -50,7 +50,7 @@ fn null_plan_is_byte_identical_to_plain_attempt() {
         let b = faulted.run(env, &none, &mut rng(seed));
         // A plan *derived* from a zero-intensity config must behave
         // like the literal null plan, not just compare equal to it.
-        let zero = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::zero())).plan(0);
+        let zero = FaultPlan::derive(&FaultConfig::new(seed, FaultIntensity::zero()), 0);
         assert!(zero.is_null());
         let c = derived.run(env, &AttemptOptions::new().fault_plan(zero), &mut rng(seed));
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "env {k}");
@@ -78,9 +78,9 @@ fn resilience_sweep_is_identical_across_thread_counts() {
 #[test]
 fn hard_denial_stops_the_ladder_without_pin() {
     let env = Environment::builder().wireless_in_range(false).build();
-    let injector = FaultInjector::new(FaultConfig::new(3, FaultIntensity::uniform(1.0)));
+    let faults = FaultConfig::new(3, FaultIntensity::uniform(1.0));
     let options = AttemptOptions::new()
-        .fault_injector(injector)
+        .fault_config(faults)
         .retry_policy(RetryPolicy::default());
     let rep = default_session().run(&env, &options, &mut rng(41));
     assert_eq!(rep.tries(), 1);
@@ -103,11 +103,11 @@ fn hostile_channel_ends_in_pin_fallback_not_lockout() {
     let mut surrendered = 0;
     for seed in 0..6u64 {
         let mut s = default_session();
-        let injector = FaultInjector::new(FaultConfig::new(seed, FaultIntensity::uniform(1.0)));
+        let faults = FaultConfig::new(seed, FaultIntensity::uniform(1.0));
         let rep = s.run(
             &env,
             &AttemptOptions::new()
-                .fault_injector(injector)
+                .fault_config(faults)
                 .retry_policy(RetryPolicy::default()),
             &mut rng(300 + seed),
         );
@@ -146,7 +146,7 @@ fn escalated_retries_beat_flat_retries_on_a_degraded_channel() {
             let rep = s.run(
                 &env,
                 &AttemptOptions::new()
-                    .fault_injector(FaultInjector::disabled())
+                    .fault_config(FaultConfig::none())
                     .retry_policy(*policy),
                 &mut rng(500 + seed),
             );
@@ -179,8 +179,6 @@ proptest! {
         let a = FaultPlan::derive(&config, index);
         let b = FaultPlan::derive(&config, index);
         prop_assert_eq!(a, b);
-        let inj = FaultInjector::new(config);
-        prop_assert_eq!(inj.plan(index), a);
     }
 
     #[test]
